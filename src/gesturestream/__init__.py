@@ -20,7 +20,6 @@ from .activation import (
     update_mean,
 )
 from .core import (
-    Alignment,
     ConfigError,
     FilterKind,
     GestureLabel,
@@ -33,12 +32,15 @@ from .core import (
     validate_config,
 )
 from .evaluate import (
+    AggregateStats,
     EarlyStats,
     Match,
     MatchReport,
     SweepRow,
     VideoResult,
+    VideoScore,
     early_detection_stats,
+    evaluate_corpus,
     evaluate_video,
     levenshtein_accuracy,
     levenshtein_distance,
@@ -54,7 +56,7 @@ from .gate import (
     ewa_weights,
     gate_step,
 )
-from .pipeline import AggregateStats, CorpusRun, RunTrace, TraceRow, VideoRun, run_corpus, run_video
+from .pipeline import CorpusRun, RunTrace, TraceRow, VideoRun, run_corpus, run_video
 from .scoring import (
     Corpus,
     GroundTruthSegment,
@@ -70,6 +72,6 @@ from .scoring import (
     write_annotation_file,
     write_score_file,
 )
-from .windows import StreamCursor, WarmupError, WindowPair, advance, cursor_for, window_bounds, window_count
+from .windows import Window, advance, cursor_for, window_count
 
 __version__ = "0.1.0"

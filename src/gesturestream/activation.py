@@ -18,7 +18,7 @@ from typing import Optional
 
 from .core import PipelineConfig, ProbVector, WeightedMean, top2
 from .gate import GateDecision
-from .windows import WindowPair
+from .windows import Window
 
 
 class EventKind(str, enum.Enum):
@@ -142,7 +142,7 @@ def activation_step(
     state: ActivationState,
     decision: GateDecision,
     classifier,
-    window: WindowPair,
+    window: Window,
     cfg: PipelineConfig,
 ) -> tuple[ActivationState, Optional[ActivationEvent]]:
     """Advance the activation machine by one window given the gate's decision.

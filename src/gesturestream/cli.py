@@ -13,21 +13,22 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .activation import ActivationEvent, EventKind
-from .core import Alignment, ConfigError, FilterKind, PipelineConfig, validate_config
-from .evaluate import EarlyStats, SweepRow, early_detection_stats, evaluate_video, sweep
+from .core import ConfigError, FilterKind, PipelineConfig, validate_config
+from .evaluate import AggregateStats, EarlyStats, SweepRow, VideoScore, evaluate_corpus, sweep
 from .pipeline import CorpusRun, run_corpus
 from .scoring import (
     Corpus,
     StreamFormatError,
     SynthConfig,
+    _require_field,
     generate_synthetic,
+    iter_records,
     load_annotations,
     load_corpus,
     validate_synth_config,
@@ -48,7 +49,6 @@ DEFAULT_GRACE = 32
 
 _PIPELINE_COERCERS = {
     "num_classes": int,
-    "detector_window": int,
     "classifier_window": int,
     "stride": int,
     "filter_kind": FilterKind,
@@ -60,7 +60,6 @@ _PIPELINE_COERCERS = {
     "mean_duration": float,
     "sigmoid_slope": float,
     "sigmoid_midpoint": int,
-    "alignment": Alignment,
 }
 
 
@@ -172,29 +171,19 @@ def write_events_file(path, run: CorpusRun) -> int:
 def load_events_file(path) -> dict[str, list[ActivationEvent]]:
     """Load an events file back into per-video event lists."""
     per_video: dict[str, list[ActivationEvent]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise StreamFormatError(f"{where}: invalid JSON ({exc.msg})") from None
-            try:
-                event = ActivationEvent(
-                    label=int(record["class"]),
-                    emit_frame=int(record["frame"]),
-                    kind=EventKind(record["kind"]),
-                    margin_or_score=float(record["score"]),
-                )
-                video = record["video"]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise StreamFormatError(f"{where}: bad event record ({exc})") from None
-            if not isinstance(video, str):
-                raise StreamFormatError(f"{where}: missing or invalid field 'video'")
-            per_video.setdefault(video, []).append(event)
+    for where, record in iter_records(path):
+        video = _require_field(record, "video", str, where)
+        label = _require_field(record, "class", int, where)
+        frame = _require_field(record, "frame", int, where)
+        kind = _require_field(record, "kind", str, where)
+        score = _require_field(record, "score", (int, float), where)
+        if label < 0 or frame < 0:
+            raise StreamFormatError(f"{where}: class and frame must be >= 0")
+        try:
+            event = ActivationEvent(label, frame, EventKind(kind), float(score))
+        except (ValueError, OverflowError) as exc:
+            raise StreamFormatError(f"{where}: bad event record ({exc})") from None
+        per_video.setdefault(video, []).append(event)
     return per_video
 
 
@@ -207,38 +196,32 @@ def _early_dict(early: Optional[EarlyStats]):
 def _config_dict(cfg: PipelineConfig) -> dict:
     out = asdict(cfg)
     out["filter_kind"] = cfg.filter_kind.value
-    out["alignment"] = cfg.alignment.value
     return out
 
 
-def build_run_report(run: CorpusRun, cfg: PipelineConfig) -> dict:
-    """Serialize a corpus run into the stable report layout."""
-    videos = []
-    for video_id in sorted(run.videos):
-        vr = run.videos[video_id]
-        events = vr.trace.events
-        videos.append(
-            {
-                "video": video_id,
-                "gt": list(vr.result.gt_labels),
-                "pred": list(vr.result.pred_labels),
-                "distance": vr.result.distance,
-                "accuracy": vr.result.accuracy,
-                "events": {
-                    "early": sum(1 for e in events if e.kind is EventKind.EARLY),
-                    "late": sum(1 for e in events if e.kind is EventKind.LATE),
-                },
-                "matched": len(vr.matches.matches),
-                "correct": len(vr.matches.correct_matches),
-                "duplicates": len(vr.matches.duplicates),
-                "unmatched_events": len(vr.matches.unmatched_events),
-                "missed_segments": len(vr.matches.missed_segments),
-                "early_frames": _early_dict(vr.early),
-            }
-        )
-    agg = run.aggregate
+def _scores_report(scores: Mapping[str, VideoScore], agg: AggregateStats) -> dict:
+    """Per-video records and the aggregate block that run and eval reports share."""
+    videos = [
+        {
+            "video": video_id,
+            "gt": list(score.result.gt_labels),
+            "pred": list(score.result.pred_labels),
+            "distance": score.result.distance,
+            "accuracy": score.result.accuracy,
+            "events": {
+                "early": sum(1 for e in score.events if e.kind is EventKind.EARLY),
+                "late": sum(1 for e in score.events if e.kind is EventKind.LATE),
+            },
+            "matched": len(score.matches.matches),
+            "correct": len(score.matches.correct_matches),
+            "duplicates": len(score.matches.duplicates),
+            "unmatched_events": len(score.matches.unmatched_events),
+            "missed_segments": len(score.matches.missed_segments),
+            "early_frames": _early_dict(score.early),
+        }
+        for video_id, score in scores.items()
+    ]
     return {
-        "config": _config_dict(cfg),
         "grace": agg.grace,
         "aggregate": {
             "videos": agg.video_count,
@@ -249,83 +232,29 @@ def build_run_report(run: CorpusRun, cfg: PipelineConfig) -> dict:
             "unmatched_events": agg.unmatched_events,
             "missed_segments": agg.missed_segments,
             "early_frames": _early_dict(agg.early),
-            "windows_processed": agg.windows_processed,
-            "classifier_invocations": agg.classifier_invocations,
         },
         "negative_accuracy_videos": [
             v["video"] for v in videos if v["accuracy"] is not None and v["accuracy"] < 0
         ],
-        "skipped_missing_annotations": list(run.skipped),
         "videos": videos,
     }
+
+
+def build_run_report(run: CorpusRun, cfg: PipelineConfig) -> dict:
+    """Serialize a corpus run into the stable report layout."""
+    report = _scores_report(run.videos, run.aggregate)
+    report["config"] = _config_dict(cfg)
+    report["aggregate"]["windows_processed"] = run.aggregate.windows_processed
+    report["aggregate"]["classifier_invocations"] = run.aggregate.classifier_invocations
+    report["skipped_missing_annotations"] = list(run.skipped)
+    return report
 
 
 def build_eval_report(events_by_video, segments_by_video, grace: int) -> dict:
     """Re-score stored events against annotations, without rerunning the pipeline."""
-    known = sorted(segments_by_video)
-    unknown = sorted(set(events_by_video) - set(segments_by_video))
-    videos = []
-    accuracies = []
-    pooled_early = []
-    totals = {"matched": 0, "duplicates": 0, "unmatched_events": 0, "missed_segments": 0}
-    kind_counts = {"early": 0, "late": 0}
-    for video_id in known:
-        events = events_by_video.get(video_id, [])
-        result, report = evaluate_video(video_id, events, segments_by_video[video_id], grace)
-        if result.accuracy is not None:
-            accuracies.append(result.accuracy)
-        early = early_detection_stats(report.matches)
-        pooled_early.extend(m.early_frames for m in report.matches if m.correct)
-        totals["matched"] += len(report.matches)
-        totals["duplicates"] += len(report.duplicates)
-        totals["unmatched_events"] += len(report.unmatched_events)
-        totals["missed_segments"] += len(report.missed_segments)
-        for event in events:
-            kind_counts[event.kind.value] += 1
-        videos.append(
-            {
-                "video": video_id,
-                "gt": list(result.gt_labels),
-                "pred": list(result.pred_labels),
-                "distance": result.distance,
-                "accuracy": result.accuracy,
-                "events": {
-                    "early": sum(1 for e in events if e.kind is EventKind.EARLY),
-                    "late": sum(1 for e in events if e.kind is EventKind.LATE),
-                },
-                "matched": len(report.matches),
-                "correct": len(report.correct_matches),
-                "duplicates": len(report.duplicates),
-                "unmatched_events": len(report.unmatched_events),
-                "missed_segments": len(report.missed_segments),
-                "early_frames": _early_dict(early),
-            }
-        )
-    early_agg = None
-    if pooled_early:
-        early_agg = {
-            "mean": statistics.fmean(pooled_early),
-            "median": float(statistics.median(pooled_early)),
-            "count": len(pooled_early),
-        }
-    return {
-        "grace": grace,
-        "aggregate": {
-            "videos": len(known),
-            "mean_levenshtein_accuracy": sum(accuracies) / len(accuracies) if accuracies else None,
-            "events": kind_counts,
-            "matched": totals["matched"],
-            "duplicates": totals["duplicates"],
-            "unmatched_events": totals["unmatched_events"],
-            "missed_segments": totals["missed_segments"],
-            "early_frames": early_agg,
-        },
-        "negative_accuracy_videos": [
-            v["video"] for v in videos if v["accuracy"] is not None and v["accuracy"] < 0
-        ],
-        "unknown_videos": unknown,
-        "videos": videos,
-    }
+    report = _scores_report(*evaluate_corpus(events_by_video, segments_by_video, grace))
+    report["unknown_videos"] = sorted(set(events_by_video) - set(segments_by_video))
+    return report
 
 
 def _dump_json(payload: dict) -> str:
@@ -464,7 +393,6 @@ def _add_config_flag(parser) -> None:
 
 def _add_pipeline_flags(parser) -> None:
     parser.add_argument("--num-classes", dest="num_classes", type=int)
-    parser.add_argument("--detector-window", dest="detector_window", type=int)
     parser.add_argument("--classifier-window", dest="classifier_window", type=int)
     parser.add_argument("--stride", dest="stride", type=int)
     parser.add_argument(
@@ -478,10 +406,6 @@ def _add_pipeline_flags(parser) -> None:
     parser.add_argument("--mean-duration", dest="mean_duration", type=float)
     parser.add_argument("--sigmoid-slope", dest="sigmoid_slope", type=float)
     parser.add_argument("--sigmoid-midpoint", dest="sigmoid_midpoint", type=int)
-    parser.add_argument(
-        "--alignment", dest="alignment", type=Alignment, choices=list(Alignment)
-    )
-    parser.add_argument("--grace", type=int, default=None, help="event matching grace (frames)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -517,6 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True)
     _add_config_flag(run)
     _add_pipeline_flags(run)
+    run.add_argument("--grace", type=int, default=None, help="event matching grace (frames)")
     run.add_argument("--trace", action="store_true", help="also write per-video trace files")
     run.set_defaults(func=cmd_run)
 

@@ -36,13 +36,6 @@ class FilterKind(str, enum.Enum):
     EWA = "ewa"
 
 
-class Alignment(str, enum.Enum):
-    """Where the detector window sits inside the classifier window."""
-
-    NEWEST = "newest"
-    OLDEST = "oldest"
-
-
 @dataclass(frozen=True, slots=True)
 class ProbVector:
     """A normalized probability distribution over classes.
@@ -105,13 +98,11 @@ class PipelineConfig:
     """All tunables of the streaming recognizer.
 
     Defaults are the operating point used throughout the bundled tests:
-    an 8-frame detector window nested in a 32-frame classifier window,
-    stride 1, median filtering over the last 4 detector scores, and a
-    late-decision threshold of 0.15.
+    a 32-frame classifier window, stride 1, median filtering over the
+    last 4 detector scores, and a late-decision threshold of 0.15.
     """
 
     num_classes: int
-    detector_window: int = 8
     classifier_window: int = 32
     stride: int = 1
     filter_kind: FilterKind = FilterKind.MEDIAN
@@ -123,7 +114,6 @@ class PipelineConfig:
     mean_duration: float = 38.4
     sigmoid_slope: float = 0.2
     sigmoid_midpoint: int | None = None  # overrides the midpoint derived from mean_duration
-    alignment: Alignment = Alignment.NEWEST
 
 
 def validate_config(cfg: PipelineConfig) -> PipelineConfig:
@@ -133,15 +123,8 @@ def validate_config(cfg: PipelineConfig) -> PipelineConfig:
     offending field otherwise.
     """
     problems: list[str] = []
-    if cfg.detector_window < 1:
-        problems.append("detector_window must be >= 1")
     if cfg.classifier_window < 1:
         problems.append("classifier_window must be >= 1")
-    if cfg.detector_window > cfg.classifier_window:
-        problems.append(
-            f"detector_window ({cfg.detector_window}) must be <= "
-            f"classifier_window ({cfg.classifier_window})"
-        )
     if cfg.stride < 1:
         problems.append("stride must be >= 1")
     if cfg.filter_size < 1:
@@ -164,8 +147,6 @@ def validate_config(cfg: PipelineConfig) -> PipelineConfig:
         problems.append("sigmoid_midpoint must be >= 0 when set")
     if not isinstance(cfg.filter_kind, FilterKind):
         problems.append(f"filter_kind must be one of {[k.value for k in FilterKind]}")
-    if not isinstance(cfg.alignment, Alignment):
-        problems.append(f"alignment must be one of {[a.value for a in Alignment]}")
     if problems:
         raise ConfigError("; ".join(problems))
     return cfg

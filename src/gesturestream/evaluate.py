@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from .activation import ActivationEvent
+from .activation import ActivationEvent, EventKind
 from .core import PipelineConfig
 from .scoring import Corpus, GroundTruthSegment
 
@@ -164,6 +164,72 @@ def evaluate_video(
     accuracy = (1.0 - distance / len(gt)) * 100.0 if gt else None
     report = match_activations(events, ordered_segments, grace)
     return VideoResult(video_id, gt, pred, distance, accuracy), report
+
+
+@dataclass(frozen=True, slots=True)
+class VideoScore:
+    """One video's events scored against its annotations."""
+
+    events: tuple[ActivationEvent, ...]
+    result: VideoResult
+    matches: MatchReport
+    early: Optional[EarlyStats]
+
+
+@dataclass(frozen=True, slots=True)
+class AggregateStats:
+    """Corpus-level rollup; accuracy is the unweighted mean over videos."""
+
+    video_count: int
+    mean_accuracy: Optional[float]
+    early: Optional[EarlyStats]
+    matched: int
+    duplicates: int
+    unmatched_events: int
+    missed_segments: int
+    events_early: int
+    events_late: int
+    windows_processed: int
+    classifier_invocations: int
+    grace: int
+
+
+def evaluate_corpus(
+    events_by_video: Mapping[str, Sequence[ActivationEvent]],
+    segments_by_video: Mapping[str, Sequence[GroundTruthSegment]],
+    grace: int,
+) -> tuple[dict[str, VideoScore], AggregateStats]:
+    """Score every annotated video's events and roll the scores up.
+
+    Videos are scored in sorted order; an annotated video without events
+    scores all its segments as missed, and events of unannotated videos are
+    ignored. The aggregate's window counters stay 0: only a pipeline run
+    knows them.
+    """
+    if grace < 0:
+        raise ValueError(f"grace must be >= 0, got {grace}")
+    scores: dict[str, VideoScore] = {}
+    for video_id in sorted(segments_by_video):
+        events = tuple(events_by_video.get(video_id, ()))
+        result, matches = evaluate_video(video_id, events, segments_by_video[video_id], grace)
+        scores[video_id] = VideoScore(events, result, matches, early_detection_stats(matches.matches))
+    accuracies = [s.result.accuracy for s in scores.values() if s.result.accuracy is not None]
+    kinds = [e.kind for s in scores.values() for e in s.events]
+    aggregate = AggregateStats(
+        video_count=len(scores),
+        mean_accuracy=sum(accuracies) / len(accuracies) if accuracies else None,
+        early=early_detection_stats([m for s in scores.values() for m in s.matches.matches]),
+        matched=sum(len(s.matches.matches) for s in scores.values()),
+        duplicates=sum(len(s.matches.duplicates) for s in scores.values()),
+        unmatched_events=sum(len(s.matches.unmatched_events) for s in scores.values()),
+        missed_segments=sum(len(s.matches.missed_segments) for s in scores.values()),
+        events_early=kinds.count(EventKind.EARLY),
+        events_late=kinds.count(EventKind.LATE),
+        windows_processed=0,
+        classifier_invocations=0,
+        grace=grace,
+    )
+    return scores, aggregate
 
 
 @dataclass(frozen=True, slots=True)

@@ -9,13 +9,12 @@ pipeline's whole economy: idle stretches cost one detector lookup per window.
 from __future__ import annotations
 
 import logging
-import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .activation import ActivationEvent, ActivationState, activation_step, effective_midpoint, sigmoid_weight
 from .core import GESTURE_INDEX, PipelineConfig, top2, validate_config
-from .evaluate import EarlyStats, MatchReport, VideoResult, early_detection_stats, evaluate_video
+from .evaluate import AggregateStats, VideoScore, evaluate_corpus
 from .gate import GateDecision, GateMode, GateState, gate_step
 from .scoring import Corpus, ScoreStream
 from .windows import advance, cursor_for
@@ -116,31 +115,10 @@ def run_video(
 
 
 @dataclass(frozen=True, slots=True)
-class VideoRun:
-    """One video's trace plus its evaluation against ground truth."""
+class VideoRun(VideoScore):
+    """One video's evaluation against ground truth plus the trace it came from."""
 
     trace: RunTrace
-    result: VideoResult
-    matches: MatchReport
-    early: Optional[EarlyStats]
-
-
-@dataclass(frozen=True, slots=True)
-class AggregateStats:
-    """Corpus-level rollup; accuracy is the unweighted mean over videos."""
-
-    video_count: int
-    mean_accuracy: Optional[float]
-    early: Optional[EarlyStats]
-    matched: int
-    duplicates: int
-    unmatched_events: int
-    missed_segments: int
-    events_early: int
-    events_late: int
-    windows_processed: int
-    classifier_invocations: int
-    grace: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,7 +150,7 @@ def run_corpus(
     if not video_ids:
         raise ValueError("no videos in corpus")
 
-    runs: dict[str, VideoRun] = {}
+    traces: dict[str, RunTrace] = {}
     skipped: list[str] = []
     for video_id in video_ids:
         segments = corpus.segments.get(video_id)
@@ -182,42 +160,21 @@ def run_corpus(
             continue
         if video_id not in corpus.classifier:
             raise ValueError(f"no classifier stream for {video_id}")
-        trace = run_video(
+        traces[video_id] = run_video(
             corpus.detector[video_id], corpus.classifier[video_id], cfg, collect_trace=collect_trace
         )
-        result, matches = evaluate_video(video_id, trace.events, segments, grace)
-        runs[video_id] = VideoRun(
-            trace=trace,
-            result=result,
-            matches=matches,
-            early=early_detection_stats(matches.matches),
-        )
-    if not runs:
+    if not traces:
         raise ValueError("no videos with annotations to evaluate")
 
-    accuracies = [r.result.accuracy for r in runs.values() if r.result.accuracy is not None]
-    pooled_early = [
-        m.early_frames for r in runs.values() for m in r.matches.matches if m.correct
-    ]
-    early = None
-    if pooled_early:
-        early = EarlyStats(
-            mean=statistics.fmean(pooled_early),
-            median=float(statistics.median(pooled_early)),
-            count=len(pooled_early),
-        )
-    aggregate = AggregateStats(
-        video_count=len(runs),
-        mean_accuracy=sum(accuracies) / len(accuracies) if accuracies else None,
-        early=early,
-        matched=sum(len(r.matches.matches) for r in runs.values()),
-        duplicates=sum(len(r.matches.duplicates) for r in runs.values()),
-        unmatched_events=sum(len(r.matches.unmatched_events) for r in runs.values()),
-        missed_segments=sum(len(r.matches.missed_segments) for r in runs.values()),
-        events_early=sum(1 for r in runs.values() for e in r.trace.events if e.kind.value == "early"),
-        events_late=sum(1 for r in runs.values() for e in r.trace.events if e.kind.value == "late"),
-        windows_processed=sum(r.trace.windows_processed for r in runs.values()),
-        classifier_invocations=sum(r.trace.classifier_invocations for r in runs.values()),
-        grace=grace,
+    scores, aggregate = evaluate_corpus(
+        {v: trace.events for v, trace in traces.items()},
+        {v: corpus.segments[v] for v in traces},
+        grace,
+    )
+    runs = {v: VideoRun(s.events, s.result, s.matches, s.early, traces[v]) for v, s in scores.items()}
+    aggregate = replace(
+        aggregate,
+        windows_processed=sum(t.windows_processed for t in traces.values()),
+        classifier_invocations=sum(t.classifier_invocations for t in traces.values()),
     )
     return CorpusRun(videos=runs, skipped=tuple(skipped), aggregate=aggregate)

@@ -289,6 +289,27 @@ def generate_synthetic(cfg: SynthConfig) -> Corpus:
     return Corpus(detector=detector, classifier=classifier, segments=annotations)
 
 
+def iter_records(path):
+    """Yield (where, record) for each non-blank line of a JSON-lines file.
+
+    `where` is "path:line" for error messages; a line that is not a JSON
+    object raises StreamFormatError.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise StreamFormatError(f"{where}: invalid JSON ({exc.msg})") from None
+            if not isinstance(record, dict):
+                raise StreamFormatError(f"{where}: expected a JSON object")
+            yield where, record
+
+
 def _require_field(record: dict, name: str, kinds, where: str):
     value = record.get(name)
     if isinstance(value, bool) or not isinstance(value, kinds):
@@ -305,36 +326,25 @@ def load_score_stream(path, expected_arity: int | None = None) -> dict[str, Scor
     per_video: dict[str, dict[int, ProbVector]] = {}
     arity = expected_arity
     total = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise StreamFormatError(f"{where}: invalid JSON ({exc.msg})") from None
-            if not isinstance(record, dict):
-                raise StreamFormatError(f"{where}: expected a JSON object")
-            video = _require_field(record, "video", str, where)
-            t = _require_field(record, "t", int, where)
-            p = _require_field(record, "p", list, where)
-            if t < 0:
-                raise StreamFormatError(f"{where}: negative frame index {t}")
-            if arity is None:
-                arity = len(p)
-            if len(p) != arity:
-                raise StreamFormatError(f"{where}: expected {arity} probabilities, got {len(p)}")
-            try:
-                vec = ingest_probs(p)
-            except (TypeError, ValueError) as exc:
-                raise StreamFormatError(f"{where}: {exc}") from None
-            bucket = per_video.setdefault(video, {})
-            if t in bucket:
-                raise StreamFormatError(f"{where}: duplicate entry for {video}@{t}")
-            bucket[t] = vec
-            total += 1
+    for where, record in iter_records(path):
+        video = _require_field(record, "video", str, where)
+        t = _require_field(record, "t", int, where)
+        p = _require_field(record, "p", list, where)
+        if t < 0:
+            raise StreamFormatError(f"{where}: negative frame index {t}")
+        if arity is None:
+            arity = len(p)
+        if len(p) != arity:
+            raise StreamFormatError(f"{where}: expected {arity} probabilities, got {len(p)}")
+        try:
+            vec = ingest_probs(p)
+        except (TypeError, ValueError) as exc:
+            raise StreamFormatError(f"{where}: {exc}") from None
+        bucket = per_video.setdefault(video, {})
+        if t in bucket:
+            raise StreamFormatError(f"{where}: duplicate entry for {video}@{t}")
+        bucket[t] = vec
+        total += 1
     if not per_video:
         raise StreamFormatError(f"{path}: no score records")
     streams = {
@@ -348,29 +358,18 @@ def load_score_stream(path, expected_arity: int | None = None) -> dict[str, Scor
 def load_annotations(path, num_classes: int | None = None) -> dict[str, list[GroundTruthSegment]]:
     """Load ground-truth segments, sorted by start and checked for overlap."""
     per_video: dict[str, list[GroundTruthSegment]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise StreamFormatError(f"{where}: invalid JSON ({exc.msg})") from None
-            if not isinstance(record, dict):
-                raise StreamFormatError(f"{where}: expected a JSON object")
-            video = _require_field(record, "video", str, where)
-            label = _require_field(record, "class", int, where)
-            start = _require_field(record, "start", int, where)
-            end = _require_field(record, "end", int, where)
-            if num_classes is not None and not (0 <= label < num_classes):
-                raise StreamFormatError(f"{where}: class {label} outside [0, {num_classes})")
-            try:
-                segment = GroundTruthSegment(video, label, start, end)
-            except ValueError as exc:
-                raise StreamFormatError(f"{where}: {exc}") from None
-            per_video.setdefault(video, []).append(segment)
+    for where, record in iter_records(path):
+        video = _require_field(record, "video", str, where)
+        label = _require_field(record, "class", int, where)
+        start = _require_field(record, "start", int, where)
+        end = _require_field(record, "end", int, where)
+        if num_classes is not None and not (0 <= label < num_classes):
+            raise StreamFormatError(f"{where}: class {label} outside [0, {num_classes})")
+        try:
+            segment = GroundTruthSegment(video, label, start, end)
+        except ValueError as exc:
+            raise StreamFormatError(f"{where}: {exc}") from None
+        per_video.setdefault(video, []).append(segment)
     for video, segments in per_video.items():
         segments.sort(key=lambda s: s.start)
         for prev, cur in zip(segments, segments[1:]):

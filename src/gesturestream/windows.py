@@ -1,94 +1,47 @@
-"""Sliding-window scheduling: detector and classifier spans per stride step.
+"""Sliding-window scheduling: one window end frame per stride step.
 
-Windows are inclusive index ranges into a frame stream; no frame data is
-touched here. No window is emitted until a full classifier window exists,
-so the first end frame is always classifier_window - 1.
+No frame data is touched here. No window is emitted until a full classifier
+window exists, so the first end frame is always classifier_window - 1. Both
+streams are read at the window end.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
-from .core import Alignment, PipelineConfig
+from .core import PipelineConfig
 
 log = logging.getLogger(__name__)
 
 
-class WarmupError(ValueError):
-    """Requested a window before a full classifier window is available."""
+class Window(NamedTuple):
+    """One stride step of the schedule."""
+
+    end: int  # the classifier window's last frame
 
 
-@dataclass(frozen=True, slots=True)
-class WindowPair:
-    """Aligned detector and classifier spans sharing one stride step.
+def cursor_for(length: int, cfg: PipelineConfig) -> range:
+    """End frames m-1, m-1+s, ... of the schedule over a stream, while they fit inside it."""
+    return range(cfg.classifier_window - 1, length, cfg.stride)
 
-    Spans are inclusive (lo, hi) frame ranges; the detector span always
-    nests inside the classifier span.
+
+def advance(cursor: range, cfg: PipelineConfig) -> Iterator[Window]:
+    """Yield one Window per end frame of the cursor.
+
+    A stream shorter than the classifier window yields nothing (warm-up only).
     """
-
-    detector_span: tuple[int, int]
-    classifier_span: tuple[int, int]
-
-    @property
-    def end(self) -> int:
-        """The stride step's end frame (classifier span hi)."""
-        return self.classifier_span[1]
-
-
-@dataclass(frozen=True, slots=True)
-class StreamCursor:
-    """Position of the sliding schedule over a finite stream."""
-
-    t: int  # current end frame
-    stride: int
-    length: int
-
-
-def window_bounds(t: int, cfg: PipelineConfig) -> WindowPair:
-    """Window spans for the stride step ending at frame t.
-
-    The classifier span is [t-m+1, t]. With newest alignment the detector
-    shares the newest end; with oldest it sits at the oldest end of the
-    classifier span.
-    """
-    m = cfg.classifier_window
-    n = cfg.detector_window
-    if t < m - 1:
-        raise WarmupError(f"end frame {t} precedes first full classifier window (needs t >= {m - 1})")
-    classifier_span = (t - m + 1, t)
-    if cfg.alignment is Alignment.NEWEST:
-        detector_span = (t - n + 1, t)
-    else:
-        detector_span = (t - m + 1, t - m + n)
-    return WindowPair(detector_span=detector_span, classifier_span=classifier_span)
-
-
-def cursor_for(length: int, cfg: PipelineConfig) -> StreamCursor:
-    """Cursor positioned at the first schedulable end frame of a stream."""
-    return StreamCursor(t=cfg.classifier_window - 1, stride=cfg.stride, length=length)
-
-
-def advance(cursor: StreamCursor, cfg: PipelineConfig) -> Iterator[WindowPair]:
-    """Yield one WindowPair per stride step until the stream is exhausted.
-
-    End frames run m-1, m-1+s, ... while they fit inside the stream. A
-    stream shorter than the classifier window yields nothing (warm-up only).
-    """
-    if cursor.length < cfg.classifier_window:
+    if not cursor:
         log.warning(
             "stream of %d frames is shorter than the classifier window (%d); no windows scheduled",
-            cursor.length,
+            cursor.stop,
             cfg.classifier_window,
         )
         return
-    for t in range(cursor.t, cursor.length, cursor.stride):
-        yield window_bounds(t, cfg)
+    for t in cursor:
+        yield Window(t)
 
 
 def window_count(length: int, cfg: PipelineConfig) -> int:
     """Number of stride steps the schedule yields for a stream."""
-    if length < cfg.classifier_window:
-        return 0
-    return (length - cfg.classifier_window) // cfg.stride + 1
+    return len(cursor_for(length, cfg))

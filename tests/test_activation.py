@@ -16,7 +16,7 @@ from gesturestream.activation import (
 )
 from gesturestream.core import PipelineConfig, ProbVector, WeightedMean, normalize
 from gesturestream.gate import GateDecision
-from gesturestream.windows import window_bounds
+from gesturestream.windows import Window
 
 
 class TestMidpoint:
@@ -191,7 +191,7 @@ class TestActivationStep:
     CFG = PipelineConfig(num_classes=3, tau_early=0.3)
 
     def window(self, t):
-        return window_bounds(t, self.CFG)
+        return Window(t)
 
     def test_idle_never_touches_classifier(self):
         scorer = StubScorer(ProbVector((0.5, 0.3, 0.2)))

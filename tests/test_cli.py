@@ -137,20 +137,37 @@ class TestRun:
 class TestEval:
     def test_matches_run_report(self, corpus_dir, tmp_path):
         run_out = tmp_path / "run"
-        assert main(["run", "--data", str(corpus_dir), "--out", str(run_out)]) == 0
+        assert main([
+            "run", "--data", str(corpus_dir), "--out", str(run_out), "--tau-early", "0.2", "--grace", "20",
+        ]) == 0
         eval_out = tmp_path / "eval"
         assert main([
             "eval", "--events", str(run_out / "events.jsonl"),
             "--annotations", str(corpus_dir / "annotations.jsonl"),
-            "--out", str(eval_out),
+            "--out", str(eval_out), "--grace", "20",
         ]) == 0
         run_report = json.loads((run_out / "report.json").read_text())
         eval_report = json.loads((eval_out / "report.json").read_text())
-        assert (
-            eval_report["aggregate"]["mean_levenshtein_accuracy"]
-            == run_report["aggregate"]["mean_levenshtein_accuracy"]
-        )
-        assert eval_report["aggregate"]["matched"] == run_report["aggregate"]["matched"]
+        run_agg, eval_agg = run_report["aggregate"], eval_report["aggregate"]
+        assert run_agg["events"]["early"] > 0 and run_agg["early_frames"] is not None
+        assert set(run_agg) - set(eval_agg) == {"windows_processed", "classifier_invocations"}
+        assert eval_agg == {key: run_agg[key] for key in eval_agg}
+        assert eval_report["videos"] == run_report["videos"]
+        assert eval_report["grace"] == run_report["grace"] == 20
+
+    @pytest.mark.parametrize("field,value", [
+        ("class", 1.7), ("frame", "40"), ("score", True), ("class", -3), ("kind", "soon"),
+    ])
+    def test_bad_event_field_rejected_with_line(self, corpus_dir, tmp_path, capsys, field, value):
+        good = {"video": "v000", "class": 1, "frame": 40, "kind": "late", "score": 0.5}
+        events = tmp_path / "events.jsonl"
+        events.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n")
+        assert main([
+            "eval", "--events", str(events),
+            "--annotations", str(corpus_dir / "annotations.jsonl"),
+            "--out", str(tmp_path / "eval"),
+        ]) == 1
+        assert f"{events}:2:" in capsys.readouterr().err
 
     def test_reproduces_worked_metric_example(self, tmp_path):
         # one video: ground truth 1..9, predictions 1,2,7,4,5,6,6,7,8,9
@@ -253,6 +270,27 @@ class TestExitCodes:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize("grace,code", [("-1", 1), ("0", 0)])
+    def test_grace_must_be_non_negative(self, corpus_dir, tmp_path, grace, code):
+        events = tmp_path / "events.jsonl"
+        events.write_text("")
+        assert main(["run", "--data", str(corpus_dir), "--out", str(tmp_path / "run"), "--grace", grace]) == code
+        assert main([
+            "eval", "--events", str(events), "--annotations", str(corpus_dir / "annotations.jsonl"),
+            "--out", str(tmp_path / "eval"), "--grace", grace,
+        ]) == code
+
+    @pytest.mark.parametrize("key,value", [("alignment", "newest"), ("detector_window", "8")])
+    def test_removed_window_knobs_rejected(self, corpus_dir, tmp_path, capsys, key, value):
+        base = ["run", "--data", str(corpus_dir), "--out", str(tmp_path / "o")]
+        flag = "--" + key.replace("_", "-")
+        assert main(base + [flag, value]) == 1
+        assert flag in capsys.readouterr().err
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert main(base + ["--config", str(cfg)]) == 1
+        assert repr(key) in capsys.readouterr().err
 
     def test_invalid_tau_is_validation_error(self, corpus_dir, tmp_path):
         code = main([

@@ -20,27 +20,18 @@ class TestValidateConfig:
     def test_accepts_default_operating_point(self):
         cfg = PipelineConfig(num_classes=83)
         assert validate_config(cfg) is cfg
-        assert cfg.detector_window == 8
         assert cfg.classifier_window == 32
         assert cfg.stride == 1
         assert cfg.filter_size == 4
 
-    def test_zero_detector_window(self):
-        with pytest.raises(ConfigError, match="detector_window must be >= 1"):
-            validate_config(PipelineConfig(num_classes=10, detector_window=0))
-
-    def test_detector_larger_than_classifier(self):
-        with pytest.raises(ConfigError, match="detector_window .* classifier_window"):
-            validate_config(PipelineConfig(num_classes=10, detector_window=16, classifier_window=8))
-
     def test_all_violations_reported_together(self):
         bad = PipelineConfig(
-            num_classes=1, detector_window=0, stride=0, filter_size=0, tau_late=1.5
+            num_classes=1, classifier_window=0, stride=0, filter_size=0, tau_late=1.5
         )
         with pytest.raises(ConfigError) as exc:
             validate_config(bad)
         message = str(exc.value)
-        for fragment in ("detector_window", "stride", "filter_size", "num_classes", "tau_late"):
+        for fragment in ("classifier_window", "stride", "filter_size", "num_classes", "tau_late"):
             assert fragment in message
 
     @pytest.mark.parametrize("field,value", [

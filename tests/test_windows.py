@@ -1,58 +1,13 @@
 import random
 
-import pytest
+from gesturestream.core import PipelineConfig
+from gesturestream.windows import advance, cursor_for, window_count
 
-from gesturestream.core import Alignment, PipelineConfig
-from gesturestream.windows import (
-    WarmupError,
-    advance,
-    cursor_for,
-    window_bounds,
-    window_count,
-)
-
-CFG = PipelineConfig(num_classes=10)  # n=8, m=32, s=1, newest
+CFG = PipelineConfig(num_classes=10)  # m=32, s=1
 
 
 def ends(length, cfg):
     return [w.end for w in advance(cursor_for(length, cfg), cfg)]
-
-
-class TestWindowBounds:
-    def test_first_window_newest(self):
-        pair = window_bounds(31, CFG)
-        assert pair.detector_span == (24, 31)
-        assert pair.classifier_span == (0, 31)
-
-    def test_first_window_oldest(self):
-        cfg = PipelineConfig(num_classes=10, alignment=Alignment.OLDEST)
-        pair = window_bounds(31, cfg)
-        assert pair.detector_span == (0, 7)
-        assert pair.classifier_span == (0, 31)
-
-    def test_mid_stream_newest(self):
-        pair = window_bounds(40, CFG)
-        assert pair.detector_span == (33, 40)
-        assert pair.classifier_span == (9, 40)
-
-    def test_warmup_rejected(self):
-        with pytest.raises(WarmupError):
-            window_bounds(30, CFG)
-
-    def test_span_lengths_and_nesting(self):
-        for alignment in Alignment:
-            cfg = PipelineConfig(num_classes=10, alignment=alignment)
-            for t in (31, 40, 100):
-                pair = window_bounds(t, cfg)
-                d_lo, d_hi = pair.detector_span
-                c_lo, c_hi = pair.classifier_span
-                assert d_hi - d_lo + 1 == cfg.detector_window
-                assert c_hi - c_lo + 1 == cfg.classifier_window
-                assert c_lo <= d_lo and d_hi <= c_hi
-                if alignment is Alignment.NEWEST:
-                    assert d_hi == c_hi
-                else:
-                    assert d_lo == c_lo
 
 
 class TestAdvance:
@@ -77,12 +32,9 @@ class TestAdvance:
         rng = random.Random(5)
         for _ in range(300):
             m = rng.randint(2, 64)
-            n = rng.randint(1, m)
             s = rng.randint(1, 8)
             length = rng.randint(0, 400)
-            cfg = PipelineConfig(
-                num_classes=10, detector_window=n, classifier_window=m, stride=s
-            )
+            cfg = PipelineConfig(num_classes=10, classifier_window=m, stride=s)
             got = ends(length, cfg)
             if length >= m:
                 assert len(got) == (length - m) // s + 1
@@ -90,28 +42,12 @@ class TestAdvance:
                 assert got == []
             assert len(got) == window_count(length, cfg)
 
-    def test_consecutive_detector_overlap(self):
-        cfg = PipelineConfig(num_classes=10, detector_window=8, stride=3)
-        pairs = list(advance(cursor_for(120, cfg), cfg))
-        for a, b in zip(pairs, pairs[1:]):
-            overlap = a.detector_span[1] - b.detector_span[0] + 1
-            assert overlap == cfg.detector_window - cfg.stride
-
     def test_all_frames_in_stream(self):
         rng = random.Random(9)
         for _ in range(100):
             m = rng.randint(2, 48)
-            n = rng.randint(1, m)
             s = rng.randint(1, 5)
             length = rng.randint(m, 300)
-            alignment = rng.choice(list(Alignment))
-            cfg = PipelineConfig(
-                num_classes=10,
-                detector_window=n,
-                classifier_window=m,
-                stride=s,
-                alignment=alignment,
-            )
-            for pair in advance(cursor_for(length, cfg), cfg):
-                for lo, hi in (pair.detector_span, pair.classifier_span):
-                    assert 0 <= lo <= hi < length
+            cfg = PipelineConfig(num_classes=10, classifier_window=m, stride=s)
+            for t in ends(length, cfg):
+                assert m - 1 <= t < length
