@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .core import PipelineConfig, ProbVector, WeightedMean, top2
 from .gate import GateDecision
 from .windows import Window
@@ -89,14 +91,42 @@ def update_mean(state: ActivationState, probs: ProbVector, weight: float) -> Act
     if len(old) != len(probs.values):
         raise ValueError(f"arity mismatch: mean has {len(old)} classes, scores have {len(probs.values)}")
     j = state.mean.count + 1
-    prev = j - 1
+    # float() of a count is exact: the conversion float * int makes per element
+    prev, count = float(j - 1), float(j)
     vals = probs.values
-    new_values = tuple((old[i] * prev + weight * vals[i]) / j for i in range(len(old)))
+    new_values = tuple([(o * prev + weight * v) / count for o, v in zip(old, vals)])
     return ActivationState(
         mean=WeightedMean(values=new_values, count=j),
         early_fired=state.early_fired,
         active=state.active,
     )
+
+
+def fold_periods(scores: np.ndarray, lengths: list[int], weights: list[float]) -> None:
+    """Turn the scores of many active periods into their running weighted means, in place.
+
+    `scores` holds the classifier rows of every period's fold windows, period
+    after period, lengths[p] rows for period p; weights[j] is the sigmoid
+    weight of the j-th fold. Afterwards row i holds the period's mean just
+    after folding row i. The periods advance together one fold index j at a
+    time, each row computed as (mean * (j - 1) + weights[j] * score) / j with
+    the same IEEE operations as update_mean, so the means are update_mean's
+    bit for bit.
+    """
+    if not lengths:
+        return
+    sizes = np.asarray(lengths)
+    starts = np.cumsum(sizes) - sizes
+    order = np.argsort(-sizes, kind="stable")  # longest first, so open periods are a prefix
+    starts, longest_first = starts[order], sizes[order].tolist()
+    mean = np.zeros((len(lengths), scores.shape[1]))
+    open_count = len(lengths)
+    for j in range(1, longest_first[0] + 1):
+        while longest_first[open_count - 1] < j:
+            open_count -= 1
+        rows = starts[:open_count] + (j - 1)
+        mean = (mean[:open_count] * (j - 1) + weights[j] * scores[rows]) / j
+        scores[rows] = mean
 
 
 def try_early(

@@ -132,18 +132,25 @@ def _build_pipeline_config(args, inferred_classes: int) -> PipelineConfig:
     return validate_config(PipelineConfig(num_classes=inferred_classes, **overrides))
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def _atomic_write_with(path: Path, writer):
-    """Run a path-taking writer against a temp file, then rename into place."""
-    tmp = path.with_name(path.name + ".tmp")
-    result = writer(tmp)
-    os.replace(tmp, path)
+    """Run a path-taking writer against a temp file, then rename into place.
+
+    The temp file sits beside `path` under a name no other writer uses, so
+    concurrent runs into one directory never share it, and it is removed
+    when the writer or the rename fails.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(8).hex()}.tmp")
+    try:
+        result = writer(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return result
+
+
+def _atomic_write_text(path: Path, text: str) -> None:
+    _atomic_write_with(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
 def _say(message: str) -> None:

@@ -10,6 +10,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 # Sum-to-one tolerance a ProbVector must satisfy once constructed.
 PROB_SUM_TOL = 1e-6
 # Ingested vectors off by at most this much are renormalized silently;
@@ -56,6 +58,13 @@ class ProbVector:
             total += x
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1 within {PROB_SUM_TOL}")
+
+    @classmethod
+    def trusted(cls, values: tuple[float, ...]) -> ProbVector:
+        """Wrap values already checked against these invariants, without checking them again."""
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "values", values)
+        return vec
 
     def __len__(self) -> int:
         return len(self.values)
@@ -209,3 +218,13 @@ def top2(v) -> tuple[int, float, float]:
         elif x > second:
             second = x
     return best_i, best, second
+
+
+def top2_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """top2 of every row of a 2-D array: (argmax classes, largest values, second largest).
+
+    The same numbers top2 gives row by row: argmax picks the lowest index
+    among equal maxima, and partitioning selects the values themselves.
+    """
+    ordered = np.partition(values, -2, axis=1)
+    return values.argmax(axis=1), ordered[:, -1], ordered[:, -2]

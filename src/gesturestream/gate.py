@@ -62,9 +62,8 @@ def ewa_weights(length: int) -> tuple[float, ...]:
     return tuple(math.exp((length - i - 1) / length) for i in range(length))
 
 
-def apply_filter(queue: FilterQueue, kind: FilterKind) -> float:
-    """Smooth the queue contents down to one probability."""
-    items = queue.items
+def apply_filter(items: tuple[float, ...], kind: FilterKind) -> float:
+    """Smooth a queue's items, newest first, down to one probability."""
     size = len(items)
     if size == 0:
         raise ValueError("cannot filter an empty queue")
@@ -117,7 +116,7 @@ def gate_step(state: GateState, raw_gesture_prob: float, cfg: PipelineConfig) ->
     if not (0.0 <= raw_gesture_prob <= 1.0):
         raise ValueError(f"raw gesture probability {raw_gesture_prob!r} outside [0, 1]")
     queue = state.queue.push(raw_gesture_prob)
-    filtered = apply_filter(queue, cfg.filter_kind)
+    filtered = apply_filter(queue.items, cfg.filter_kind)
     on = filtered >= cfg.gate_on_threshold
 
     if state.mode is GateMode.IDLE:
@@ -135,3 +134,37 @@ def gate_step(state: GateState, raw_gesture_prob: float, cfg: PipelineConfig) ->
     if run >= cfg.deactivate_count:
         return GateStepResult(GateState(GateMode.IDLE, queue, 0), GateDecision.DEACTIVATE, filtered)
     return GateStepResult(GateState(GateMode.ACTIVE, queue, run), GateDecision.STAY_ACTIVE, filtered)
+
+
+def gate_periods(raws: list[float], cfg: PipelineConfig) -> tuple[list[float], list[tuple[int, int]]]:
+    """Run the gate over a whole sequence of raw gesture probabilities.
+
+    The batch form of gate_step, with the same queue, filter and hysteresis
+    rule, for values already known to lie in [0, 1]. Returns the filtered
+    value of every window and the active periods as (first, stop) window
+    indices: first is the ACTIVATE window and stop the DEACTIVATE window, or
+    len(raws) when the gate is still open at the end.
+    """
+    capacity, kind = cfg.filter_size, cfg.filter_kind
+    threshold, deactivate_count = cfg.gate_on_threshold, cfg.deactivate_count
+    items: tuple[float, ...] = ()
+    filtered: list[float] = []
+    periods: list[tuple[int, int]] = []
+    first = -1  # window that opened the current period, -1 while idle
+    run = 0
+    for k, raw in enumerate(raws):
+        items = (raw,) + items[: capacity - 1]
+        value = apply_filter(items, kind)
+        filtered.append(value)
+        if value >= threshold:
+            if first < 0:
+                first = k
+            run = 0
+        elif first >= 0:
+            run += 1
+            if run >= deactivate_count:
+                periods.append((first, k))
+                first, run = -1, 0
+    if first >= 0:
+        periods.append((first, len(raws)))
+    return filtered, periods

@@ -1,10 +1,16 @@
 """Score streams and their sources: file-backed loading and synthetic generation.
 
 A scorer stands in for the neural models: given a window-end frame it returns
-a probability vector. Streams are dense maps from frame index to vector, one
-pair of streams (detector, classifier) per video, precomputed for every frame
-so a stored corpus replays under any window geometry; the gate alone decides
-which classifier entries are ever consulted.
+a probability vector. A stream is one float64 array per video, row t holding
+the vector of frame t, with a row of NaN for a frame that has no score. One
+pair of streams (detector, classifier) covers every frame of a video, so a
+stored corpus replays under any window geometry; the gate alone decides which
+classifier rows are ever consulted.
+
+Loading parses each file line by line, checking fields, arity and duplicate
+frames, and checks the vectors a block of lines at a time with array
+operations: range, sum to 1 and renormalisation give the same decisions and
+values as ingest_probs on each line.
 
 File formats (one JSON object per line, UTF-8, unknown fields ignored):
   score file:      {"video": str, "t": int, "p": [float, ...]}
@@ -14,13 +20,14 @@ Spans are inclusive; detector vectors are [no_gesture, gesture].
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, ProbVector, ingest_probs
+from .core import PROB_SUM_TOL, ConfigError, ProbVector, ingest_probs
 
 log = logging.getLogger(__name__)
 
@@ -33,6 +40,13 @@ PREP_LEAK = 0.1
 # True-class mass during the nucleus phase (before noise).
 NUCLEUS_PEAK = 0.9
 MAX_DRAW_RETRIES = 100
+# Rows summing to within PROB_SUM_TOL - SUM_SLACK of 1 by numpy's summation
+# are accepted without the exact math.fsum that ingest_probs takes; the slack
+# is far above the rounding error of either summation order.
+SUM_SLACK = 1e-9
+# Records a loader holds as parsed Python lists before it validates them into
+# an array; bounds the memory of the lists, which is several times the array's.
+CHUNK_RECORDS = 1024
 
 
 class StreamFormatError(ValueError):
@@ -63,20 +77,33 @@ class GroundTruthSegment:
         return self.end - self.start + 1
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class ScoreStream:
-    """Probability vectors for one video, keyed by window-end frame index."""
+    """Probability vectors for one video: rows[t] holds the vector of frame t.
+
+    `rows` is a float64 array of shape (length, arity); a frame without a
+    score is a row of NaN.
+    """
 
     video_id: str
     arity: int
-    entries: dict[int, ProbVector]
-    length: int  # one past the largest frame index
+    rows: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.rows.ndim != 2 or self.rows.shape[1] != self.arity:
+            raise ValueError(f"{self.video_id}: rows of shape {self.rows.shape}, expected (frames, {self.arity})")
+
+    @property
+    def length(self) -> int:
+        """One past the last frame index."""
+        return len(self.rows)
 
     def score(self, t: int) -> ProbVector:
-        try:
-            return self.entries[t]
-        except KeyError:
-            raise ValueError(f"no score for {self.video_id}@{t}") from None
+        if 0 <= t < len(self.rows):
+            values = self.rows[t].tolist()
+            if values[0] == values[0]:  # not a NaN row
+                return ProbVector.trusted(tuple(values))
+        raise ValueError(f"no score for {self.video_id}@{t}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -280,11 +307,8 @@ def generate_synthetic(cfg: SynthConfig) -> Corpus:
             det = np.clip(det + rng.normal(0.0, cfg.noise_sigma, length), 0.0, 1.0)
             cls = _add_vector_noise(cls, cfg.noise_sigma, rng)
 
-        det_probs = det.tolist()
-        det_entries = {t: ProbVector((1.0 - det_probs[t], det_probs[t])) for t in range(length)}
-        cls_entries = {t: ProbVector(tuple(cls[t].tolist())) for t in range(length)}
-        detector[video_id] = ScoreStream(video_id, 2, det_entries, length)
-        classifier[video_id] = ScoreStream(video_id, cfg.num_classes, cls_entries, length)
+        detector[video_id] = ScoreStream(video_id, 2, np.column_stack((1.0 - det, det)))
+        classifier[video_id] = ScoreStream(video_id, cfg.num_classes, cls)
         annotations[video_id] = segments
     return Corpus(detector=detector, classifier=classifier, segments=annotations)
 
@@ -317,15 +341,51 @@ def _require_field(record: dict, name: str, kinds, where: str):
     return value
 
 
+def _record_where(path, index: int) -> str:
+    """The "path:line" of a file's index-th record, found by reading the file again."""
+    return next(itertools.islice(iter_records(path), index, None))[0]
+
+
+def _ingest(path, index: int, p: list) -> tuple[float, ...]:
+    try:
+        return ingest_probs(p).values
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise StreamFormatError(f"{_record_where(path, index)}: {exc}") from None
+
+
+def _validated_rows(path, probs: list[list], first: int) -> np.ndarray:
+    """Records first, first + 1, ... of a file as a float64 array, each row checked as ingest_probs checks it.
+
+    A row with every value in [0, 1] and a sum clearly within PROB_SUM_TOL of
+    1 is accepted as it stands, in bulk. Every other row, one to renormalise,
+    near a tolerance edge or invalid, goes through ingest_probs itself, so
+    every decision and every renormalised value is the scalar path's.
+    """
+    try:
+        rows = np.array(probs, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):  # some value that float() rejects too
+        rows = None
+    if rows is None or rows.ndim != 2:  # ndim > 2 when the values are lists
+        return np.array([_ingest(path, first + i, p) for i, p in enumerate(probs)])
+    clean = ((rows >= 0.0) & (rows <= 1.0)).all(axis=1)
+    clean &= np.abs(rows.sum(axis=1) - 1.0) <= PROB_SUM_TOL - SUM_SLACK
+    for i in np.flatnonzero(~clean).tolist():
+        rows[i] = _ingest(path, first + i, probs[i])
+    return rows
+
+
 def load_score_stream(path, expected_arity: int | None = None) -> dict[str, ScoreStream]:
     """Load one score file into per-video streams.
 
-    Enforces a single arity across all entries (the expected one when given)
-    and rejects duplicate (video, t) keys, reporting offending line numbers.
+    Enforces a single arity across all records (the expected one when given)
+    and rejects duplicate (video, t) keys and invalid vectors, reporting
+    offending line numbers. Frames without a record are NaN rows.
     """
-    per_video: dict[str, dict[int, ProbVector]] = {}
+    chunks: list[np.ndarray] = []
+    pending: list[list] = []
+    count = 0
+    per_video: dict[str, dict[int, int]] = {}  # video -> {frame: record index}
     arity = expected_arity
-    total = 0
     for where, record in iter_records(path):
         video = _require_field(record, "video", str, where)
         t = _require_field(record, "t", int, where)
@@ -336,22 +396,35 @@ def load_score_stream(path, expected_arity: int | None = None) -> dict[str, Scor
             arity = len(p)
         if len(p) != arity:
             raise StreamFormatError(f"{where}: expected {arity} probabilities, got {len(p)}")
-        try:
-            vec = ingest_probs(p)
-        except (TypeError, ValueError) as exc:
-            raise StreamFormatError(f"{where}: {exc}") from None
-        bucket = per_video.setdefault(video, {})
-        if t in bucket:
+        if arity < 2:
+            raise StreamFormatError(f"{where}: probability vector needs >= 2 classes, got {arity}")
+        frames = per_video.setdefault(video, {})
+        if t in frames:
             raise StreamFormatError(f"{where}: duplicate entry for {video}@{t}")
-        bucket[t] = vec
-        total += 1
-    if not per_video:
+        frames[t] = count
+        count += 1
+        pending.append(p)
+        if len(pending) == CHUNK_RECORDS:
+            chunks.append(_validated_rows(path, pending, count - len(pending)))
+            pending = []
+    if pending:
+        chunks.append(_validated_rows(path, pending, count - len(pending)))
+    if not chunks:
         raise StreamFormatError(f"{path}: no score records")
-    streams = {
-        video: ScoreStream(video, arity, entries, max(entries) + 1)
-        for video, entries in per_video.items()
-    }
-    log.info("loaded %d score entries for %d videos from %s", total, len(streams), path)
+    rows = np.concatenate(chunks)
+    chunks.clear()
+    streams = {}
+    for video, frames in per_video.items():
+        last = max(frames)
+        try:
+            video_rows = np.full((last + 1, arity), np.nan)
+        except (MemoryError, ValueError):  # ValueError: more bytes than an array can index
+            raise StreamFormatError(
+                f"{_record_where(path, frames[last])}: no memory for the {last + 1} frames up to {video}@{last}"
+            ) from None
+        video_rows[list(frames)] = rows[list(frames.values())]
+        streams[video] = ScoreStream(video, arity, video_rows)
+    log.info("loaded %d score entries for %d videos from %s", count, len(streams), path)
     return streams
 
 
@@ -394,10 +467,10 @@ def write_score_file(path, streams: dict[str, ScoreStream]) -> int:
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         for video in sorted(streams):
-            stream = streams[video]
-            for t in sorted(stream.entries):
-                record = {"video": video, "t": t, "p": list(stream.entries[t].values)}
-                fh.write(json.dumps(record) + "\n")
+            for t, row in enumerate(streams[video].rows.tolist()):
+                if row[0] != row[0]:  # NaN row: no score for this frame
+                    continue
+                fh.write(json.dumps({"video": video, "t": t, "p": row}) + "\n")
                 count += 1
     return count
 

@@ -70,7 +70,7 @@ def test_criterion_03_filter_oracles():
             items = tuple(rng.random() for _ in range(size))
             queue = FilterQueue(items=items, capacity=k)
             for kind in FilterKind:
-                got = apply_filter(queue, kind)
+                got = apply_filter(queue.items, kind)
                 want = _brute_filter(items, kind)
                 assert abs(got - want) <= 1e-12
         weights = ewa_weights(4)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gesturestream.cli import main
+from gesturestream.cli import _atomic_write_text, _atomic_write_with, main
 
 GEN_SMALL = [
     "gen", "--seed", "42", "--videos", "4", "--gestures-per-video", "3",
@@ -292,8 +292,61 @@ class TestExitCodes:
         assert main(base + ["--config", str(cfg)]) == 1
         assert repr(key) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,drop", [
+        ("detector_scores.jsonl", lambda t, mid: t == mid),
+        ("classifier_scores.jsonl", lambda t, mid: t == mid),
+        ("classifier_scores.jsonl", lambda t, mid: t >= mid),
+    ], ids=["detector-frame", "classifier-frame", "short-classifier"])
+    def test_missing_frame_is_validation_error(self, corpus_dir, tmp_path, capsys, name, drop):
+        # the frame sits in the middle of the first gesture, where the gate is open
+        seg = json.loads((corpus_dir / "annotations.jsonl").read_text().splitlines()[0])
+        mid = (seg["start"] + seg["end"]) // 2
+        path = corpus_dir / name
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        path.write_text("".join(
+            json.dumps(r) + "\n" for r in records if not (r["video"] == seg["video"] and drop(r["t"], mid))
+        ))
+        assert main(["run", "--data", str(corpus_dir), "--out", str(tmp_path / "o")]) == 1
+        assert f"no score for {seg['video']}@{mid}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "p", ["[0.5, 0.6]", "[null, 1.0]", "[0.5, 1" + "0" * 400 + "]"], ids=["sum", "null", "huge-int"]
+    )
+    def test_bad_probability_row_is_validation_error(self, corpus_dir, tmp_path, capsys, p):
+        path = corpus_dir / "detector_scores.jsonl"
+        lines = path.read_text().splitlines()
+        lines[2] = '{"video": "v000", "t": 2, "p": ' + p + "}"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["run", "--data", str(corpus_dir), "--out", str(tmp_path / "o")]) == 1
+        assert f"{path}:3: " in capsys.readouterr().err
+
     def test_invalid_tau_is_validation_error(self, corpus_dir, tmp_path):
         code = main([
             "sweep", "--data", str(corpus_dir), "--out", str(tmp_path / "s"), "--taus", "-0.5",
         ])
         assert code == 1
+
+
+class TestAtomicWrite:
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        def writer(tmp):
+            tmp.write_text("partial")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            _atomic_write_with(tmp_path / "events.jsonl", writer)
+        with pytest.raises(UnicodeEncodeError):
+            _atomic_write_text(tmp_path / "report.json", "\ud800")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_writers_never_share_a_temp_file(self, tmp_path):
+        names = []
+
+        def writer(tmp):
+            names.append(tmp.name)
+            tmp.write_text("x")
+
+        _atomic_write_with(tmp_path / "report.json", writer)
+        _atomic_write_with(tmp_path / "report.json", writer)
+        assert names[0] != names[1]
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]

@@ -54,37 +54,37 @@ class TestFilterQueue:
 
 class TestFilters:
     def test_median_of_constants(self):
-        assert apply_filter(filled_queue([0.8, 0.8, 0.8, 0.8]), FilterKind.MEDIAN) == 0.8
+        assert apply_filter(filled_queue([0.8, 0.8, 0.8, 0.8]).items, FilterKind.MEDIAN) == 0.8
 
     def test_mean_symmetric(self):
-        assert apply_filter(filled_queue([0.2, 0.4, 0.6, 0.8]), FilterKind.MEAN) == pytest.approx(0.5)
+        assert apply_filter(filled_queue([0.2, 0.4, 0.6, 0.8]).items, FilterKind.MEAN) == pytest.approx(0.5)
 
     def test_even_median_mid_mean(self):
         q = filled_queue([0.2, 0.9, 0.8, 0.85])
-        assert apply_filter(q, FilterKind.MEDIAN) == pytest.approx(0.825)
+        assert apply_filter(q.items, FilterKind.MEDIAN) == pytest.approx(0.825)
 
     def test_ewa_single_spike(self):
         # newest sample 1, three zeros behind it
         q = filled_queue([0, 0, 0, 1])
         expected = math.exp(0.75) / (math.exp(0.75) + math.exp(0.5) + math.exp(0.25) + 1)
-        got = apply_filter(q, FilterKind.EWA)
+        got = apply_filter(q.items, FilterKind.EWA)
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(0.3499, abs=1e-4)
 
     def test_ewa_constant_passthrough(self):
         for c in (0.0, 0.3, 1.0):
             q = filled_queue([c] * 4)
-            assert apply_filter(q, FilterKind.EWA) == pytest.approx(c, abs=1e-12)
+            assert apply_filter(q.items, FilterKind.EWA) == pytest.approx(c, abs=1e-12)
 
     def test_empty_queue_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            apply_filter(FilterQueue.empty(4), FilterKind.MEAN)
+            apply_filter(FilterQueue.empty(4).items, FilterKind.MEAN)
 
     def test_warmup_uses_current_length(self):
         # length-2 queue: weights e^{1/2}, 1 over newest, oldest
         q = filled_queue([0.0, 1.0])
         expected = math.exp(0.5) / (math.exp(0.5) + 1.0)
-        assert apply_filter(q, FilterKind.EWA) == pytest.approx(expected, abs=1e-12)
+        assert apply_filter(q.items, FilterKind.EWA) == pytest.approx(expected, abs=1e-12)
 
     def test_matches_brute_force(self):
         rng = random.Random(21)
@@ -94,7 +94,7 @@ class TestFilters:
             items = [rng.random() for _ in range(size)]
             q = FilterQueue(items=tuple(items), capacity=k)
             for kind in FilterKind:
-                assert apply_filter(q, kind) == pytest.approx(
+                assert apply_filter(q.items, kind) == pytest.approx(
                     brute_force_filter(items, kind), abs=1e-12
                 )
 
@@ -104,7 +104,7 @@ class TestFilters:
             items = [rng.random() for _ in range(rng.randint(1, 8))]
             q = FilterQueue(items=tuple(items), capacity=8)
             for kind in FilterKind:
-                out = apply_filter(q, kind)
+                out = apply_filter(q.items, kind)
                 assert min(items) - 1e-12 <= out <= max(items) + 1e-12
 
 

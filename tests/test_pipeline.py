@@ -1,8 +1,15 @@
-import pytest
+from dataclasses import replace
 
-from gesturestream.core import PipelineConfig, ProbVector
-from gesturestream.pipeline import run_corpus, run_video
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gesturestream.activation import ActivationState, activation_step, effective_midpoint, sigmoid_weight
+from gesturestream.core import GESTURE_INDEX, FilterKind, PipelineConfig, top2
+from gesturestream.gate import GateDecision, GateState, gate_step
+from gesturestream.pipeline import RunTrace, TraceRow, run_corpus, run_video
 from gesturestream.scoring import Corpus, ScoreStream, SynthConfig, generate_synthetic
+from gesturestream.windows import advance, cursor_for
 
 CFG = PipelineConfig(num_classes=10)
 
@@ -17,13 +24,8 @@ def single_video_corpus():
 
 
 def constant_streams(video_id, length, gesture_prob, num_classes=10):
-    det = ScoreStream(
-        video_id, 2,
-        {t: ProbVector((1.0 - gesture_prob, gesture_prob)) for t in range(length)},
-        length,
-    )
-    uniform = ProbVector((1.0 / num_classes,) * num_classes)
-    cls = ScoreStream(video_id, num_classes, {t: uniform for t in range(length)}, length)
+    det = ScoreStream(video_id, 2, np.tile([1.0 - gesture_prob, gesture_prob], (length, 1)))
+    cls = ScoreStream(video_id, num_classes, np.full((length, num_classes), 1.0 / num_classes))
     return det, cls
 
 
@@ -54,7 +56,7 @@ class TestRunVideo:
     def test_all_background_never_invokes_classifier(self):
         det, _ = constant_streams("bg", 200, gesture_prob=0.05)
         # an empty classifier stream proves the gate never consults it
-        empty_cls = ScoreStream("bg", 10, {}, 200)
+        empty_cls = ScoreStream("bg", 10, np.empty((0, 10)))
         trace = run_video(det, empty_cls, CFG)
         assert trace.events == ()
         assert trace.classifier_invocations == 0
@@ -70,7 +72,7 @@ class TestRunVideo:
 
     def test_missing_score_aborts_with_frame(self):
         det, cls = constant_streams("v", 100, gesture_prob=0.05)
-        del det.entries[40]
+        det.rows[40] = np.nan
         with pytest.raises(ValueError, match="v@40"):
             run_video(det, cls, CFG)
 
@@ -156,3 +158,86 @@ class TestRunCorpus:
         corpus = single_video_corpus()
         run = run_corpus(corpus, CFG)
         assert run.aggregate.grace == CFG.classifier_window
+
+
+def replay_online(det, cls, cfg):
+    """Reference for run_video: the window-by-window replay through the online API."""
+    gate = GateState.idle(cfg.filter_size)
+    act = ActivationState.inactive(cfg.num_classes)
+    t_mid = effective_midpoint(cfg)
+    ends = cursor_for(det.length, cfg)
+    events, rows, invocations = [], [], 0
+    for window in advance(ends, cfg):
+        raw = det.score(window.end).values[GESTURE_INDEX]
+        gate, decision, filtered = gate_step(gate, raw, cfg)
+        invocations += decision in (GateDecision.ACTIVATE, GateDecision.STAY_ACTIVE)
+        act, event = activation_step(act, decision, cls, window, cfg)
+        if event is not None:
+            events.append(event)
+        j = act.mean.count
+        if j:
+            label, top1, second = top2(act.mean)
+            weight = sigmoid_weight(j, t_mid, cfg.sigmoid_slope)
+        else:
+            label, top1, second, weight = -1, 0.0, 0.0, 0.0
+        rows.append(TraceRow(window.end, raw, filtered, gate.mode.value, j, weight, label, top1, second))
+    return RunTrace(det.video_id, tuple(events), len(ends), invocations, tuple(rows))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# Gesture probabilities around the gate threshold, plus a few exact repeats.
+RAW = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]))
+
+
+@st.composite
+def video_streams(draw):
+    classes = draw(st.integers(2, 6))
+    length = draw(st.integers(0, 90))
+    gesture = draw(st.lists(RAW, min_size=length, max_size=length))
+    gesture += [draw(RAW)] * draw(st.integers(0, 12))  # often ends with the gate open
+    det = np.column_stack([[1.0 - p for p in gesture], gesture]).reshape(-1, 2)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cls = rng.dirichlet(np.full(classes, draw(st.sampled_from([0.1, 1.0, 10.0]))), size=len(det))
+    cls[rng.random(len(det)) < 0.2] = 1.0 / classes  # all-class ties
+    tie = rng.random(len(det)) < 0.2
+    cls[tie, :2] = cls[tie, :2].mean(axis=1, keepdims=True)  # two-class ties
+    fault = draw(st.sampled_from(["none"] * 6 + ["detector-nan", "classifier-nan", "short-classifier"]))
+    if fault != "none" and len(det):
+        frame = draw(st.integers(0, len(det) - 1))
+        if fault == "detector-nan":
+            det[frame] = np.nan
+        elif fault == "classifier-nan":
+            cls[frame] = np.nan
+        else:
+            cls = cls[:frame]
+    cfg = PipelineConfig(
+        num_classes=classes,
+        classifier_window=draw(st.integers(1, 8)),
+        stride=draw(st.integers(1, 3)),
+        filter_kind=draw(st.sampled_from(list(FilterKind))),
+        filter_size=draw(st.integers(1, 5)),
+        gate_on_threshold=draw(st.sampled_from([0.3, 0.5, 0.7])),
+        deactivate_count=draw(st.integers(1, 5)),
+        tau_early=draw(st.floats(0.0, 1.0)),
+        tau_late=draw(st.floats(0.0, 0.5)),
+        sigmoid_slope=draw(st.sampled_from([0.05, 0.2, 1.0])),
+        sigmoid_midpoint=draw(st.one_of(st.none(), st.integers(0, 12))),
+    )
+    return ScoreStream("v", 2, det), ScoreStream("v", classes, cls), cfg
+
+
+class TestKernelMatchesOnlineReplay:
+    @given(video_streams())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_events_trace_and_counts_identical(self, streams):
+        det, cls, cfg = streams
+        want = outcome(replay_online, det, cls, cfg)
+        assert outcome(run_video, det, cls, cfg, True) == want
+        untraced = want if isinstance(want, str) else replace(want, rows=())
+        assert outcome(run_video, det, cls, cfg) == untraced

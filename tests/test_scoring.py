@@ -1,9 +1,13 @@
 import json
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from gesturestream.core import ConfigError, ProbVector
+from gesturestream import scoring
+from gesturestream.core import INGEST_RENORM_TOL, PROB_SUM_TOL, ConfigError, ProbVector, ingest_probs
 from gesturestream.scoring import (
     ScoreStream,
     StreamFormatError,
@@ -23,15 +27,24 @@ def write_lines(path, lines):
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
+def sparse_stream():
+    """Frames 0..30 missing, frame 31 scored."""
+    rows = np.full((32, 2), np.nan)
+    rows[31] = (0.1, 0.9)
+    return ScoreStream("v01", 2, rows)
+
+
 class TestScoreStream:
     def test_lookup(self):
-        stream = ScoreStream("v01", 2, {31: ProbVector((0.1, 0.9))}, 32)
+        stream = sparse_stream()
+        assert stream.length == 32
         assert stream.score(31).values == (0.1, 0.9)
 
     def test_missing_entry_names_video_and_frame(self):
-        stream = ScoreStream("v01", 2, {31: ProbVector((0.1, 0.9))}, 32)
-        with pytest.raises(ValueError, match=r"no score for v01@32"):
-            stream.score(32)
+        stream = sparse_stream()
+        for t in (32, 30, -1):
+            with pytest.raises(ValueError, match=rf"no score for v01@{t}"):
+                stream.score(t)
 
 
 class TestLoadScoreStream:
@@ -44,8 +57,10 @@ class TestLoadScoreStream:
         ])
         streams = load_score_stream(path, expected_arity=2)
         assert set(streams) == {"a"}
-        assert len(streams["a"].entries) == 3
-        assert streams["a"].length == 34
+        rows = streams["a"].rows
+        assert rows.shape == (34, 2)
+        assert np.isnan(rows[:31]).all()
+        assert rows[31:].tolist() == [[0.1, 0.9], [0.2, 0.8], [0.3, 0.7]]
 
     def test_duplicate_key_reports_line(self, tmp_path):
         path = tmp_path / "det.jsonl"
@@ -54,6 +69,16 @@ class TestLoadScoreStream:
             json.dumps({"video": "a", "t": 31, "p": [0.2, 0.8]}),
         ])
         with pytest.raises(StreamFormatError, match=r":2: duplicate entry for a@31"):
+            load_score_stream(path)
+
+    @pytest.mark.parametrize("t", [10**15, 10**18])
+    def test_frame_index_too_large_to_hold(self, tmp_path, t):
+        path = tmp_path / "det.jsonl"
+        write_lines(path, [
+            json.dumps({"video": "a", "t": 31, "p": [0.1, 0.9]}),
+            json.dumps({"video": "a", "t": t, "p": [0.1, 0.9]}),
+        ])
+        with pytest.raises(StreamFormatError, match=rf":2: no memory for the {t + 1} frames up to a@{t}"):
             load_score_stream(path)
 
     def test_arity_mismatch(self, tmp_path):
@@ -104,6 +129,58 @@ class TestLoadScoreStream:
         path.write_text("", encoding="utf-8")
         with pytest.raises(StreamFormatError, match="no score records"):
             load_score_stream(path)
+
+
+# Values ingest_probs must judge: in and out of range, non-finite, ints, bools,
+# null, numeric strings and an int too large for a float.
+ODD_VALUES = st.sampled_from([
+    0.0, -0.0, 1.0, 1.0000001, 1.001, 1.0011, -1e-300, -0.1, 2.0,
+    math.nan, math.inf, -math.inf, 0, 1, 2, -1, True, False, None, "0.5", "x", 10**400,
+])
+
+
+@st.composite
+def probability_row(draw, arity):
+    """A row near a sum tolerance edge, or with an odd value in it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    row = rng.dirichlet(np.ones(arity))
+    edge = draw(st.sampled_from([0.0, PROB_SUM_TOL, -PROB_SUM_TOL, INGEST_RENORM_TOL, -INGEST_RENORM_TOL]))
+    nudge = draw(st.sampled_from([0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9]))
+    row = (row * (1.0 + edge + nudge)).tolist()
+    for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 2]))):
+        row[draw(st.integers(0, arity - 1))] = draw(st.one_of(ODD_VALUES, st.floats(-0.1, 1.1)))
+    return row
+
+
+@st.composite
+def score_files(draw):
+    arity = draw(st.integers(2, 5))
+    return draw(st.lists(probability_row(arity), min_size=1, max_size=12))
+
+
+class TestLoaderMatchesIngestProbs:
+    @given(score_files())
+    @example(rows=[[0.5, 0.5], [1.0000005, 0.0]])  # sum within tolerance, a value above 1
+    @example(rows=[[0.5, 0.5], [0.5, 10**400]])
+    @example(rows=[[0.5, 0.5], [0.5, [0.5]]])
+    @example(rows=[[[0.5], [0.5]]])  # lists of equal shape stack into a 3-D array
+    @example(rows=[[0.5, 0.5]] * 4 + [[0.5, 0.6]])  # rejected in the second chunk
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_same_decisions_and_values(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("scores") / "cls.jsonl"
+        write_lines(path, [json.dumps({"video": "a", "t": t, "p": p}) for t, p in enumerate(rows)])
+        want = []
+        with mock.patch.object(scoring, "CHUNK_RECORDS", 3):  # files span several chunks
+            for line, p in enumerate(rows, 1):
+                try:
+                    want.append(ingest_probs(p).values)
+                except (TypeError, ValueError, OverflowError) as exc:
+                    with pytest.raises(StreamFormatError) as got:
+                        load_score_stream(path)
+                    assert str(got.value) == f"{path}:{line}: {exc}"
+                    return
+            loaded = load_score_stream(path)["a"].rows
+        assert loaded.tobytes() == np.array(want).tobytes()
 
 
 class TestLoadAnnotations:
@@ -217,9 +294,9 @@ class TestGenerateSynthetic:
         corpus = generate_synthetic(cfg)
         for streams in (corpus.detector, corpus.classifier):
             for stream in streams.values():
-                for vec in stream.entries.values():
+                for t in range(stream.length):
                     # re-running the constructor re-checks range and sum tolerance
-                    ProbVector(vec.values)
+                    ProbVector(stream.score(t).values)
 
     def test_streams_dense_over_all_frames(self):
         corpus = generate_synthetic(NOISELESS)
@@ -227,8 +304,10 @@ class TestGenerateSynthetic:
             det = corpus.detector[video_id]
             cls = corpus.classifier[video_id]
             assert det.length == cls.length
-            assert set(det.entries) == set(range(det.length))
-            assert set(cls.entries) == set(range(cls.length))
+            assert det.rows.shape == (det.length, 2)
+            assert cls.rows.shape == (cls.length, cls.arity)
+            assert not np.isnan(det.rows).any()
+            assert not np.isnan(cls.rows).any()
 
     def test_duration_mean_tracks_config(self):
         cfg = SynthConfig(num_videos=12, gestures_per_video=8, num_classes=5, seed=1)
@@ -270,8 +349,8 @@ class TestRoundTrip:
             orig = corpus.classifier[video_id]
             back = loaded.classifier[video_id]
             assert back.arity == orig.arity
-            assert back.entries.keys() == orig.entries.keys()
-            probe = sorted(orig.entries)[::97] or [0]
+            assert back.rows.shape == orig.rows.shape
+            probe = list(range(orig.length))[::97] or [0]
             for t in probe:
                 assert back.score(t).values == pytest.approx(orig.score(t).values, abs=1e-12)
         assert loaded.segments == corpus.segments
