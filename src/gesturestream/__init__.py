@@ -6,72 +6,16 @@ classifier's scores are folded into a sigmoid-weighted running mean while the
 switch is on, and each active period emits at most one recognition event,
 either early (top-2 margin) or late (at deactivation). Event sequences are
 scored against ground truth with Levenshtein accuracy.
+
+The package root exports the documented API; every other name is imported
+from its own module.
 """
 
-from .activation import (
-    ActivationEvent,
-    ActivationState,
-    EventKind,
-    activation_step,
-    finalize_late,
-    midpoint,
-    sigmoid_weight,
-    try_early,
-    update_mean,
-)
-from .core import (
-    ConfigError,
-    FilterKind,
-    GestureLabel,
-    PipelineConfig,
-    ProbVector,
-    WeightedMean,
-    ingest_probs,
-    normalize,
-    top2,
-    validate_config,
-)
-from .evaluate import (
-    AggregateStats,
-    EarlyStats,
-    Match,
-    MatchReport,
-    SweepRow,
-    VideoResult,
-    VideoScore,
-    early_detection_stats,
-    evaluate_corpus,
-    evaluate_video,
-    levenshtein_accuracy,
-    levenshtein_distance,
-    match_activations,
-    sweep,
-)
-from .gate import (
-    FilterQueue,
-    GateDecision,
-    GateMode,
-    GateState,
-    apply_filter,
-    ewa_weights,
-    gate_step,
-)
-from .pipeline import CorpusRun, RunTrace, TraceRow, VideoRun, run_corpus, run_video
-from .scoring import (
-    Corpus,
-    GroundTruthSegment,
-    ScoreStream,
-    StreamFormatError,
-    SynthConfig,
-    SynthesisError,
-    generate_synthetic,
-    load_annotations,
-    load_corpus,
-    load_score_stream,
-    validate_synth_config,
-    write_annotation_file,
-    write_score_file,
-)
-from .windows import Window, advance, cursor_for, window_count
+from .activation import ActivationState, activation_step
+from .core import PipelineConfig
+from .evaluate import sweep
+from .gate import GateState, gate_step
+from .pipeline import run_corpus, run_video
+from .scoring import ScoreStream
 
 __version__ = "0.1.0"

@@ -73,13 +73,6 @@ def sigmoid_weight(j: int, t: int, slope: float) -> float:
     return 1.0 / (1.0 + math.exp(-slope * (j - t)))
 
 
-def effective_midpoint(cfg: PipelineConfig) -> int:
-    """The configured midpoint override, or the one derived from mean_duration."""
-    if cfg.sigmoid_midpoint is not None:
-        return cfg.sigmoid_midpoint
-    return midpoint(cfg.mean_duration, cfg.stride)
-
-
 def update_mean(state: ActivationState, probs: ProbVector, weight: float) -> ActivationState:
     """Fold one weighted classifier score into the running mean.
 
@@ -193,7 +186,7 @@ def activation_step(
     elif not state.active:
         raise RuntimeError("stay-active decision while the activation state is inactive")
     probs = classifier.score(window.end)
-    t_mid = effective_midpoint(cfg)
+    t_mid = midpoint(cfg.mean_duration, cfg.stride)
     weight = sigmoid_weight(state.mean.count + 1, t_mid, cfg.sigmoid_slope)
     state = update_mean(state, probs, weight)
     return try_early(state, cfg.tau_early, window.end)

@@ -11,15 +11,16 @@ Exit codes: 0 success, 1 validation error, 2 I/O error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import enum
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence, get_type_hints
 
 from .activation import ActivationEvent, EventKind
-from .core import ConfigError, FilterKind, PipelineConfig, validate_config
+from .core import ConfigError, PipelineConfig, validate_config
 from .evaluate import AggregateStats, EarlyStats, SweepRow, VideoScore, evaluate_corpus, sweep
 from .pipeline import CorpusRun, run_corpus
 from .scoring import (
@@ -47,41 +48,25 @@ SWEEP_FILE = "sweep.csv"
 DEFAULT_TAUS = tuple(i / 10 for i in range(2, 11))  # 0.2 .. 1.0 in 0.1 steps
 DEFAULT_GRACE = 32
 
-_PIPELINE_COERCERS = {
-    "num_classes": int,
-    "classifier_window": int,
-    "stride": int,
-    "filter_kind": FilterKind,
-    "filter_size": int,
-    "gate_on_threshold": float,
-    "deactivate_count": int,
-    "tau_early": float,
-    "tau_late": float,
-    "mean_duration": float,
-    "sigmoid_slope": float,
-    "sigmoid_midpoint": int,
-}
-
 
 def _parse_fractions(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(","))
 
 
-_SYNTH_COERCERS = {
-    "num_videos": int,
-    "gestures_per_video": int,
-    "num_classes": int,
-    "duration_mean": float,
-    "duration_spread": float,
-    "gap_mean": float,
-    "gap_spread": float,
-    "phase_fractions": _parse_fractions,
-    "detector_base": float,
-    "noise_sigma": float,
-    "prep_ambiguity": float,
-    "seed": int,
-    "edge_ramp": int,
-}
+def _coercers(config_cls) -> dict:
+    """Each field of a config dataclass mapped to the callable that parses its text value.
+
+    A field's type is its parser, apart from the comma-separated phase_fractions.
+    """
+    hints = get_type_hints(config_cls)
+    return {
+        f.name: _parse_fractions if f.name == "phase_fractions" else hints[f.name]
+        for f in fields(config_cls)
+    }
+
+
+_PIPELINE_COERCERS = _coercers(PipelineConfig)
+_SYNTH_COERCERS = _coercers(SynthConfig)
 
 
 def parse_flat_config(path) -> dict[str, str]:
@@ -200,12 +185,6 @@ def _early_dict(early: Optional[EarlyStats]):
     return {"mean": early.mean, "median": early.median, "count": early.count}
 
 
-def _config_dict(cfg: PipelineConfig) -> dict:
-    out = asdict(cfg)
-    out["filter_kind"] = cfg.filter_kind.value
-    return out
-
-
 def _scores_report(scores: Mapping[str, VideoScore], agg: AggregateStats) -> dict:
     """Per-video records and the aggregate block that run and eval reports share."""
     videos = [
@@ -250,7 +229,7 @@ def _scores_report(scores: Mapping[str, VideoScore], agg: AggregateStats) -> dic
 def build_run_report(run: CorpusRun, cfg: PipelineConfig) -> dict:
     """Serialize a corpus run into the stable report layout."""
     report = _scores_report(run.videos, run.aggregate)
-    report["config"] = _config_dict(cfg)
+    report["config"] = asdict(cfg)
     report["aggregate"]["windows_processed"] = run.aggregate.windows_processed
     report["aggregate"]["classifier_invocations"] = run.aggregate.classifier_invocations
     report["skipped_missing_annotations"] = list(run.skipped)
@@ -316,11 +295,9 @@ def cmd_gen(args) -> int:
         "classifier": _atomic_write_with(out / CLASSIFIER_FILE, lambda p: write_score_file(p, corpus.classifier)),
         "annotations": _atomic_write_with(out / ANNOTATION_FILE, lambda p: write_annotation_file(p, corpus.segments)),
     }
-    synth = asdict(cfg)
-    synth["phase_fractions"] = list(cfg.phase_fractions)
     manifest = {
         "format": "gesturestream-corpus/1",
-        "synth_config": synth,
+        "synth_config": asdict(cfg),
         "files": {
             "detector": DETECTOR_FILE,
             "classifier": CLASSIFIER_FILE,
@@ -394,25 +371,14 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _add_config_flag(parser) -> None:
+def _add_config_flags(parser, coercers) -> None:
+    """Add --config plus one --field-name flag per config field."""
     parser.add_argument("--config", help="flat key = value config file; flags take precedence")
-
-
-def _add_pipeline_flags(parser) -> None:
-    parser.add_argument("--num-classes", dest="num_classes", type=int)
-    parser.add_argument("--classifier-window", dest="classifier_window", type=int)
-    parser.add_argument("--stride", dest="stride", type=int)
-    parser.add_argument(
-        "--filter-kind", dest="filter_kind", type=FilterKind, choices=list(FilterKind)
-    )
-    parser.add_argument("--filter-size", dest="filter_size", type=int)
-    parser.add_argument("--gate-on-threshold", dest="gate_on_threshold", type=float)
-    parser.add_argument("--deactivate-count", dest="deactivate_count", type=int)
-    parser.add_argument("--tau-early", dest="tau_early", type=float)
-    parser.add_argument("--tau-late", dest="tau_late", type=float)
-    parser.add_argument("--mean-duration", dest="mean_duration", type=float)
-    parser.add_argument("--sigmoid-slope", dest="sigmoid_slope", type=float)
-    parser.add_argument("--sigmoid-midpoint", dest="sigmoid_midpoint", type=int)
+    for name, coerce in coercers.items():
+        flag = "--" + name.replace("_", "-")
+        names = ("--videos", flag) if name == "num_videos" else (flag,)
+        choices = list(coerce) if isinstance(coerce, enum.EnumMeta) else None
+        parser.add_argument(*names, dest=name, type=coerce, choices=choices)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -424,30 +390,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a seeded synthetic corpus")
     gen.add_argument("--out", required=True, help="output directory")
-    _add_config_flag(gen)
-    gen.add_argument("--seed", dest="seed", type=int)
-    gen.add_argument("--videos", "--num-videos", dest="num_videos", type=int)
-    gen.add_argument("--gestures-per-video", dest="gestures_per_video", type=int)
-    gen.add_argument("--num-classes", dest="num_classes", type=int)
-    gen.add_argument("--duration-mean", dest="duration_mean", type=float)
-    gen.add_argument("--duration-spread", dest="duration_spread", type=float)
-    gen.add_argument("--gap-mean", dest="gap_mean", type=float)
-    gen.add_argument("--gap-spread", dest="gap_spread", type=float)
-    gen.add_argument(
-        "--phase-fractions", dest="phase_fractions", type=_parse_fractions,
-        help="prep,nucleus,retract fractions summing to 1",
-    )
-    gen.add_argument("--detector-base", dest="detector_base", type=float)
-    gen.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-    gen.add_argument("--prep-ambiguity", dest="prep_ambiguity", type=float)
-    gen.add_argument("--edge-ramp", dest="edge_ramp", type=int)
+    _add_config_flags(gen, _SYNTH_COERCERS)
     gen.set_defaults(func=cmd_gen)
 
     run = sub.add_parser("run", help="run the pipeline over a corpus and evaluate")
     run.add_argument("--data", required=True, help="directory holding a generated/loaded corpus")
     run.add_argument("--out", required=True)
-    _add_config_flag(run)
-    _add_pipeline_flags(run)
+    _add_config_flags(run, _PIPELINE_COERCERS)
     run.add_argument("--grace", type=int, default=None, help="event matching grace (frames)")
     run.add_argument("--trace", action="store_true", help="also write per-video trace files")
     run.set_defaults(func=cmd_run)
@@ -462,8 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", help="run once per early threshold and tabulate the tradeoff")
     sw.add_argument("--data", required=True)
     sw.add_argument("--out", required=True)
-    _add_config_flag(sw)
-    _add_pipeline_flags(sw)
+    _add_config_flags(sw, _PIPELINE_COERCERS)
     sw.add_argument("--taus", nargs="+", type=float, help="early thresholds to sweep")
     sw.set_defaults(func=cmd_sweep)
     return parser
@@ -477,9 +425,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (ConfigError, StreamFormatError) as exc:
-        _say(f"error: {exc}")
-        return 1
     except ValueError as exc:
         _say(f"error: {exc}")
         return 1

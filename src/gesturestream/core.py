@@ -122,7 +122,6 @@ class PipelineConfig:
     tau_late: float = 0.15
     mean_duration: float = 38.4
     sigmoid_slope: float = 0.2
-    sigmoid_midpoint: int | None = None  # overrides the midpoint derived from mean_duration
 
 
 def validate_config(cfg: PipelineConfig) -> PipelineConfig:
@@ -152,8 +151,6 @@ def validate_config(cfg: PipelineConfig) -> PipelineConfig:
         problems.append("mean_duration must be > 0")
     if not cfg.sigmoid_slope > 0:
         problems.append("sigmoid_slope must be > 0")
-    if cfg.sigmoid_midpoint is not None and cfg.sigmoid_midpoint < 0:
-        problems.append("sigmoid_midpoint must be >= 0 when set")
     if not isinstance(cfg.filter_kind, FilterKind):
         problems.append(f"filter_kind must be one of {[k.value for k in FilterKind]}")
     if problems:

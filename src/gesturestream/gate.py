@@ -10,6 +10,7 @@ never deactivates the classifier.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -50,12 +51,14 @@ class FilterQueue:
         return len(self.items)
 
 
+@functools.lru_cache(maxsize=64)
 def ewa_weights(length: int) -> tuple[float, ...]:
     """Exponential weights for a queue of the given length, newest first.
 
     w_i = exp(-(1 - (length - i)) / length) for the i-th previous sample,
     so the newest sample carries the largest weight and the oldest exactly 1.
-    During queue warm-up the weights are recomputed for the current length.
+    During queue warm-up the weights are those of the current length. The
+    result is cached per length, since the filter reads it on every window.
     """
     if length < 1:
         raise ValueError("weights need a length >= 1")

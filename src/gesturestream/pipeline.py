@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .activation import ActivationEvent, EventKind, effective_midpoint, fold_periods, sigmoid_weight
+from .activation import ActivationEvent, EventKind, fold_periods, midpoint, sigmoid_weight
 from .core import GESTURE_INDEX, PipelineConfig, top2_rows, validate_config
 from .evaluate import AggregateStats, VideoScore, evaluate_corpus
 from .gate import gate_periods
@@ -98,7 +98,7 @@ def run_video(
     if lengths and classifier.arity != cfg.num_classes:
         raise ValueError(f"arity mismatch: mean has {cfg.num_classes} classes, scores have {classifier.arity}")
 
-    t_mid = effective_midpoint(cfg)
+    t_mid = midpoint(cfg.mean_duration, cfg.stride)
     weights = [0.0] + [sigmoid_weight(j, t_mid, cfg.sigmoid_slope) for j in range(1, max(lengths, default=0) + 1)]
     means = classifier.rows[fold_frames]
     fold_periods(means, lengths, weights)

@@ -7,7 +7,6 @@ from gesturestream.activation import (
     ActivationState,
     EventKind,
     activation_step,
-    effective_midpoint,
     finalize_late,
     midpoint,
     sigmoid_weight,
@@ -35,9 +34,11 @@ class TestMidpoint:
         with pytest.raises(ValueError):
             midpoint(38.4, 0)
 
-    def test_config_override(self):
-        assert effective_midpoint(PipelineConfig(num_classes=5)) == 9
-        assert effective_midpoint(PipelineConfig(num_classes=5, sigmoid_midpoint=3)) == 3
+    def test_mean_duration_reaches_every_midpoint(self):
+        # any midpoint m comes from a mean_duration in [4*s*m, 4*s*(m+1))
+        for s in range(1, 4):
+            for m in range(13):
+                assert midpoint(4 * s * m + 2 * s, s) == m
 
 
 class TestSigmoidWeight:
@@ -211,7 +212,7 @@ class TestActivationStep:
         assert scorer.lookups == 1
 
     def test_deactivate_emits_late_and_resets(self):
-        cfg = PipelineConfig(num_classes=3, tau_early=1.0, sigmoid_midpoint=0)
+        cfg = PipelineConfig(num_classes=3, tau_early=1.0, mean_duration=2.0)
         scorer = StubScorer(ProbVector((0.1, 0.8, 0.1)))
         state = ActivationState.inactive(3)
         state, event = activation_step(state, GateDecision.ACTIVATE, scorer, self.window(31), cfg)

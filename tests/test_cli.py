@@ -1,8 +1,11 @@
 import json
+from dataclasses import fields
 
 import pytest
 
 from gesturestream.cli import _atomic_write_text, _atomic_write_with, main
+from gesturestream.core import PipelineConfig
+from gesturestream.scoring import SynthConfig
 
 GEN_SMALL = [
     "gen", "--seed", "42", "--videos", "4", "--gestures-per-video", "3",
@@ -281,7 +284,9 @@ class TestExitCodes:
             "--out", str(tmp_path / "eval"), "--grace", grace,
         ]) == code
 
-    @pytest.mark.parametrize("key,value", [("alignment", "newest"), ("detector_window", "8")])
+    @pytest.mark.parametrize(
+        "key,value", [("alignment", "newest"), ("detector_window", "8"), ("sigmoid_midpoint", "3")]
+    )
     def test_removed_window_knobs_rejected(self, corpus_dir, tmp_path, capsys, key, value):
         base = ["run", "--data", str(corpus_dir), "--out", str(tmp_path / "o")]
         flag = "--" + key.replace("_", "-")
@@ -325,6 +330,70 @@ class TestExitCodes:
             "sweep", "--data", str(corpus_dir), "--out", str(tmp_path / "s"), "--taus", "-0.5",
         ])
         assert code == 1
+
+
+# A valid value for every config field, its text form and what the JSON holds.
+PIPELINE_VALUES = {
+    "num_classes": ("6", 6),  # must match the classifier arity
+    "classifier_window": ("16", 16),
+    "stride": ("2", 2),
+    "filter_kind": ("ewa", "ewa"),
+    "filter_size": ("3", 3),
+    "gate_on_threshold": ("0.6", 0.6),
+    "deactivate_count": ("2", 2),
+    "tau_early": ("0.3", 0.3),
+    "tau_late": ("0.2", 0.2),
+    "mean_duration": ("20.5", 20.5),
+    "sigmoid_slope": ("0.5", 0.5),
+}
+SYNTH_VALUES = {
+    "num_videos": ("2", 2),
+    "gestures_per_video": ("2", 2),
+    "num_classes": ("4", 4),
+    "duration_mean": ("30.5", 30.5),
+    "duration_spread": ("2.5", 2.5),
+    "gap_mean": ("40.5", 40.5),
+    "gap_spread": ("3.5", 3.5),
+    "phase_fractions": ("0.2,0.6,0.2", [0.2, 0.6, 0.2]),
+    "detector_base": ("0.8", 0.8),
+    "noise_sigma": ("0.01", 0.01),
+    "prep_ambiguity": ("0.25", 0.25),
+    "seed": ("5", 5),
+    "edge_ramp": ("4", 4),
+}
+# Keeps generated corpora small; a field's own line or flag comes later and wins.
+SMALL_SYNTH = "num_videos = 1\ngestures_per_video = 1\nnum_classes = 3\n"
+
+
+class TestConfigFields:
+    """Every config field is a --field-name flag and a field_name config key."""
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(PipelineConfig)])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_pipeline_field_reaches_report(self, corpus_dir, tmp_path, name, via):
+        text, want = PIPELINE_VALUES[name]
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text(f"{name} = {text}\n")
+        out = tmp_path / "run"
+        setting = ["--" + name.replace("_", "-"), text] if via == "flag" else ["--config", str(cfg)]
+        assert main(["run", "--data", str(corpus_dir), "--out", str(out)] + setting) == 0
+        config = json.loads((out / "report.json").read_text())["config"]
+        assert config[name] == want
+        assert set(config) == {f.name for f in fields(PipelineConfig)}
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(SynthConfig)])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_synth_field_reaches_manifest(self, tmp_path, name, via):
+        text, want = SYNTH_VALUES[name]
+        cfg = tmp_path / "synth.cfg"
+        own_line = f"{name} = {text}\n" if via == "config" else ""
+        cfg.write_text(SMALL_SYNTH + own_line)
+        out = tmp_path / "gen"
+        flag = ["--" + name.replace("_", "-"), text] if via == "flag" else []
+        assert main(["gen", "--out", str(out), "--config", str(cfg)] + flag) == 0
+        synth = json.loads((out / "manifest.json").read_text())["synth_config"]
+        assert synth[name] == want
+        assert set(synth) == {f.name for f in fields(SynthConfig)}
 
 
 class TestAtomicWrite:

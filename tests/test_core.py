@@ -41,7 +41,6 @@ class TestValidateConfig:
         ("mean_duration", 0.0),
         ("deactivate_count", 0),
         ("sigmoid_slope", 0.0),
-        ("sigmoid_midpoint", -1),
     ])
     def test_single_field_violations(self, field, value):
         cfg = PipelineConfig(**{"num_classes": 10, field: value})

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gesturestream.activation import ActivationState, activation_step, effective_midpoint, sigmoid_weight
+from gesturestream.activation import ActivationState, activation_step, midpoint, sigmoid_weight
 from gesturestream.core import GESTURE_INDEX, FilterKind, PipelineConfig, top2
 from gesturestream.gate import GateDecision, GateState, gate_step
 from gesturestream.pipeline import RunTrace, TraceRow, run_corpus, run_video
@@ -164,7 +164,7 @@ def replay_online(det, cls, cfg):
     """Reference for run_video: the window-by-window replay through the online API."""
     gate = GateState.idle(cfg.filter_size)
     act = ActivationState.inactive(cfg.num_classes)
-    t_mid = effective_midpoint(cfg)
+    t_mid = midpoint(cfg.mean_duration, cfg.stride)
     ends = cursor_for(det.length, cfg)
     events, rows, invocations = [], [], 0
     for window in advance(ends, cfg):
@@ -227,7 +227,7 @@ def video_streams(draw):
         tau_early=draw(st.floats(0.0, 1.0)),
         tau_late=draw(st.floats(0.0, 0.5)),
         sigmoid_slope=draw(st.sampled_from([0.05, 0.2, 1.0])),
-        sigmoid_midpoint=draw(st.one_of(st.none(), st.integers(0, 12))),
+        mean_duration=draw(st.floats(0.5, 160.0)),
     )
     return ScoreStream("v", 2, det), ScoreStream("v", classes, cls), cfg
 
