@@ -21,7 +21,7 @@ from typing import Mapping, Optional, Sequence, get_type_hints
 
 from .activation import ActivationEvent, EventKind
 from .core import ConfigError, PipelineConfig, validate_config
-from .evaluate import AggregateStats, EarlyStats, SweepRow, VideoScore, evaluate_corpus, sweep
+from .evaluate import AggregateStats, EarlyStats, SweepRow, VideoScore, check_taus, evaluate_corpus, sweep
 from .pipeline import CorpusRun, run_corpus
 from .scoring import (
     Corpus,
@@ -232,6 +232,7 @@ def build_run_report(run: CorpusRun, cfg: PipelineConfig) -> dict:
     report["config"] = asdict(cfg)
     report["aggregate"]["windows_processed"] = run.aggregate.windows_processed
     report["aggregate"]["classifier_invocations"] = run.aggregate.classifier_invocations
+    report["aggregate"]["open_at_end"] = run.aggregate.open_at_end
     report["skipped_missing_annotations"] = list(run.skipped)
     return report
 
@@ -351,9 +352,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    taus = list(args.taus) if args.taus else list(DEFAULT_TAUS)
+    check_taus(taus)
     corpus = _load_data_dir(args.data)
     cfg = _build_pipeline_config(args, _classifier_arity(corpus))
-    taus = list(args.taus) if args.taus else list(DEFAULT_TAUS)
     rows = sweep(corpus, cfg, taus)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -408,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--grace", type=int, default=DEFAULT_GRACE)
     ev.set_defaults(func=cmd_eval)
 
-    sw = sub.add_parser("sweep", help="run once per early threshold and tabulate the tradeoff")
+    sw = sub.add_parser("sweep", help="gate and fold once, then tabulate the tradeoff across early thresholds")
     sw.add_argument("--data", required=True)
     sw.add_argument("--out", required=True)
     _add_config_flags(sw, _PIPELINE_COERCERS)

@@ -10,11 +10,11 @@ events show up as negative scores rather than zeros.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .activation import ActivationEvent, EventKind
-from .core import PipelineConfig
+from .core import PipelineConfig, validate_config
 from .scoring import Corpus, GroundTruthSegment
 
 
@@ -191,6 +191,7 @@ class AggregateStats:
     events_late: int
     windows_processed: int
     classifier_invocations: int
+    open_at_end: int
     grace: int
 
 
@@ -203,7 +204,8 @@ def evaluate_corpus(
 
     Videos are scored in sorted order; an annotated video without events
     scores all its segments as missed, and events of unannotated videos are
-    ignored. The aggregate's window counters stay 0: only a pipeline run
+    ignored. The aggregate's run counters (windows, classifier invocations,
+    periods open at the end of the stream) stay 0: only a pipeline run
     knows them.
     """
     if grace < 0:
@@ -227,6 +229,7 @@ def evaluate_corpus(
         events_late=kinds.count(EventKind.LATE),
         windows_processed=0,
         classifier_invocations=0,
+        open_at_end=0,
         grace=grace,
     )
     return scores, aggregate
@@ -234,7 +237,7 @@ def evaluate_corpus(
 
 @dataclass(frozen=True, slots=True)
 class SweepRow:
-    """Aggregate outcome of one full corpus run at a fixed tau_early."""
+    """Aggregate outcome at one tau_early: what run_corpus at that threshold reports."""
 
     tau_early: float
     mean_levenshtein_accuracy: Optional[float]
@@ -245,20 +248,38 @@ class SweepRow:
     missed_count: int
 
 
-def sweep(corpus: Corpus, cfg: PipelineConfig, taus: Sequence[float]) -> list[SweepRow]:
-    """Run the full pipeline once per early threshold, all else fixed.
-
-    Rows come back in the given tau order; runs are independent and
-    deterministic, so the table reproduces bit-for-bit on a fixed corpus.
-    """
-    from .pipeline import run_corpus  # local import to avoid a module cycle
-
+def check_taus(taus: Sequence[float]) -> None:
+    """Reject sweep thresholds outside [0, 1], naming each one, and repeated thresholds."""
+    bad = [tau for tau in taus if not 0.0 <= tau <= 1.0]
+    if bad:
+        raise ValueError(f"tau_early must be in [0, 1], got {', '.join(f'{tau:g}' for tau in bad)}")
     if len(set(taus)) != len(taus):
         raise ValueError("sweep thresholds must be distinct")
+
+
+def sweep(corpus: Corpus, cfg: PipelineConfig, taus: Sequence[float]) -> list[SweepRow]:
+    """Tabulate the outcome at each early threshold, all else fixed.
+
+    The gate and the weighted means never read tau_early, so every
+    annotated video is gated and folded once, and each threshold's events
+    are derived from that one pass. Each row equals the aggregate of
+    run_corpus at its threshold (grace = the classifier window); rows come
+    back in the given order. Every threshold is checked before any work.
+    """
+    from .pipeline import fold_video, over_annotated_videos, video_events  # local import to avoid a module cycle
+
+    check_taus(taus)
+    validate_config(cfg)
+
+    def events_per_tau(detector, classifier):
+        folded = fold_video(detector, classifier, cfg)  # dropped once its events are derived
+        return [video_events(folded, tau, cfg.tau_late) for tau in taus]
+
+    events, _ = over_annotated_videos(corpus, events_per_tau)
+    segments = {v: corpus.segments[v] for v in events}
     rows: list[SweepRow] = []
-    for tau in taus:
-        run = run_corpus(corpus, replace(cfg, tau_early=tau))
-        agg = run.aggregate
+    for i, tau in enumerate(taus):
+        _, agg = evaluate_corpus({v: per_tau[i] for v, per_tau in events.items()}, segments, cfg.classifier_window)
         rows.append(
             SweepRow(
                 tau_early=tau,

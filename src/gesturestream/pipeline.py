@@ -10,8 +10,9 @@ pipeline's whole economy: idle stretches cost one detector lookup per window.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
 import numpy as np
 
@@ -23,6 +24,8 @@ from .scoring import Corpus, ScoreStream
 from .windows import cursor_for
 
 log = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,30 +45,51 @@ class TraceRow:
 
 @dataclass(frozen=True, slots=True)
 class RunTrace:
-    """Everything one video run produced: events, counters, optional rows."""
+    """Everything one video run produced: events, counters, optional rows.
+
+    open_at_end is 1 when the stream ended while the gate was active; that
+    period's pending late event is never emitted.
+    """
 
     video_id: str
     events: tuple[ActivationEvent, ...]
     windows_processed: int
     classifier_invocations: int
+    open_at_end: int
     rows: tuple[TraceRow, ...] = ()
 
 
-def run_video(
-    detector: ScoreStream,
-    classifier: ScoreStream,
-    cfg: PipelineConfig,
-    collect_trace: bool = False,
-) -> RunTrace:
-    """Run the full pipeline over one video's score streams.
+@dataclass(frozen=True, slots=True)
+class FoldedVideo:
+    """One video gated and folded: everything a run computes before any threshold.
 
-    Gives what a window-by-window replay through gate_step and
-    activation_step gives, bit for bit, in two passes over arrays: a plain
-    float loop over the detector's gesture column finds the active periods,
-    then fold_periods folds the classifier rows of all of them at once. The
-    schedule spans the detector stream; a missing score for any window the
-    replay would read aborts with the offending frame. Trace rows are built
-    only on request since full traces dwarf the event log.
+    Neither the gate nor the weighted means read tau_early or tau_late, so
+    one pass serves every threshold and video_events derives each
+    threshold's events from it. The per-fold lists hold the folds of all
+    active periods, period after period; best_margins holds, for each fold,
+    the largest top-2 margin its period has reached so far.
+    """
+
+    video_id: str
+    ends: range
+    raws: list[float]
+    filtered: list[float]
+    periods: list[tuple[int, int]]
+    weights: list[float]
+    labels: list[int]
+    top1s: list[float]
+    top2s: list[float]
+    best_margins: list[float]
+
+
+def fold_video(detector: ScoreStream, classifier: ScoreStream, cfg: PipelineConfig) -> FoldedVideo:
+    """Gate one video's windows and fold the classifier rows of its active periods.
+
+    A plain float loop over the detector's gesture column finds the active
+    periods, then fold_periods folds the classifier rows of all of them at
+    once. The schedule spans the detector stream; a missing score for any
+    window a window-by-window replay would read aborts with the offending
+    frame.
     """
     validate_config(cfg)
     ends = cursor_for(detector.length, cfg)
@@ -103,44 +127,84 @@ def run_video(
     means = classifier.rows[fold_frames]
     fold_periods(means, lengths, weights)
     label_arr, top1_arr, top2_arr = top2_rows(means)
-    labels, top1s, top2s = label_arr.tolist(), top1_arr.tolist(), top2_arr.tolist()
-    margins = (top1_arr - top2_arr).tolist()
+    best_margins = top1_arr - top2_arr
+    offset = 0
+    for size in lengths:
+        period = best_margins[offset : offset + size]
+        np.maximum.accumulate(period, out=period)
+        offset += size
+    return FoldedVideo(
+        detector.video_id, ends, raw_list, filtered, periods, weights,
+        label_arr.tolist(), top1_arr.tolist(), top2_arr.tolist(), best_margins.tolist(),
+    )
 
+
+def video_events(folded: FoldedVideo, tau_early: float, tau_late: float) -> tuple[ActivationEvent, ...]:
+    """The events of a folded video at the given thresholds, at most one per active period.
+
+    The first fold whose margin reaches tau_early gives an early event;
+    failing that, a period the gate closed gives a late event at its
+    deactivation window when the last mean's maximum reaches tau_late. A
+    period still open at the end of the stream gives no late event.
+    """
+    ends, labels, best = folded.ends, folded.labels, folded.best_margins
     events: list[ActivationEvent] = []
     offset = 0
-    for (first, stop), size in zip(periods, lengths):
-        hit = next((i for i in range(offset, offset + size) if margins[i] >= cfg.tau_early), None)
-        if hit is not None:
-            events.append(ActivationEvent(labels[hit], ends[first + hit - offset], EventKind.EARLY, margins[hit]))
+    for first, stop in folded.periods:
+        size = stop - first
+        # the first fold whose margin reaches tau_early, where the running best is that margin
+        hit = bisect_left(best, tau_early, offset, offset + size)
+        if hit < offset + size:
+            events.append(ActivationEvent(labels[hit], ends[first + hit - offset], EventKind.EARLY, best[hit]))
         elif stop < len(ends):
             last = offset + size - 1
-            if top1s[last] >= cfg.tau_late:
-                events.append(ActivationEvent(labels[last], ends[stop], EventKind.LATE, top1s[last]))
+            if folded.top1s[last] >= tau_late:
+                events.append(ActivationEvent(labels[last], ends[stop], EventKind.LATE, folded.top1s[last]))
         offset += size
-    if periods and periods[-1][1] == len(ends):
-        log.debug("%s: stream ended while the gate was active; no event flushed", detector.video_id)
+    return tuple(events)
 
-    rows: tuple[TraceRow, ...] = ()
-    if collect_trace:
-        count = len(ends)
-        modes, js, row_weights = ["idle"] * count, [0] * count, [0.0] * count
-        row_labels, row_top1, row_top2 = [-1] * count, [0.0] * count, [0.0] * count
-        offset = 0
-        for (first, stop), size in zip(periods, lengths):
-            modes[first:stop] = ["active"] * size
-            js[first:stop] = range(1, size + 1)
-            row_weights[first:stop] = weights[1 : size + 1]
-            row_labels[first:stop] = labels[offset : offset + size]
-            row_top1[first:stop] = top1s[offset : offset + size]
-            row_top2[first:stop] = top2s[offset : offset + size]
-            offset += size
-        rows = tuple(map(TraceRow, ends, raw_list, filtered, modes, js, row_weights, row_labels, row_top1, row_top2))
+
+def trace_rows(folded: FoldedVideo) -> tuple[TraceRow, ...]:
+    """One TraceRow per window, idle windows with j = 0 and label -1."""
+    count = len(folded.ends)
+    modes, js, weights = ["idle"] * count, [0] * count, [0.0] * count
+    labels, top1s, top2s = [-1] * count, [0.0] * count, [0.0] * count
+    offset = 0
+    for first, stop in folded.periods:
+        size = stop - first
+        modes[first:stop] = ["active"] * size
+        js[first:stop] = range(1, size + 1)
+        weights[first:stop] = folded.weights[1 : size + 1]
+        labels[first:stop] = folded.labels[offset : offset + size]
+        top1s[first:stop] = folded.top1s[offset : offset + size]
+        top2s[first:stop] = folded.top2s[offset : offset + size]
+        offset += size
+    return tuple(map(TraceRow, folded.ends, folded.raws, folded.filtered, modes, js, weights, labels, top1s, top2s))
+
+
+def run_video(
+    detector: ScoreStream,
+    classifier: ScoreStream,
+    cfg: PipelineConfig,
+    collect_trace: bool = False,
+) -> RunTrace:
+    """Run the full pipeline over one video's score streams.
+
+    Gives what a window-by-window replay through gate_step and
+    activation_step gives, bit for bit: fold_video gates and folds the
+    whole video, then video_events applies the configured thresholds.
+    Trace rows are built only on request since full traces dwarf the event
+    log.
+    """
+    folded = fold_video(detector, classifier, cfg)
+    periods = folded.periods
     return RunTrace(
-        video_id=detector.video_id,
-        events=tuple(events),
-        windows_processed=len(ends),
-        classifier_invocations=len(fold_frames),
-        rows=rows,
+        video_id=folded.video_id,
+        events=video_events(folded, cfg.tau_early, cfg.tau_late),
+        windows_processed=len(folded.ends),
+        classifier_invocations=len(folded.best_margins),
+        open_at_end=int(bool(periods) and periods[-1][1] == len(folded.ends)),
+        rows=trace_rows(folded) if collect_trace else (),
     )
 
 
@@ -160,6 +224,33 @@ class CorpusRun:
     aggregate: AggregateStats
 
 
+def over_annotated_videos(
+    corpus: Corpus, per_video: Callable[[ScoreStream, ScoreStream], T]
+) -> tuple[dict[str, T], tuple[str, ...]]:
+    """Apply per_video(detector, classifier) to every annotated video, in id order.
+
+    Videos without annotations are skipped with a warning and returned as
+    the second item. A corpus with no videos, an annotated video without a
+    classifier stream, and a corpus with no annotated video are errors.
+    """
+    video_ids = corpus.video_ids()
+    if not video_ids:
+        raise ValueError("no videos in corpus")
+    done: dict[str, T] = {}
+    skipped: list[str] = []
+    for video_id in video_ids:
+        if not corpus.segments.get(video_id):
+            log.warning("skipping %s: no annotations", video_id)
+            skipped.append(video_id)
+            continue
+        if video_id not in corpus.classifier:
+            raise ValueError(f"no classifier stream for {video_id}")
+        done[video_id] = per_video(corpus.detector[video_id], corpus.classifier[video_id])
+    if not done:
+        raise ValueError("no videos with annotations to evaluate")
+    return done, tuple(skipped)
+
+
 def run_corpus(
     corpus: Corpus,
     cfg: PipelineConfig,
@@ -176,26 +267,9 @@ def run_corpus(
     validate_config(cfg)
     if grace is None:
         grace = cfg.classifier_window
-    video_ids = corpus.video_ids()
-    if not video_ids:
-        raise ValueError("no videos in corpus")
-
-    traces: dict[str, RunTrace] = {}
-    skipped: list[str] = []
-    for video_id in video_ids:
-        segments = corpus.segments.get(video_id)
-        if not segments:
-            log.warning("skipping %s: no annotations", video_id)
-            skipped.append(video_id)
-            continue
-        if video_id not in corpus.classifier:
-            raise ValueError(f"no classifier stream for {video_id}")
-        traces[video_id] = run_video(
-            corpus.detector[video_id], corpus.classifier[video_id], cfg, collect_trace=collect_trace
-        )
-    if not traces:
-        raise ValueError("no videos with annotations to evaluate")
-
+    traces, skipped = over_annotated_videos(
+        corpus, lambda detector, classifier: run_video(detector, classifier, cfg, collect_trace=collect_trace)
+    )
     scores, aggregate = evaluate_corpus(
         {v: trace.events for v, trace in traces.items()},
         {v: corpus.segments[v] for v in traces},
@@ -206,5 +280,6 @@ def run_corpus(
         aggregate,
         windows_processed=sum(t.windows_processed for t in traces.values()),
         classifier_invocations=sum(t.classifier_invocations for t in traces.values()),
+        open_at_end=sum(t.open_at_end for t in traces.values()),
     )
-    return CorpusRun(videos=runs, skipped=tuple(skipped), aggregate=aggregate)
+    return CorpusRun(videos=runs, skipped=skipped, aggregate=aggregate)

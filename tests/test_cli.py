@@ -115,6 +115,23 @@ class TestRun:
         names = ["events.jsonl", "report.json"]
         assert read_tree(a, names) == read_tree(b, names)
 
+    def test_stream_ending_mid_gesture_counted(self, corpus_dir, tmp_path):
+        out = tmp_path / "run"
+        assert main(["run", "--data", str(corpus_dir), "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["aggregate"]["open_at_end"] == 0
+        # cut v000's score streams off in the middle of its last gesture
+        last = [json.loads(l) for l in (corpus_dir / "annotations.jsonl").read_text().splitlines()
+                if json.loads(l)["video"] == "v000"][-1]
+        cut = (last["start"] + last["end"]) // 2
+        for name in ("detector_scores.jsonl", "classifier_scores.jsonl"):
+            path = corpus_dir / name
+            records = [json.loads(l) for l in path.read_text().splitlines()]
+            path.write_text("".join(json.dumps(r) + "\n" for r in records if r["video"] != "v000" or r["t"] <= cut))
+        assert main(["run", "--data", str(corpus_dir), "--out", str(out)]) == 0
+        agg = json.loads((out / "report.json").read_text())["aggregate"]
+        assert agg["open_at_end"] == 1
+        assert agg["missed_segments"] == 1
+
     def test_missing_data_dir_is_io_error(self, tmp_path):
         code = main(["run", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
         assert code == 2
@@ -153,7 +170,7 @@ class TestEval:
         eval_report = json.loads((eval_out / "report.json").read_text())
         run_agg, eval_agg = run_report["aggregate"], eval_report["aggregate"]
         assert run_agg["events"]["early"] > 0 and run_agg["early_frames"] is not None
-        assert set(run_agg) - set(eval_agg) == {"windows_processed", "classifier_invocations"}
+        assert set(run_agg) - set(eval_agg) == {"windows_processed", "classifier_invocations", "open_at_end"}
         assert eval_agg == {key: run_agg[key] for key in eval_agg}
         assert eval_report["videos"] == run_report["videos"]
         assert eval_report["grace"] == run_report["grace"] == 20
@@ -265,6 +282,15 @@ class TestSweep:
         for out in (a, b):
             assert main(["sweep", "--data", str(corpus_dir), "--out", str(out), "--taus", "0.3", "0.8"]) == 0
         assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
+
+
+    def test_bad_thresholds_named_before_any_output(self, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--data", str(corpus_dir), "--out", str(out), "--taus", "0.3", "0.5", "1.5"]) == 1
+        assert "1.5" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+        # checked before the corpus is read: a missing data directory is not reached
+        assert main(["sweep", "--data", str(tmp_path / "nope"), "--out", str(out), "--taus", "1.5"]) == 1
 
 
 class TestExitCodes:

@@ -1,14 +1,18 @@
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gesturestream.activation import ActivationState, activation_step, midpoint, sigmoid_weight
+from gesturestream import pipeline
+from gesturestream.activation import ActivationState, EventKind, activation_step, midpoint, sigmoid_weight
 from gesturestream.core import GESTURE_INDEX, FilterKind, PipelineConfig, top2
-from gesturestream.gate import GateDecision, GateState, gate_step
+from gesturestream.gate import GateDecision, GateMode, GateState, gate_step
 from gesturestream.pipeline import RunTrace, TraceRow, run_corpus, run_video
-from gesturestream.scoring import Corpus, ScoreStream, SynthConfig, generate_synthetic
+from gesturestream.evaluate import SweepRow, sweep
+from gesturestream.scoring import Corpus, GroundTruthSegment, ScoreStream, SynthConfig, generate_synthetic
 from gesturestream.windows import advance, cursor_for
 
 CFG = PipelineConfig(num_classes=10)
@@ -75,6 +79,16 @@ class TestRunVideo:
         det.rows[40] = np.nan
         with pytest.raises(ValueError, match="v@40"):
             run_video(det, cls, CFG)
+
+    def test_late_threshold_is_inclusive(self):
+        corpus = single_video_corpus()
+        vid = corpus.video_ids()[0]
+        det, cls = corpus.detector[vid], corpus.classifier[vid]
+        rows = run_video(det, cls, CFG, collect_trace=True).rows
+        last_top1 = next(row.top1 for row, nxt in zip(rows, rows[1:]) if row.j and not nxt.j)
+        at = run_video(det, cls, replace(CFG, tau_late=last_top1))
+        assert [(e.kind, e.margin_or_score) for e in at.events] == [(EventKind.LATE, last_top1)]
+        assert run_video(det, cls, replace(CFG, tau_late=math.nextafter(last_top1, 1.0))).events == ()
 
     def test_replay_is_identical(self):
         corpus = single_video_corpus()
@@ -181,7 +195,8 @@ def replay_online(det, cls, cfg):
         else:
             label, top1, second, weight = -1, 0.0, 0.0, 0.0
         rows.append(TraceRow(window.end, raw, filtered, gate.mode.value, j, weight, label, top1, second))
-    return RunTrace(det.video_id, tuple(events), len(ends), invocations, tuple(rows))
+    open_at_end = int(gate.mode is GateMode.ACTIVE)
+    return RunTrace(det.video_id, tuple(events), len(ends), invocations, open_at_end, tuple(rows))
 
 
 def outcome(fn, *args):
@@ -195,9 +210,8 @@ def outcome(fn, *args):
 RAW = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]))
 
 
-@st.composite
-def video_streams(draw):
-    classes = draw(st.integers(2, 6))
+def stream_arrays(draw, classes):
+    """Detector and classifier rows of one video, often ending with the gate open."""
     length = draw(st.integers(0, 90))
     gesture = draw(st.lists(RAW, min_size=length, max_size=length))
     gesture += [draw(RAW)] * draw(st.integers(0, 12))  # often ends with the gate open
@@ -207,7 +221,11 @@ def video_streams(draw):
     cls[rng.random(len(det)) < 0.2] = 1.0 / classes  # all-class ties
     tie = rng.random(len(det)) < 0.2
     cls[tie, :2] = cls[tie, :2].mean(axis=1, keepdims=True)  # two-class ties
-    fault = draw(st.sampled_from(["none"] * 6 + ["detector-nan", "classifier-nan", "short-classifier"]))
+    return det, cls
+
+
+def inject_fault(draw, det, cls, fault):
+    """Drop a detector or classifier frame, or cut the classifier stream short."""
     if fault != "none" and len(det):
         frame = draw(st.integers(0, len(det) - 1))
         if fault == "detector-nan":
@@ -216,7 +234,11 @@ def video_streams(draw):
             cls[frame] = np.nan
         else:
             cls = cls[:frame]
-    cfg = PipelineConfig(
+    return det, cls
+
+
+def pipeline_configs(draw, classes):
+    return PipelineConfig(
         num_classes=classes,
         classifier_window=draw(st.integers(1, 8)),
         stride=draw(st.integers(1, 3)),
@@ -229,6 +251,17 @@ def video_streams(draw):
         sigmoid_slope=draw(st.sampled_from([0.05, 0.2, 1.0])),
         mean_duration=draw(st.floats(0.5, 160.0)),
     )
+
+
+FAULTS = ["none"] * 6 + ["detector-nan", "classifier-nan", "short-classifier"]
+
+
+@st.composite
+def video_streams(draw):
+    classes = draw(st.integers(2, 6))
+    det, cls = stream_arrays(draw, classes)
+    det, cls = inject_fault(draw, det, cls, draw(st.sampled_from(FAULTS)))
+    cfg = pipeline_configs(draw, classes)
     return ScoreStream("v", 2, det), ScoreStream("v", classes, cls), cfg
 
 
@@ -241,3 +274,103 @@ class TestKernelMatchesOnlineReplay:
         assert outcome(run_video, det, cls, cfg, True) == want
         untraced = want if isinstance(want, str) else replace(want, rows=())
         assert outcome(run_video, det, cls, cfg) == untraced
+
+
+def sweep_by_reruns(corpus, cfg, taus):
+    """Reference for sweep: one full run_corpus per threshold."""
+    rows = []
+    for tau in taus:
+        agg = run_corpus(corpus, replace(cfg, tau_early=tau)).aggregate
+        rows.append(SweepRow(
+            tau, agg.mean_accuracy, agg.early.mean if agg.early else None,
+            agg.early.median if agg.early else None, agg.matched, agg.duplicates, agg.missed_segments,
+        ))
+    return rows
+
+
+@st.composite
+def corpora(draw):
+    """Up to four videos under one config, some unannotated, one fault at most."""
+    classes = draw(st.integers(2, 6))
+    detector, classifier, segments = {}, {}, {}
+    fault = draw(st.sampled_from(FAULTS + ["no-classifier-stream"]))
+    for k in range(draw(st.integers(1, 4))):
+        video = f"v{k}"
+        det, cls = stream_arrays(draw, classes)
+        if k == 0:
+            det, cls = inject_fault(draw, det, cls, fault)
+        detector[video] = ScoreStream(video, 2, det)
+        if not (k == 0 and fault == "no-classifier-stream"):
+            classifier[video] = ScoreStream(video, classes, cls)
+        if draw(st.sampled_from([True, True, True, False])):
+            starts = draw(st.lists(st.integers(0, max(len(det) - 1, 0)), min_size=1, max_size=4))
+            segments[video] = [
+                GroundTruthSegment(video, draw(st.integers(0, classes - 1)), start, start + draw(st.integers(0, 30)))
+                for start in sorted(starts)
+            ]
+    return Corpus(detector, classifier, segments), pipeline_configs(draw, classes)
+
+
+def reached_margins(corpus, cfg):
+    """Every top-2 margin the online replay reaches in the corpus's annotated videos."""
+    margins = []
+    for video in corpus.segments:
+        if video in corpus.classifier:
+            trace = outcome(replay_online, corpus.detector[video], corpus.classifier[video], cfg)
+            if not isinstance(trace, str):
+                margins += [row.top1 - row.top2 for row in trace.rows if row.j]
+    return margins
+
+
+class TestSweepMatchesReruns:
+    @given(corpora(), st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_rows_identical(self, drawn, data):
+        corpus, cfg = drawn
+        margins = reached_margins(corpus, cfg)
+        taus = [0.0, 1.0] + data.draw(st.lists(st.floats(0.0, 1.0), max_size=3))
+        if margins:
+            taus.append(data.draw(st.sampled_from(margins)))  # ties a margin some fold reaches
+        taus = data.draw(st.permutations(list(dict.fromkeys(taus))))
+        assert outcome(sweep, corpus, cfg, taus) == outcome(sweep_by_reruns, corpus, cfg, taus)
+
+    def test_period_open_at_end_fires_only_early(self):
+        gesture = np.array([0.05] * 60 + [0.9] * 60)
+        det = ScoreStream("v", 2, np.column_stack([1.0 - gesture, gesture]))
+        probs = np.full((120, 10), 0.05)
+        probs[:, 3] = 0.55
+        cls = ScoreStream("v", 10, probs)
+        corpus = Corpus({"v": det}, {"v": cls}, {"v": [GroundTruthSegment("v", 3, 60, 119)]})
+        trace = run_video(det, cls, CFG, collect_trace=True)
+        assert trace.open_at_end == 1 and trace.events == ()
+        reached = max(row.top1 - row.top2 for row in trace.rows)
+        taus = [reached, math.nextafter(reached, 1.0)]
+        low, high = sweep(corpus, CFG, taus)
+        assert low.matched_count == 1 and low.mean_early_frames is not None
+        assert high.matched_count == 0 and high.missed_count == 1
+        assert [low, high] == sweep_by_reruns(corpus, CFG, taus)
+        # had the gate closed, the high threshold would have given a late event;
+        # uniform scores after the gesture only shrink the margin
+        closed = ScoreStream("v", 2, np.vstack([det.rows, np.tile([0.95, 0.05], (20, 1))]))
+        closed_cls = ScoreStream("v", 10, np.vstack([probs, np.full((20, 10), 0.1)]))
+        late = run_video(closed, closed_cls, replace(CFG, tau_early=taus[1]))
+        assert late.open_at_end == 0 and [e.kind for e in late.events] == [EventKind.LATE]
+
+    def test_unannotated_video_warned_once(self, caplog):
+        corpus = single_video_corpus()
+        det, cls = constant_streams("extra", 120, gesture_prob=0.05)
+        merged = Corpus({**corpus.detector, "extra": det}, {**corpus.classifier, "extra": cls}, corpus.segments)
+        with caplog.at_level("WARNING"):
+            rows = sweep(merged, CFG, [0.3, 0.6, 1.0])
+        assert len(rows) == 3
+        assert [r.getMessage() for r in caplog.records].count("skipping extra: no annotations") == 1
+
+    @pytest.mark.parametrize("taus,message", [
+        ([0.3, 1.5, -0.2], "tau_early must be in [0, 1], got 1.5, -0.2"),
+        ([0.3, float("nan")], "got nan"),
+        ([0.3, 0.3], "must be distinct"),
+    ])
+    def test_bad_thresholds_rejected_before_any_work(self, monkeypatch, taus, message):
+        monkeypatch.setattr(pipeline, "fold_video", None)  # any video work would fail differently
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sweep(single_video_corpus(), CFG, taus)
