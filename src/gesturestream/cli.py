@@ -22,7 +22,7 @@ from typing import Mapping, Optional, Sequence, get_type_hints
 from .activation import ActivationEvent, EventKind
 from .core import ConfigError, PipelineConfig, validate_config
 from .evaluate import AggregateStats, EarlyStats, SweepRow, VideoScore, check_taus, evaluate_corpus, sweep
-from .pipeline import CorpusRun, run_corpus
+from .pipeline import CorpusRun, FoldedVideo, run_corpus
 from .scoring import (
     Corpus,
     StreamFormatError,
@@ -248,19 +248,36 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def trace_tsv(folded: FoldedVideo) -> str:
+    """One video's trace: a header, then one tab-separated line per window.
+
+    Idle windows carry j = 0, weight 0.0, top_label -1 and top-1/top-2 of 0.0.
+    """
+    count = len(folded.ends)
+    modes, js, weights = ["idle"] * count, [0] * count, [0.0] * count
+    labels, top1s, top2s = [-1] * count, [0.0] * count, [0.0] * count
+    offset = 0
+    for first, stop in folded.periods:
+        size = stop - first
+        modes[first:stop] = ["active"] * size
+        js[first:stop] = range(1, size + 1)
+        weights[first:stop] = folded.weights[1 : size + 1]
+        labels[first:stop] = folded.labels[offset : offset + size]
+        top1s[first:stop] = folded.top1s[offset : offset + size]
+        top2s[first:stop] = folded.top2s[offset : offset + size]
+        offset += size
+    columns = zip(folded.ends, folded.raws, folded.filtered, modes, js, weights, labels, top1s, top2s)
+    return "t\traw_prob\tfiltered_prob\tmode\tj\tweight\ttop_label\ttop1\ttop2\n" + "".join(
+        f"{t}\t{raw!r}\t{filtered!r}\t{mode}\t{j}\t{weight!r}\t{label}\t{top1!r}\t{top2!r}\n"
+        for t, raw, filtered, mode, j, weight, label, top1, top2 in columns
+    )
+
+
 def _write_trace_files(out_dir: Path, run: CorpusRun) -> None:
     trace_dir = out_dir / "traces"
     trace_dir.mkdir(parents=True, exist_ok=True)
-    header = "t\traw_prob\tfiltered_prob\tmode\tj\tweight\ttop_label\ttop1\ttop2\n"
     for video_id in sorted(run.videos):
-        rows = run.videos[video_id].trace.rows
-        lines = [header]
-        for r in rows:
-            lines.append(
-                f"{r.t}\t{r.raw_prob!r}\t{r.filtered_prob!r}\t{r.mode}\t{r.j}\t"
-                f"{r.weight!r}\t{r.top_label}\t{r.top1!r}\t{r.top2!r}\n"
-            )
-        _atomic_write_text(trace_dir / f"{video_id}.tsv", "".join(lines))
+        _atomic_write_text(trace_dir / f"{video_id}.tsv", trace_tsv(run.videos[video_id].trace.folded))
 
 
 def _format_sweep_csv(rows: Sequence[SweepRow]) -> str:
@@ -379,7 +396,7 @@ def _add_config_flags(parser, coercers) -> None:
     for name, coerce in coercers.items():
         flag = "--" + name.replace("_", "-")
         names = ("--videos", flag) if name == "num_videos" else (flag,)
-        choices = list(coerce) if isinstance(coerce, enum.EnumMeta) else None
+        choices = [member.value for member in coerce] if isinstance(coerce, enum.EnumMeta) else None
         parser.add_argument(*names, dest=name, type=coerce, choices=choices)
 
 

@@ -29,23 +29,8 @@ T = TypeVar("T")
 
 
 @dataclass(frozen=True, slots=True)
-class TraceRow:
-    """Per-window diagnostics mirroring the signals a live dashboard would plot."""
-
-    t: int
-    raw_prob: float
-    filtered_prob: float
-    mode: str
-    j: int
-    weight: float
-    top_label: int
-    top1: float
-    top2: float
-
-
-@dataclass(frozen=True, slots=True)
 class RunTrace:
-    """Everything one video run produced: events, counters, optional rows.
+    """Everything one video run produced: events, counters, and the fold when traced.
 
     open_at_end is 1 when the stream ended while the gate was active; that
     period's pending late event is never emitted.
@@ -56,7 +41,7 @@ class RunTrace:
     windows_processed: int
     classifier_invocations: int
     open_at_end: int
-    rows: tuple[TraceRow, ...] = ()
+    folded: Optional[FoldedVideo] = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,24 +149,6 @@ def video_events(folded: FoldedVideo, tau_early: float, tau_late: float) -> tupl
     return tuple(events)
 
 
-def trace_rows(folded: FoldedVideo) -> tuple[TraceRow, ...]:
-    """One TraceRow per window, idle windows with j = 0 and label -1."""
-    count = len(folded.ends)
-    modes, js, weights = ["idle"] * count, [0] * count, [0.0] * count
-    labels, top1s, top2s = [-1] * count, [0.0] * count, [0.0] * count
-    offset = 0
-    for first, stop in folded.periods:
-        size = stop - first
-        modes[first:stop] = ["active"] * size
-        js[first:stop] = range(1, size + 1)
-        weights[first:stop] = folded.weights[1 : size + 1]
-        labels[first:stop] = folded.labels[offset : offset + size]
-        top1s[first:stop] = folded.top1s[offset : offset + size]
-        top2s[first:stop] = folded.top2s[offset : offset + size]
-        offset += size
-    return tuple(map(TraceRow, folded.ends, folded.raws, folded.filtered, modes, js, weights, labels, top1s, top2s))
-
-
 def run_video(
     detector: ScoreStream,
     classifier: ScoreStream,
@@ -193,8 +160,7 @@ def run_video(
     Gives what a window-by-window replay through gate_step and
     activation_step gives, bit for bit: fold_video gates and folds the
     whole video, then video_events applies the configured thresholds.
-    Trace rows are built only on request since full traces dwarf the event
-    log.
+    The fold is kept only on request since it dwarfs the event log.
     """
     folded = fold_video(detector, classifier, cfg)
     periods = folded.periods
@@ -204,7 +170,7 @@ def run_video(
         windows_processed=len(folded.ends),
         classifier_invocations=len(folded.best_margins),
         open_at_end=int(bool(periods) and periods[-1][1] == len(folded.ends)),
-        rows=trace_rows(folded) if collect_trace else (),
+        folded=folded if collect_trace else None,
     )
 
 

@@ -454,10 +454,25 @@ def load_annotations(path, num_classes: int | None = None) -> dict[str, list[Gro
     return per_video
 
 
+def _check_dense(path, streams: dict[str, ScoreStream], lengths: dict[str, int]) -> None:
+    """Name the first frame, by video id, without a score up to a stream's end or lengths[video]."""
+    for video in sorted(streams):
+        rows = streams[video].rows
+        gaps = np.flatnonzero(np.isnan(rows[:, 0]))
+        if gaps.size or len(rows) < lengths.get(video, 0):
+            frame = int(gaps[0]) if gaps.size else len(rows)
+            raise StreamFormatError(f"{path}: no score for {video}@{frame}")
+
+
 def load_corpus(detector_path, classifier_path, annotation_path) -> Corpus:
-    """Assemble a corpus from its three files; detector arity is fixed at 2."""
+    """Assemble a corpus from its three files; detector arity is fixed at 2.
+
+    Streams must be dense and no classifier stream shorter than its detector's, whatever the config.
+    """
     detector = load_score_stream(detector_path, expected_arity=2)
+    _check_dense(detector_path, detector, {})
     classifier = load_score_stream(classifier_path)
+    _check_dense(classifier_path, classifier, {video: stream.length for video, stream in detector.items()})
     segments = load_annotations(annotation_path)
     return Corpus(detector=detector, classifier=classifier, segments=segments)
 

@@ -99,14 +99,30 @@ class TestRun:
         assert set(events[0]) == {"video", "class", "frame", "kind", "score"}
 
     def test_trace_flag_writes_per_video_files(self, corpus_dir, tmp_path):
-        out = tmp_path / "run"
-        assert main(["run", "--data", str(corpus_dir), "--out", str(out), "--trace"]) == 0
-        traces = sorted(p.name for p in (out / "traces").iterdir())
-        assert traces == ["v000.tsv", "v001.tsv", "v002.tsv", "v003.tsv"]
-        header = (out / "traces" / "v000.tsv").read_text().splitlines()[0]
-        assert header.split("\t") == [
-            "t", "raw_prob", "filtered_prob", "mode", "j", "weight", "top_label", "top1", "top2",
-        ]
+        frames = {}
+        for line in (corpus_dir / "detector_scores.jsonl").read_text().splitlines():
+            video = json.loads(line)["video"]
+            frames[video] = frames.get(video, 0) + 1
+        for flags in ([], ["--stride", "3"]):
+            out = tmp_path / "run"
+            assert main(["run", "--data", str(corpus_dir), "--out", str(out), "--trace"] + flags) == 0
+            traces = sorted(p.name for p in (out / "traces").iterdir())
+            assert traces == ["v000.tsv", "v001.tsv", "v002.tsv", "v003.tsv"]
+            report = json.loads((out / "report.json").read_text())
+            window, stride = report["config"]["classifier_window"], report["config"]["stride"]
+            windows = active = 0
+            for video, length in frames.items():
+                tsv = (out / "traces" / f"{video}.tsv").read_text()
+                header, *rows = [line.split("\t") for line in tsv.splitlines()]
+                assert header == [
+                    "t", "raw_prob", "filtered_prob", "mode", "j", "weight", "top_label", "top1", "top2",
+                ]
+                assert [int(row[0]) for row in rows] == list(range(window - 1, length, stride))
+                windows += len(rows)
+                active += sum(row[3] == "active" for row in rows)
+            # each video's rows and active rows are its shares of the report's counters
+            assert windows == report["aggregate"]["windows_processed"]
+            assert active == report["aggregate"]["classifier_invocations"]
 
     def test_rerun_byte_identical(self, corpus_dir, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -339,6 +355,35 @@ class TestExitCodes:
         ))
         assert main(["run", "--data", str(corpus_dir), "--out", str(tmp_path / "o")]) == 1
         assert f"no score for {seg['video']}@{mid}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [[], ["--gate-on-threshold", "0.0"]], ids=["default", "gate-always-on"])
+    @pytest.mark.parametrize("name,frame,drop", [
+        ("classifier_scores.jsonl", 40, lambda t: t == 40),
+        ("classifier_scores.jsonl", 275, lambda t: t >= 275),
+        ("detector_scores.jsonl", 10, lambda t: t == 10),
+    ], ids=["classifier-idle-gap", "classifier-short-in-idle-tail", "detector-before-first-window"])
+    def test_score_gap_fails_at_load_under_any_config(self, corpus_dir, tmp_path, capsys, name, frame, drop, flags):
+        # v000 idles before its first gesture at 52 and after its last one ends at 256;
+        # the first window ends at frame 31
+        segments = [json.loads(line) for line in (corpus_dir / "annotations.jsonl").read_text().splitlines()]
+        v000 = [seg for seg in segments if seg["video"] == "v000"]
+        assert (v000[0]["start"], v000[-1]["end"]) == (52, 256)
+        path = corpus_dir / name
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        path.write_text("".join(
+            json.dumps(r) + "\n" for r in records if not (r["video"] == "v000" and drop(r["t"]))
+        ))
+        out = tmp_path / "o"
+        assert main(["run", "--data", str(corpus_dir), "--out", str(out)] + flags) == 1
+        assert f"{path}: no score for v000@{frame}" in capsys.readouterr().err
+        assert not out.exists()  # failed at load, before the run made its output directory
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_filter_kind_help_lists_values(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        text = capsys.readouterr().out
+        assert "{mean,median,ewa}" in text
+        assert "FilterKind." not in text
 
     @pytest.mark.parametrize(
         "p", ["[0.5, 0.6]", "[null, 1.0]", "[0.5, 1" + "0" * 400 + "]"], ids=["sum", "null", "huge-int"]

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gesturestream import pipeline
+from gesturestream import cli, pipeline
 from gesturestream.activation import ActivationState, EventKind, activation_step, midpoint, sigmoid_weight
 from gesturestream.core import GESTURE_INDEX, FilterKind, PipelineConfig, top2
 from gesturestream.gate import GateDecision, GateMode, GateState, gate_step
-from gesturestream.pipeline import RunTrace, TraceRow, run_corpus, run_video
+from gesturestream.pipeline import FoldedVideo, RunTrace, run_corpus, run_video
 from gesturestream.evaluate import SweepRow, sweep
 from gesturestream.scoring import Corpus, GroundTruthSegment, ScoreStream, SynthConfig, generate_synthetic
 from gesturestream.windows import advance, cursor_for
@@ -33,15 +33,10 @@ def constant_streams(video_id, length, gesture_prob, num_classes=10):
     return det, cls
 
 
-def mode_transitions(rows):
-    activations = deactivations = 0
-    prev = "idle"
-    for row in rows:
-        if prev == "idle" and row.mode == "active":
-            activations += 1
-        elif prev == "active" and row.mode == "idle":
-            deactivations += 1
-        prev = row.mode
+def mode_transitions(folded):
+    """Idle-to-active and active-to-idle flips of the gate over a video's windows."""
+    activations = len(folded.periods)
+    deactivations = sum(stop < len(folded.ends) for _, stop in folded.periods)
     return activations, deactivations
 
 
@@ -50,7 +45,7 @@ class TestRunVideo:
         corpus = single_video_corpus()
         vid = corpus.video_ids()[0]
         trace = run_video(corpus.detector[vid], corpus.classifier[vid], CFG, collect_trace=True)
-        activations, deactivations = mode_transitions(trace.rows)
+        activations, deactivations = mode_transitions(trace.folded)
         assert activations == 1
         assert deactivations == 1
         assert len(trace.events) == 1
@@ -84,8 +79,14 @@ class TestRunVideo:
         corpus = single_video_corpus()
         vid = corpus.video_ids()[0]
         det, cls = corpus.detector[vid], corpus.classifier[vid]
-        rows = run_video(det, cls, CFG, collect_trace=True).rows
-        last_top1 = next(row.top1 for row, nxt in zip(rows, rows[1:]) if row.j and not nxt.j)
+        folded = run_video(det, cls, CFG, collect_trace=True).folded
+        # the top-1 of the last fold of the first period the gate closes
+        folds = 0
+        for first, stop in folded.periods:
+            folds += stop - first
+            if stop < len(folded.ends):
+                last_top1 = folded.top1s[folds - 1]
+                break
         at = run_video(det, cls, replace(CFG, tau_late=last_top1))
         assert [(e.kind, e.margin_or_score) for e in at.events] == [(EventKind.LATE, last_top1)]
         assert run_video(det, cls, replace(CFG, tau_late=math.nextafter(last_top1, 1.0))).events == ()
@@ -97,22 +98,22 @@ class TestRunVideo:
         b = run_video(corpus.detector[vid], corpus.classifier[vid], CFG, collect_trace=True)
         assert a == b
 
-    def test_trace_rows_optional_and_increasing(self):
+    def test_trace_optional_and_increasing(self):
         corpus = single_video_corpus()
         vid = corpus.video_ids()[0]
         bare = run_video(corpus.detector[vid], corpus.classifier[vid], CFG)
-        assert bare.rows == ()
+        assert bare.folded is None
         traced = run_video(corpus.detector[vid], corpus.classifier[vid], CFG, collect_trace=True)
-        ts = [row.t for row in traced.rows]
+        ts = list(traced.folded.ends)
         assert ts == sorted(ts)
         assert len(set(ts)) == len(ts)
-        assert len(traced.rows) == traced.windows_processed
+        assert len(ts) == len(traced.folded.raws) == len(traced.folded.filtered) == traced.windows_processed
 
     def test_invocations_below_windows_when_idle_exists(self):
         corpus = single_video_corpus()
         vid = corpus.video_ids()[0]
         trace = run_video(corpus.detector[vid], corpus.classifier[vid], CFG, collect_trace=True)
-        assert any(row.mode == "idle" for row in trace.rows)
+        assert sum(stop - first for first, stop in trace.folded.periods) < len(trace.folded.ends)
         assert trace.classifier_invocations < trace.windows_processed
 
     def test_at_most_one_event_per_active_period(self):
@@ -123,12 +124,7 @@ class TestRunVideo:
         for vid in corpus.video_ids():
             trace = run_video(corpus.detector[vid], corpus.classifier[vid], pcfg, collect_trace=True)
             # period boundaries: windows where the mode flips idle->active
-            period_starts = []
-            prev = "idle"
-            for row in trace.rows:
-                if prev == "idle" and row.mode == "active":
-                    period_starts.append(row.t)
-                prev = row.mode
+            period_starts = [trace.folded.ends[first] for first, _ in trace.folded.periods]
             for lo, hi in zip(period_starts, period_starts[1:] + [float("inf")]):
                 in_period = [e for e in trace.events if lo <= e.emit_frame < hi]
                 assert len(in_period) <= 1
@@ -175,15 +171,26 @@ class TestRunCorpus:
 
 
 def replay_online(det, cls, cfg):
-    """Reference for run_video: the window-by-window replay through the online API."""
+    """Reference for run_video: the window-by-window replay through the online API.
+
+    Gives the RunTrace, its fold included, and one tuple per window holding
+    the columns of the --trace TSV.
+    """
     gate = GateState.idle(cfg.filter_size)
     act = ActivationState.inactive(cfg.num_classes)
     t_mid = midpoint(cfg.mean_duration, cfg.stride)
     ends = cursor_for(det.length, cfg)
     events, rows, invocations = [], [], 0
-    for window in advance(ends, cfg):
+    raws, filtered_probs, periods, labels, top1s, top2s, best_margins = [], [], [], [], [], [], []
+    for k, window in enumerate(advance(ends, cfg)):
         raw = det.score(window.end).values[GESTURE_INDEX]
         gate, decision, filtered = gate_step(gate, raw, cfg)
+        raws.append(raw)
+        filtered_probs.append(filtered)
+        if decision is GateDecision.ACTIVATE:
+            periods.append([k, k + 1])
+        elif decision is GateDecision.STAY_ACTIVE:
+            periods[-1][1] = k + 1
         invocations += decision in (GateDecision.ACTIVATE, GateDecision.STAY_ACTIVE)
         act, event = activation_step(act, decision, cls, window, cfg)
         if event is not None:
@@ -192,11 +199,21 @@ def replay_online(det, cls, cfg):
         if j:
             label, top1, second = top2(act.mean)
             weight = sigmoid_weight(j, t_mid, cfg.sigmoid_slope)
+            labels.append(label)
+            top1s.append(top1)
+            top2s.append(second)
+            best_margins.append(top1 - second if j == 1 else max(best_margins[-1], top1 - second))
         else:
             label, top1, second, weight = -1, 0.0, 0.0, 0.0
-        rows.append(TraceRow(window.end, raw, filtered, gate.mode.value, j, weight, label, top1, second))
+        rows.append((window.end, raw, filtered, gate.mode.value, j, weight, label, top1, second))
+    longest = max((stop - first for first, stop in periods), default=0)
+    weights = [0.0] + [sigmoid_weight(j, t_mid, cfg.sigmoid_slope) for j in range(1, longest + 1)]
+    folded = FoldedVideo(
+        det.video_id, ends, raws, filtered_probs, [tuple(p) for p in periods], weights,
+        labels, top1s, top2s, best_margins,
+    )
     open_at_end = int(gate.mode is GateMode.ACTIVE)
-    return RunTrace(det.video_id, tuple(events), len(ends), invocations, open_at_end, tuple(rows))
+    return RunTrace(det.video_id, tuple(events), len(ends), invocations, open_at_end, folded), rows
 
 
 def outcome(fn, *args):
@@ -270,10 +287,19 @@ class TestKernelMatchesOnlineReplay:
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_events_trace_and_counts_identical(self, streams):
         det, cls, cfg = streams
-        want = outcome(replay_online, det, cls, cfg)
-        assert outcome(run_video, det, cls, cfg, True) == want
-        untraced = want if isinstance(want, str) else replace(want, rows=())
-        assert outcome(run_video, det, cls, cfg) == untraced
+        replayed = outcome(replay_online, det, cls, cfg)
+        if isinstance(replayed, str):
+            assert outcome(run_video, det, cls, cfg, True) == replayed
+            assert outcome(run_video, det, cls, cfg) == replayed
+            return
+        want, rows = replayed
+        traced = run_video(det, cls, cfg, True)
+        assert traced == want
+        # repr text also tells -0.0 from 0.0
+        header = "\t".join(["t", "raw_prob", "filtered_prob", "mode", "j", "weight", "top_label", "top1", "top2"])
+        lines = ["\t".join(x if isinstance(x, str) else repr(x) for x in row) for row in rows]
+        assert cli.trace_tsv(traced.folded) == "".join(line + "\n" for line in [header, *lines])
+        assert run_video(det, cls, cfg) == replace(want, folded=None)
 
 
 def sweep_by_reruns(corpus, cfg, taus):
@@ -316,9 +342,10 @@ def reached_margins(corpus, cfg):
     margins = []
     for video in corpus.segments:
         if video in corpus.classifier:
-            trace = outcome(replay_online, corpus.detector[video], corpus.classifier[video], cfg)
-            if not isinstance(trace, str):
-                margins += [row.top1 - row.top2 for row in trace.rows if row.j]
+            replayed = outcome(replay_online, corpus.detector[video], corpus.classifier[video], cfg)
+            if not isinstance(replayed, str):
+                folded = replayed[0].folded
+                margins += [top1 - second for top1, second in zip(folded.top1s, folded.top2s)]
     return margins
 
 
@@ -343,7 +370,7 @@ class TestSweepMatchesReruns:
         corpus = Corpus({"v": det}, {"v": cls}, {"v": [GroundTruthSegment("v", 3, 60, 119)]})
         trace = run_video(det, cls, CFG, collect_trace=True)
         assert trace.open_at_end == 1 and trace.events == ()
-        reached = max(row.top1 - row.top2 for row in trace.rows)
+        reached = max(top1 - second for top1, second in zip(trace.folded.top1s, trace.folded.top2s))
         taus = [reached, math.nextafter(reached, 1.0)]
         low, high = sweep(corpus, CFG, taus)
         assert low.matched_count == 1 and low.mean_early_frames is not None
