@@ -19,11 +19,7 @@ PROB_SUM_TOL = 1e-6
 INGEST_RENORM_TOL = 1e-3
 
 # Detector vectors are [no_gesture, gesture]; the gate reads index 1.
-DETECTOR_ARITY = 2
 GESTURE_INDEX = 1
-
-# A gesture label is a plain class index in [0, num_classes).
-GestureLabel = int
 
 
 class ConfigError(ValueError):

@@ -72,9 +72,9 @@ def fold_video(detector: ScoreStream, classifier: ScoreStream, cfg: PipelineConf
 
     A plain float loop over the detector's gesture column finds the active
     periods, then fold_periods folds the classifier rows of all of them at
-    once. The schedule spans the detector stream; a missing score for any
-    window a window-by-window replay would read aborts with the offending
-    frame.
+    once. The schedule spans the detector stream; a classifier stream that
+    ends before a fold window aborts with that frame, as a window-by-window
+    replay would.
     """
     validate_config(cfg)
     ends = cursor_for(detector.length, cfg)
@@ -84,26 +84,15 @@ def fold_video(detector: ScoreStream, classifier: ScoreStream, cfg: PipelineConf
             detector.length,
             cfg.classifier_window,
         )
-    raws = detector.rows[ends.start :: ends.step, GESTURE_INDEX]
-    bad = np.flatnonzero(~((raws >= 0.0) & (raws <= 1.0)))  # NaN for a missing frame
-    usable = int(bad[0]) if bad.size else len(raws)
-    raw_list = raws[:usable].tolist()
+    raw_list = detector.rows[ends.start :: ends.step, GESTURE_INDEX].tolist()
     filtered, periods = gate_periods(raw_list, cfg)
 
     lengths = [stop - first for first, stop in periods]
     fold_windows = np.concatenate([np.arange(first, stop) for first, stop in periods]) if periods else np.arange(0)
     fold_frames = ends.start + ends.step * fold_windows
-    # Fail on the frame a window-by-window replay would fail on: the gate ran
-    # up to the first unusable detector frame, so classifier frames read
-    # before it come first.
     missing = fold_frames >= classifier.length
-    missing[~missing] = np.isnan(classifier.rows[fold_frames[~missing], 0])
     if missing.any():
         raise ValueError(f"no score for {classifier.video_id}@{fold_frames[missing.argmax()]}")
-    if usable < len(raws):
-        if np.isnan(raws[usable]):
-            raise ValueError(f"no score for {detector.video_id}@{ends[usable]}")
-        raise ValueError(f"raw gesture probability {raws[usable].item()!r} outside [0, 1]")
     if lengths and classifier.arity != cfg.num_classes:
         raise ValueError(f"arity mismatch: mean has {cfg.num_classes} classes, scores have {classifier.arity}")
 
@@ -197,24 +186,25 @@ def over_annotated_videos(
 
     Videos without annotations are skipped with a warning and returned as
     the second item. A corpus with no videos, an annotated video without a
-    classifier stream, and a corpus with no annotated video are errors.
+    detector or a classifier stream, and a corpus with no annotated video
+    are errors, raised before any video is processed.
     """
     video_ids = corpus.video_ids()
     if not video_ids:
         raise ValueError("no videos in corpus")
-    done: dict[str, T] = {}
-    skipped: list[str] = []
-    for video_id in video_ids:
-        if not corpus.segments.get(video_id):
-            log.warning("skipping %s: no annotations", video_id)
-            skipped.append(video_id)
-            continue
+    annotated = sorted(video_id for video_id, segments in corpus.segments.items() if segments)
+    for video_id in annotated:
+        if video_id not in corpus.detector:
+            raise ValueError(f"no detector stream for {video_id}")
         if video_id not in corpus.classifier:
             raise ValueError(f"no classifier stream for {video_id}")
-        done[video_id] = per_video(corpus.detector[video_id], corpus.classifier[video_id])
-    if not done:
+    skipped = tuple(video_id for video_id in video_ids if not corpus.segments.get(video_id))
+    for video_id in skipped:
+        log.warning("skipping %s: no annotations", video_id)
+    if not annotated:
         raise ValueError("no videos with annotations to evaluate")
-    return done, tuple(skipped)
+    done = {video_id: per_video(corpus.detector[video_id], corpus.classifier[video_id]) for video_id in annotated}
+    return done, skipped
 
 
 def run_corpus(

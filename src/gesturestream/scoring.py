@@ -1,16 +1,17 @@
 """Score streams and their sources: file-backed loading and synthetic generation.
 
 A scorer stands in for the neural models: given a window-end frame it returns
-a probability vector. A stream is one float64 array per video, row t holding
-the vector of frame t, with a row of NaN for a frame that has no score. One
-pair of streams (detector, classifier) covers every frame of a video, so a
-stored corpus replays under any window geometry; the gate alone decides which
-classifier rows are ever consulted.
+a probability vector. A stream is one read-only float64 array per video, row
+t holding the vector of frame t; every row is a valid ProbVector, checked
+when the stream is built. One pair of streams (detector, classifier) covers
+every frame of a video, so a stored corpus replays under any window geometry;
+the gate alone decides which classifier rows are ever consulted.
 
 Loading parses each file line by line, checking fields, arity and duplicate
 frames, and checks the vectors a block of lines at a time with array
 operations: range, sum to 1 and renormalisation give the same decisions and
-values as ingest_probs on each line.
+values as ingest_probs on each line. A video must be scored at every frame
+from 0 up to its last.
 
 File formats (one JSON object per line, UTF-8, unknown fields ignored):
   score file:      {"video": str, "t": int, "p": [float, ...]}
@@ -77,12 +78,28 @@ class GroundTruthSegment:
         return self.end - self.start + 1
 
 
+def _bulk_valid(rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows of a 2-D float64 array that are valid ProbVectors by array operations alone.
+
+    A row is in when every value lies in [0, 1] and numpy's sum is within
+    PROB_SUM_TOL - SUM_SLACK of 1. A row left out may still be valid; only
+    the scalar check can tell.
+    """
+    clean = ((rows >= 0.0) & (rows <= 1.0)).all(axis=1)
+    # Rows holding inf or values near the float maximum overflow the sum; the
+    # range mask above already rejects them, so the warning is noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        clean &= np.abs(rows.sum(axis=1) - 1.0) <= PROB_SUM_TOL - SUM_SLACK
+    return clean
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class ScoreStream:
     """Probability vectors for one video: rows[t] holds the vector of frame t.
 
-    `rows` is a float64 array of shape (length, arity); a frame without a
-    score is a row of NaN.
+    `rows` is a float64 array of shape (length, arity), arity >= 2, whose
+    every row is a valid ProbVector; construction checks this, naming the
+    first bad video@frame, and makes the array read-only.
     """
 
     video_id: str
@@ -90,8 +107,18 @@ class ScoreStream:
     rows: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.rows.ndim != 2 or self.rows.shape[1] != self.arity:
-            raise ValueError(f"{self.video_id}: rows of shape {self.rows.shape}, expected (frames, {self.arity})")
+        rows = self.rows
+        if self.arity < 2 or rows.dtype != np.float64 or rows.ndim != 2 or rows.shape[1] != self.arity:
+            raise ValueError(
+                f"{self.video_id}: {rows.dtype} rows of shape {rows.shape}, "
+                f"expected float64 (frames, {self.arity}) with at least 2 classes"
+            )
+        for t in np.flatnonzero(~_bulk_valid(rows)).tolist():
+            try:
+                ProbVector(tuple(rows[t].tolist()))
+            except ValueError as exc:
+                raise ValueError(f"{self.video_id}@{t}: {exc}") from None
+        rows.flags.writeable = False
 
     @property
     def length(self) -> int:
@@ -100,9 +127,7 @@ class ScoreStream:
 
     def score(self, t: int) -> ProbVector:
         if 0 <= t < len(self.rows):
-            values = self.rows[t].tolist()
-            if values[0] == values[0]:  # not a NaN row
-                return ProbVector.trusted(tuple(values))
+            return ProbVector.trusted(tuple(self.rows[t].tolist()))
         raise ValueError(f"no score for {self.video_id}@{t}")
 
 
@@ -367,9 +392,7 @@ def _validated_rows(path, probs: list[list], first: int) -> np.ndarray:
         rows = None
     if rows is None or rows.ndim != 2:  # ndim > 2 when the values are lists
         return np.array([_ingest(path, first + i, p) for i, p in enumerate(probs)])
-    clean = ((rows >= 0.0) & (rows <= 1.0)).all(axis=1)
-    clean &= np.abs(rows.sum(axis=1) - 1.0) <= PROB_SUM_TOL - SUM_SLACK
-    for i in np.flatnonzero(~clean).tolist():
+    for i in np.flatnonzero(~_bulk_valid(rows)).tolist():
         rows[i] = _ingest(path, first + i, probs[i])
     return rows
 
@@ -379,7 +402,9 @@ def load_score_stream(path, expected_arity: int | None = None) -> dict[str, Scor
 
     Enforces a single arity across all records (the expected one when given)
     and rejects duplicate (video, t) keys and invalid vectors, reporting
-    offending line numbers. Frames without a record are NaN rows.
+    offending line numbers. A video without a record for some frame below
+    its last is rejected, naming the first such frame; videos are visited
+    in id order.
     """
     chunks: list[np.ndarray] = []
     pending: list[list] = []
@@ -414,16 +439,14 @@ def load_score_stream(path, expected_arity: int | None = None) -> dict[str, Scor
     rows = np.concatenate(chunks)
     chunks.clear()
     streams = {}
-    for video, frames in per_video.items():
-        last = max(frames)
-        try:
-            video_rows = np.full((last + 1, arity), np.nan)
-        except (MemoryError, ValueError):  # ValueError: more bytes than an array can index
-            raise StreamFormatError(
-                f"{_record_where(path, frames[last])}: no memory for the {last + 1} frames up to {video}@{last}"
-            ) from None
-        video_rows[list(frames)] = rows[list(frames.values())]
-        streams[video] = ScoreStream(video, arity, video_rows)
+    for video in sorted(per_video):
+        frames = per_video[video]
+        if max(frames) >= len(frames):  # distinct non-negative frames are dense exactly when max < count
+            gap = next(t for t in itertools.count() if t not in frames)
+            raise StreamFormatError(f"{path}: no score for {video}@{gap}")
+        order = np.empty(len(frames), dtype=np.intp)
+        order[list(frames)] = list(frames.values())
+        streams[video] = ScoreStream(video, arity, rows[order])
     log.info("loaded %d score entries for %d videos from %s", count, len(streams), path)
     return streams
 
@@ -454,25 +477,17 @@ def load_annotations(path, num_classes: int | None = None) -> dict[str, list[Gro
     return per_video
 
 
-def _check_dense(path, streams: dict[str, ScoreStream], lengths: dict[str, int]) -> None:
-    """Name the first frame, by video id, without a score up to a stream's end or lengths[video]."""
-    for video in sorted(streams):
-        rows = streams[video].rows
-        gaps = np.flatnonzero(np.isnan(rows[:, 0]))
-        if gaps.size or len(rows) < lengths.get(video, 0):
-            frame = int(gaps[0]) if gaps.size else len(rows)
-            raise StreamFormatError(f"{path}: no score for {video}@{frame}")
-
-
 def load_corpus(detector_path, classifier_path, annotation_path) -> Corpus:
     """Assemble a corpus from its three files; detector arity is fixed at 2.
 
-    Streams must be dense and no classifier stream shorter than its detector's, whatever the config.
+    No classifier stream may be shorter than its detector's, whatever the config.
     """
     detector = load_score_stream(detector_path, expected_arity=2)
-    _check_dense(detector_path, detector, {})
     classifier = load_score_stream(classifier_path)
-    _check_dense(classifier_path, classifier, {video: stream.length for video, stream in detector.items()})
+    for video in sorted(classifier):
+        length = classifier[video].length
+        if video in detector and length < detector[video].length:
+            raise StreamFormatError(f"{classifier_path}: no score for {video}@{length}")
     segments = load_annotations(annotation_path)
     return Corpus(detector=detector, classifier=classifier, segments=segments)
 
@@ -483,10 +498,8 @@ def write_score_file(path, streams: dict[str, ScoreStream]) -> int:
     with open(path, "w", encoding="utf-8") as fh:
         for video in sorted(streams):
             for t, row in enumerate(streams[video].rows.tolist()):
-                if row[0] != row[0]:  # NaN row: no score for this frame
-                    continue
                 fh.write(json.dumps({"video": video, "t": t, "p": row}) + "\n")
-                count += 1
+            count += streams[video].length
     return count
 
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import fields
 
 import pytest
@@ -395,6 +396,28 @@ class TestExitCodes:
         path.write_text("\n".join(lines) + "\n")
         assert main(["run", "--data", str(corpus_dir), "--out", str(tmp_path / "o")]) == 1
         assert f"{path}:3: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p", ["[1e308, 1e308]", "[Infinity, -Infinity]"], ids=["overflow", "inf"])
+    def test_overflowing_row_fails_without_numpy_warning(self, corpus_dir, tmp_path, capsys, p):
+        path = corpus_dir / "detector_scores.jsonl"
+        lines = path.read_text().splitlines()
+        lines[2] = '{"video": "v000", "t": 2, "p": ' + p + "}"
+        path.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would end the command with exit 3
+            assert main(["run", "--data", str(corpus_dir), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:3: probability " in err
+        assert "RuntimeWarning" not in err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_annotated_video_without_streams_is_validation_error(self, corpus_dir, tmp_path, capsys, command):
+        with open(corpus_dir / "annotations.jsonl", "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"video": "ghost", "class": 1, "start": 40, "end": 70}) + "\n")
+        out = tmp_path / "o"
+        assert main([command, "--data", str(corpus_dir), "--out", str(out)]) == 1
+        assert "no detector stream for ghost" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_tau_is_validation_error(self, corpus_dir, tmp_path):
         code = main([

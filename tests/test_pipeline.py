@@ -70,10 +70,10 @@ class TestRunVideo:
         assert abs(one.windows_processed - 2 * two.windows_processed) <= 1
 
     def test_missing_score_aborts_with_frame(self):
-        det, cls = constant_streams("v", 100, gesture_prob=0.05)
-        det.rows[40] = np.nan
+        rows = np.tile([0.95, 0.05], (100, 1))
+        rows[40] = np.nan
         with pytest.raises(ValueError, match="v@40"):
-            run_video(det, cls, CFG)
+            ScoreStream("v", 2, rows)
 
     def test_late_threshold_is_inclusive(self):
         corpus = single_video_corpus()
@@ -154,6 +154,17 @@ class TestRunCorpus:
         assert run.skipped == ("extra",)
         assert "extra" in caplog.text
         assert set(run.videos) == {vid}
+
+    def test_annotated_video_without_streams_rejected_before_any_run(self, monkeypatch):
+        corpus = single_video_corpus()
+        ghost = [GroundTruthSegment("ghost", 1, 40, 70)]
+        merged = Corpus(corpus.detector, corpus.classifier, {**corpus.segments, "ghost": ghost})
+        for name in ("run_video", "fold_video"):
+            monkeypatch.setattr(pipeline, name, None)  # any video work would fail differently
+        with pytest.raises(ValueError, match="no detector stream for ghost"):
+            run_corpus(merged, CFG)
+        with pytest.raises(ValueError, match="no detector stream for ghost"):
+            sweep(merged, CFG, [0.5])
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="no videos"):
@@ -242,15 +253,9 @@ def stream_arrays(draw, classes):
 
 
 def inject_fault(draw, det, cls, fault):
-    """Drop a detector or classifier frame, or cut the classifier stream short."""
-    if fault != "none" and len(det):
-        frame = draw(st.integers(0, len(det) - 1))
-        if fault == "detector-nan":
-            det[frame] = np.nan
-        elif fault == "classifier-nan":
-            cls[frame] = np.nan
-        else:
-            cls = cls[:frame]
+    """Cut the classifier stream short."""
+    if fault == "short-classifier" and len(det):
+        cls = cls[: draw(st.integers(0, len(det) - 1))]
     return det, cls
 
 
@@ -270,7 +275,7 @@ def pipeline_configs(draw, classes):
     )
 
 
-FAULTS = ["none"] * 6 + ["detector-nan", "classifier-nan", "short-classifier"]
+FAULTS = ["none"] * 6 + ["short-classifier"]
 
 
 @st.composite

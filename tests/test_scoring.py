@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -27,24 +28,45 @@ def write_lines(path, lines):
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
-def sparse_stream():
-    """Frames 0..30 missing, frame 31 scored."""
-    rows = np.full((32, 2), np.nan)
+def dense_stream():
+    """Frames 0..30 at (0.5, 0.5), frame 31 at (0.1, 0.9)."""
+    rows = np.full((32, 2), 0.5)
     rows[31] = (0.1, 0.9)
     return ScoreStream("v01", 2, rows)
 
 
 class TestScoreStream:
     def test_lookup(self):
-        stream = sparse_stream()
+        stream = dense_stream()
         assert stream.length == 32
         assert stream.score(31).values == (0.1, 0.9)
 
     def test_missing_entry_names_video_and_frame(self):
-        stream = sparse_stream()
-        for t in (32, 30, -1):
+        stream = dense_stream()
+        for t in (32, 33, -1):
             with pytest.raises(ValueError, match=rf"no score for v01@{t}"):
                 stream.score(t)
+
+    def test_rows_read_only(self):
+        stream = dense_stream()
+        with pytest.raises(ValueError, match="read-only"):
+            stream.rows[0, 0] = 0.2
+
+    def test_out_of_range_row_rejected(self):
+        rows = np.full((10, 3), 1.0 / 3.0)
+        rows[5] = (5.0, -4.0, 0.0)  # sums to 1
+        with pytest.raises(ValueError, match=r"^c@5: probability 5.0 outside \[0, 1\]$"):
+            ScoreStream("c", 3, rows)
+
+    @pytest.mark.parametrize("arity,rows", [
+        (2, np.full((4, 3), 1.0 / 3.0)),
+        (2, np.full(4, 0.5)),
+        (1, np.ones((4, 1))),
+        (2, np.array([[0, 1], [1, 0]])),
+    ], ids=["arity", "1-d", "one-class", "int"])
+    def test_bad_shape_rejected(self, arity, rows):
+        with pytest.raises(ValueError, match="^v: .* rows of shape"):
+            ScoreStream("v", arity, rows)
 
 
 class TestLoadScoreStream:
@@ -55,12 +77,23 @@ class TestLoadScoreStream:
             json.dumps({"video": "a", "t": 32, "p": [0.2, 0.8]}),
             json.dumps({"video": "a", "t": 33, "p": [0.3, 0.7]}),
         ])
+        with pytest.raises(StreamFormatError, match=rf"^{re.escape(str(path))}: no score for a@0$"):
+            load_score_stream(path, expected_arity=2)
+        write_lines(path, [
+            json.dumps({"video": "a", "t": 2, "p": [0.3, 0.7]}),
+            json.dumps({"video": "a", "t": 0, "p": [0.1, 0.9]}),
+            json.dumps({"video": "a", "t": 1, "p": [0.2, 0.8]}),
+        ])
         streams = load_score_stream(path, expected_arity=2)
         assert set(streams) == {"a"}
-        rows = streams["a"].rows
-        assert rows.shape == (34, 2)
-        assert np.isnan(rows[:31]).all()
-        assert rows[31:].tolist() == [[0.1, 0.9], [0.2, 0.8], [0.3, 0.7]]
+        assert streams["a"].rows.tolist() == [[0.1, 0.9], [0.2, 0.8], [0.3, 0.7]]
+
+    def test_first_gap_named_in_video_order(self, tmp_path):
+        path = tmp_path / "det.jsonl"
+        write_lines(path, [json.dumps({"video": "b", "t": t, "p": [0.5, 0.5]}) for t in (0, 2)]
+                    + [json.dumps({"video": "a", "t": t, "p": [0.5, 0.5]}) for t in (0, 1, 3, 5)])
+        with pytest.raises(StreamFormatError, match=r": no score for a@2$"):
+            load_score_stream(path)
 
     def test_duplicate_key_reports_line(self, tmp_path):
         path = tmp_path / "det.jsonl"
@@ -78,7 +111,7 @@ class TestLoadScoreStream:
             json.dumps({"video": "a", "t": 31, "p": [0.1, 0.9]}),
             json.dumps({"video": "a", "t": t, "p": [0.1, 0.9]}),
         ])
-        with pytest.raises(StreamFormatError, match=rf":2: no memory for the {t + 1} frames up to a@{t}"):
+        with pytest.raises(StreamFormatError, match=r": no score for a@0$"):
             load_score_stream(path)
 
     def test_arity_mismatch(self, tmp_path):
@@ -107,16 +140,16 @@ class TestLoadScoreStream:
 
     def test_near_one_sum_renormalized(self, tmp_path):
         path = tmp_path / "det.jsonl"
-        write_lines(path, [json.dumps({"video": "a", "t": 31, "p": [0.4995, 0.5]})])
-        vec = load_score_stream(path)["a"].score(31)
+        write_lines(path, [json.dumps({"video": "a", "t": 0, "p": [0.4995, 0.5]})])
+        vec = load_score_stream(path)["a"].score(0)
         assert abs(math.fsum(vec.values) - 1.0) <= 1e-9
 
     def test_unknown_fields_ignored_any_order(self, tmp_path):
         path = tmp_path / "det.jsonl"
         write_lines(path, [
-            json.dumps({"p": [0.1, 0.9], "extra": "x", "video": "a", "t": 31, "note": 5}),
+            json.dumps({"p": [0.1, 0.9], "extra": "x", "video": "a", "t": 0, "note": 5}),
         ])
-        assert load_score_stream(path)["a"].score(31).values == (0.1, 0.9)
+        assert load_score_stream(path)["a"].score(0).values == (0.1, 0.9)
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "det.jsonl"
@@ -140,7 +173,7 @@ ODD_VALUES = st.sampled_from([
 
 
 @st.composite
-def probability_row(draw, arity):
+def probability_row(draw, arity, odd_values=ODD_VALUES):
     """A row near a sum tolerance edge, or with an odd value in it."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     row = rng.dirichlet(np.ones(arity))
@@ -148,7 +181,7 @@ def probability_row(draw, arity):
     nudge = draw(st.sampled_from([0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9]))
     row = (row * (1.0 + edge + nudge)).tolist()
     for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 2]))):
-        row[draw(st.integers(0, arity - 1))] = draw(st.one_of(ODD_VALUES, st.floats(-0.1, 1.1)))
+        row[draw(st.integers(0, arity - 1))] = draw(st.one_of(odd_values, st.floats(-0.1, 1.1)))
     return row
 
 
@@ -181,6 +214,44 @@ class TestLoaderMatchesIngestProbs:
                     return
             loaded = load_score_stream(path)["a"].rows
         assert loaded.tobytes() == np.array(want).tobytes()
+
+
+# Float values a stream row may hold that ProbVector must judge: non-finite,
+# signed zero, one ulp either side of 1, and values whose sum overflows.
+STREAM_VALUES = st.sampled_from([
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0),
+    1e308, -1e308, 5.0, -4.0,
+])
+
+
+@st.composite
+def stream_rows(draw):
+    arity = draw(st.integers(2, 5))
+    rows = draw(st.lists(probability_row(arity, STREAM_VALUES), max_size=12))
+    return np.array(rows, dtype=np.float64).reshape(-1, arity)
+
+
+class TestScoreStreamMatchesProbVector:
+    @given(stream_rows())
+    @example(rows=np.array([[0.5, 0.5], [1e308, 1e308]]))
+    @example(rows=np.array([[0.5, 0.5], [math.inf, -math.inf]]))
+    @example(rows=np.array([[-0.0, 1.0], [5.0, -4.0]]))
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_accepts_exactly_probvectors(self, rows):
+        want = None
+        for t, row in enumerate(rows.tolist()):
+            try:
+                ProbVector(tuple(row))
+            except ValueError as exc:
+                want = f"v@{t}: {exc}"
+                break
+        if want is None:
+            stream = ScoreStream("v", rows.shape[1], rows)
+            assert [stream.score(t).values for t in range(stream.length)] == [tuple(r) for r in rows.tolist()]
+        else:
+            with pytest.raises(ValueError) as got:
+                ScoreStream("v", rows.shape[1], rows)
+            assert str(got.value) == want
 
 
 class TestLoadAnnotations:
