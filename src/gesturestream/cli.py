@@ -21,7 +21,7 @@ from typing import Mapping, Optional, Sequence, get_type_hints
 
 from .activation import ActivationEvent, EventKind
 from .core import ConfigError, PipelineConfig, validate_config
-from .evaluate import AggregateStats, EarlyStats, SweepRow, VideoScore, check_taus, evaluate_corpus, sweep
+from .evaluate import AggregateStats, EarlyStats, VideoScore, check_taus, evaluate_corpus, sweep
 from .pipeline import CorpusRun, FoldedVideo, run_corpus
 from .scoring import (
     Corpus,
@@ -280,15 +280,16 @@ def _write_trace_files(out_dir: Path, run: CorpusRun) -> None:
         _atomic_write_text(trace_dir / f"{video_id}.tsv", trace_tsv(run.videos[video_id].trace.folded))
 
 
-def _format_sweep_csv(rows: Sequence[SweepRow]) -> str:
+def _format_sweep_csv(aggregates: Mapping[float, AggregateStats]) -> str:
     def num(x) -> str:
         return "" if x is None else f"{x:.6f}"
 
     lines = ["tau_early,levenshtein_accuracy,mean_early_frames,median_early_frames,matched,duplicates,misses\n"]
-    for row in rows:
+    for tau, agg in aggregates.items():
+        mean, median = (agg.early.mean, agg.early.median) if agg.early else (None, None)
         lines.append(
-            f"{row.tau_early:g},{num(row.mean_levenshtein_accuracy)},{num(row.mean_early_frames)},"
-            f"{num(row.median_early_frames)},{row.matched_count},{row.duplicate_count},{row.missed_count}\n"
+            f"{tau:g},{num(agg.mean_accuracy)},{num(mean)},{num(median)},"
+            f"{agg.matched},{agg.duplicates},{agg.missed_segments}\n"
         )
     return "".join(lines)
 
@@ -335,7 +336,7 @@ def cmd_gen(args) -> int:
 def cmd_run(args) -> int:
     corpus = _load_data_dir(args.data)
     cfg = _build_pipeline_config(args, _classifier_arity(corpus))
-    run = run_corpus(corpus, cfg, grace=args.grace, collect_trace=args.trace)
+    run = run_corpus(corpus, cfg, grace=args.grace)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _atomic_write_with(out / EVENTS_FILE, lambda p: write_events_file(p, run))
@@ -373,19 +374,19 @@ def cmd_sweep(args) -> int:
     check_taus(taus)
     corpus = _load_data_dir(args.data)
     cfg = _build_pipeline_config(args, _classifier_arity(corpus))
-    rows = sweep(corpus, cfg, taus)
+    aggregates = sweep(corpus, cfg, taus)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _atomic_write_text(out / SWEEP_FILE, _format_sweep_csv(rows))
-    first, last = rows[0], rows[-1]
+    _atomic_write_text(out / SWEEP_FILE, _format_sweep_csv(aggregates))
 
-    def brief(row: SweepRow) -> str:
-        acc = "n/a" if row.mean_levenshtein_accuracy is None else f"{row.mean_levenshtein_accuracy:.2f}%"
-        early = "n/a" if row.mean_early_frames is None else f"{row.mean_early_frames:.1f}"
-        return f"tau={row.tau_early:g}: accuracy {acc}, mean early {early} frames"
+    def brief(tau: float) -> str:
+        agg = aggregates[tau]
+        acc = "n/a" if agg.mean_accuracy is None else f"{agg.mean_accuracy:.2f}%"
+        early = "n/a" if agg.early is None else f"{agg.early.mean:.1f}"
+        return f"tau={tau:g}: accuracy {acc}, mean early {early} frames"
 
-    _say(f"sweep: {len(rows)} thresholds -> {out / SWEEP_FILE}")
-    _say(f"sweep: {brief(first)}  |  {brief(last)}")
+    _say(f"sweep: {len(aggregates)} thresholds -> {out / SWEEP_FILE}")
+    _say(f"sweep: {brief(taus[0])}  |  {brief(taus[-1])}")
     _say("sweep: higher thresholds trade earliness for accuracy")
     return 0
 

@@ -205,8 +205,8 @@ def evaluate_corpus(
     Videos are scored in sorted order; an annotated video without events
     scores all its segments as missed, and events of unannotated videos are
     ignored. The aggregate's run counters (windows, classifier invocations,
-    periods open at the end of the stream) stay 0: only a pipeline run
-    knows them.
+    periods open at the end of the stream) stay 0: events do not carry
+    them, and run_corpus fills them in from each video's fold.
     """
     if grace < 0:
         raise ValueError(f"grace must be >= 0, got {grace}")
@@ -235,19 +235,6 @@ def evaluate_corpus(
     return scores, aggregate
 
 
-@dataclass(frozen=True, slots=True)
-class SweepRow:
-    """Aggregate outcome at one tau_early: what run_corpus at that threshold reports."""
-
-    tau_early: float
-    mean_levenshtein_accuracy: Optional[float]
-    mean_early_frames: Optional[float]
-    median_early_frames: Optional[float]
-    matched_count: int
-    duplicate_count: int
-    missed_count: int
-
-
 def check_taus(taus: Sequence[float]) -> None:
     """Reject sweep thresholds outside [0, 1], naming each one, and repeated thresholds."""
     bad = [tau for tau in taus if not 0.0 <= tau <= 1.0]
@@ -257,14 +244,15 @@ def check_taus(taus: Sequence[float]) -> None:
         raise ValueError("sweep thresholds must be distinct")
 
 
-def sweep(corpus: Corpus, cfg: PipelineConfig, taus: Sequence[float]) -> list[SweepRow]:
-    """Tabulate the outcome at each early threshold, all else fixed.
+def sweep(corpus: Corpus, cfg: PipelineConfig, taus: Sequence[float]) -> dict[float, AggregateStats]:
+    """The evaluate_corpus aggregate at each early threshold, all else fixed, keyed by threshold.
 
     The gate and the weighted means never read tau_early, so every
     annotated video is gated and folded once, and each threshold's events
-    are derived from that one pass. Each row equals the aggregate of
-    run_corpus at its threshold (grace = the classifier window); rows come
-    back in the given order. Every threshold is checked before any work.
+    are derived from that one pass. Each aggregate equals run_corpus's at
+    its threshold (grace = the classifier window) but for the run counters,
+    which stay 0 as evaluate_corpus leaves them; keys come in the given
+    order. Every threshold is checked before any work.
     """
     from .pipeline import fold_video, over_annotated_videos, video_events  # local import to avoid a module cycle
 
@@ -277,18 +265,7 @@ def sweep(corpus: Corpus, cfg: PipelineConfig, taus: Sequence[float]) -> list[Sw
 
     events, _ = over_annotated_videos(corpus, events_per_tau)
     segments = {v: corpus.segments[v] for v in events}
-    rows: list[SweepRow] = []
-    for i, tau in enumerate(taus):
-        _, agg = evaluate_corpus({v: per_tau[i] for v, per_tau in events.items()}, segments, cfg.classifier_window)
-        rows.append(
-            SweepRow(
-                tau_early=tau,
-                mean_levenshtein_accuracy=agg.mean_accuracy,
-                mean_early_frames=agg.early.mean if agg.early else None,
-                median_early_frames=agg.early.median if agg.early else None,
-                matched_count=agg.matched,
-                duplicate_count=agg.duplicates,
-                missed_count=agg.missed_segments,
-            )
-        )
-    return rows
+    return {
+        tau: evaluate_corpus({v: per_tau[i] for v, per_tau in events.items()}, segments, cfg.classifier_window)[1]
+        for i, tau in enumerate(taus)
+    }

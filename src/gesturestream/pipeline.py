@@ -30,18 +30,28 @@ T = TypeVar("T")
 
 @dataclass(frozen=True, slots=True)
 class RunTrace:
-    """Everything one video run produced: events, counters, and the fold when traced.
+    """One video run: its events and the fold they came from.
 
-    open_at_end is 1 when the stream ended while the gate was active; that
-    period's pending late event is never emitted.
+    The run counters follow from the fold. open_at_end is 1 when the stream
+    ended while the gate was active; that period's pending late event is
+    never emitted.
     """
 
-    video_id: str
     events: tuple[ActivationEvent, ...]
-    windows_processed: int
-    classifier_invocations: int
-    open_at_end: int
-    folded: Optional[FoldedVideo] = None
+    folded: FoldedVideo
+
+    @property
+    def windows_processed(self) -> int:
+        return len(self.folded.ends)
+
+    @property
+    def classifier_invocations(self) -> int:
+        return len(self.folded.best_margins)
+
+    @property
+    def open_at_end(self) -> int:
+        periods = self.folded.periods
+        return int(bool(periods) and periods[-1][1] == len(self.folded.ends))
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,9 +82,9 @@ def fold_video(detector: ScoreStream, classifier: ScoreStream, cfg: PipelineConf
 
     A plain float loop over the detector's gesture column finds the active
     periods, then fold_periods folds the classifier rows of all of them at
-    once. The schedule spans the detector stream; a classifier stream that
-    ends before a fold window aborts with that frame, as a window-by-window
-    replay would.
+    once. The schedule spans the detector stream. A classifier arity other
+    than cfg.num_classes, or a classifier stream that ends before a fold
+    window, aborts with the error a window-by-window replay raises first.
     """
     validate_config(cfg)
     ends = cursor_for(detector.length, cfg)
@@ -90,11 +100,12 @@ def fold_video(detector: ScoreStream, classifier: ScoreStream, cfg: PipelineConf
     lengths = [stop - first for first, stop in periods]
     fold_windows = np.concatenate([np.arange(first, stop) for first, stop in periods]) if periods else np.arange(0)
     fold_frames = ends.start + ends.step * fold_windows
+    # the replay meets the arity at the first fold, so a frame missing later comes second
+    if lengths and fold_frames[0] < classifier.length and classifier.arity != cfg.num_classes:
+        raise ValueError(f"arity mismatch: mean has {cfg.num_classes} classes, scores have {classifier.arity}")
     missing = fold_frames >= classifier.length
     if missing.any():
         raise ValueError(f"no score for {classifier.video_id}@{fold_frames[missing.argmax()]}")
-    if lengths and classifier.arity != cfg.num_classes:
-        raise ValueError(f"arity mismatch: mean has {cfg.num_classes} classes, scores have {classifier.arity}")
 
     t_mid = midpoint(cfg.mean_duration, cfg.stride)
     weights = [0.0] + [sigmoid_weight(j, t_mid, cfg.sigmoid_slope) for j in range(1, max(lengths, default=0) + 1)]
@@ -138,29 +149,15 @@ def video_events(folded: FoldedVideo, tau_early: float, tau_late: float) -> tupl
     return tuple(events)
 
 
-def run_video(
-    detector: ScoreStream,
-    classifier: ScoreStream,
-    cfg: PipelineConfig,
-    collect_trace: bool = False,
-) -> RunTrace:
+def run_video(detector: ScoreStream, classifier: ScoreStream, cfg: PipelineConfig) -> RunTrace:
     """Run the full pipeline over one video's score streams.
 
     Gives what a window-by-window replay through gate_step and
     activation_step gives, bit for bit: fold_video gates and folds the
     whole video, then video_events applies the configured thresholds.
-    The fold is kept only on request since it dwarfs the event log.
     """
     folded = fold_video(detector, classifier, cfg)
-    periods = folded.periods
-    return RunTrace(
-        video_id=folded.video_id,
-        events=video_events(folded, cfg.tau_early, cfg.tau_late),
-        windows_processed=len(folded.ends),
-        classifier_invocations=len(folded.best_margins),
-        open_at_end=int(bool(periods) and periods[-1][1] == len(folded.ends)),
-        folded=folded if collect_trace else None,
-    )
+    return RunTrace(video_events(folded, cfg.tau_early, cfg.tau_late), folded)
 
 
 @dataclass(frozen=True, slots=True)
@@ -211,7 +208,6 @@ def run_corpus(
     corpus: Corpus,
     cfg: PipelineConfig,
     grace: Optional[int] = None,
-    collect_trace: bool = False,
 ) -> CorpusRun:
     """Run and evaluate every annotated video in the corpus.
 
@@ -223,9 +219,7 @@ def run_corpus(
     validate_config(cfg)
     if grace is None:
         grace = cfg.classifier_window
-    traces, skipped = over_annotated_videos(
-        corpus, lambda detector, classifier: run_video(detector, classifier, cfg, collect_trace=collect_trace)
-    )
+    traces, skipped = over_annotated_videos(corpus, lambda detector, classifier: run_video(detector, classifier, cfg))
     scores, aggregate = evaluate_corpus(
         {v: trace.events for v, trace in traces.items()},
         {v: corpus.segments[v] for v in traces},

@@ -60,7 +60,7 @@ class SynthesisError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class GroundTruthSegment:
-    """An annotated gesture span, inclusive on both ends."""
+    """An annotated gesture span over zero-based frames, inclusive on both ends."""
 
     video_id: str
     label: int
@@ -68,6 +68,8 @@ class GroundTruthSegment:
     end: int
 
     def __post_init__(self) -> None:
+        if self.start < 0:
+            raise ValueError(f"{self.video_id}: negative segment start {self.start}")
         if self.start > self.end:
             raise ValueError(f"{self.video_id}: segment start {self.start} > end {self.end}")
         if self.label < 0:
@@ -480,7 +482,9 @@ def load_annotations(path, num_classes: int | None = None) -> dict[str, list[Gro
 def load_corpus(detector_path, classifier_path, annotation_path) -> Corpus:
     """Assemble a corpus from its three files; detector arity is fixed at 2.
 
-    No classifier stream may be shorter than its detector's, whatever the config.
+    No classifier stream may be shorter than its detector's, and no
+    annotation may name a class the classifier cannot output, whatever the
+    config.
     """
     detector = load_score_stream(detector_path, expected_arity=2)
     classifier = load_score_stream(classifier_path)
@@ -488,7 +492,8 @@ def load_corpus(detector_path, classifier_path, annotation_path) -> Corpus:
         length = classifier[video].length
         if video in detector and length < detector[video].length:
             raise StreamFormatError(f"{classifier_path}: no score for {video}@{length}")
-    segments = load_annotations(annotation_path)
+    arity = next(iter(classifier.values())).arity  # one arity across the file
+    segments = load_annotations(annotation_path, num_classes=arity)
     return Corpus(detector=detector, classifier=classifier, segments=segments)
 
 

@@ -168,13 +168,13 @@ def test_criterion_07_tradeoff_direction():
         corpus = generate_synthetic(synth)
         cfg = PipelineConfig(num_classes=12)
         taus = [i / 10 for i in range(2, 11)]
-        rows = sweep(corpus, cfg, taus)
-        assert [row.tau_early for row in rows] == taus
-        early_means = [row.mean_early_frames for row in rows]
-        assert all(e is not None for e in early_means)
+        swept = sweep(corpus, cfg, taus)
+        assert list(swept) == taus
+        assert all(agg.early is not None for agg in swept.values())
+        early_means = [agg.early.mean for agg in swept.values()]
         for earlier, later in zip(early_means, early_means[1:]):
             assert later <= earlier + 1e-9
-        assert rows[-1].mean_levenshtein_accuracy >= rows[0].mean_levenshtein_accuracy
+        assert swept[taus[-1]].mean_accuracy >= swept[taus[0]].mean_accuracy
 
 
 def test_criterion_08_gate_efficiency():

@@ -419,6 +419,24 @@ class TestExitCodes:
         assert "no detector stream for ghost" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [("class", 99, "class 99 outside [0, 6)"), ("start", -5, "v000: negative segment start -5")],
+        ids=["class-beyond-classifier", "negative-start"],
+    )
+    def test_bad_annotation_is_validation_error(self, corpus_dir, tmp_path, capsys, command, field, value, message):
+        path = corpus_dir / "annotations.jsonl"
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[0])
+        record[field] = value
+        lines[0] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        assert main([command, "--data", str(corpus_dir), "--out", str(out)]) == 1
+        assert f"{path}:1: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_tau_is_validation_error(self, corpus_dir, tmp_path):
         code = main([
             "sweep", "--data", str(corpus_dir), "--out", str(tmp_path / "s"), "--taus", "-0.5",

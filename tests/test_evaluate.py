@@ -216,16 +216,15 @@ class TestSweep:
         corpus = generate_synthetic(synth)
         cfg = PipelineConfig(num_classes=10)
         taus = [i / 10 for i in range(2, 11)]
-        rows = sweep(corpus, cfg, taus)
-        assert [r.tau_early for r in rows] == taus
-        for row in rows:
-            assert row.mean_levenshtein_accuracy == 100.0
-        early = [row.mean_early_frames for row in rows]
+        swept = sweep(corpus, cfg, taus)
+        assert list(swept) == taus
+        for agg in swept.values():
+            assert agg.mean_accuracy == 100.0
+        early = [agg.early.mean for agg in swept.values()]
         for a, b in zip(early, early[1:]):
             assert b <= a
         # a moderate threshold fires mid-gesture, strictly earlier than pure late mode
-        by_tau = {row.tau_early: row.mean_early_frames for row in rows}
-        assert by_tau[0.3] > by_tau[1.0]
+        assert swept[0.3].early.mean > swept[1.0].early.mean
 
     def test_single_tau_equals_direct_run(self):
         from gesturestream.pipeline import run_corpus
@@ -233,10 +232,8 @@ class TestSweep:
         synth = SynthConfig(num_videos=3, gestures_per_video=3, num_classes=8, seed=6)
         corpus = generate_synthetic(synth)
         cfg = PipelineConfig(num_classes=8)
-        (row,) = sweep(corpus, cfg, [0.4])
+        (agg,) = sweep(corpus, cfg, [0.4]).values()
         from dataclasses import replace
 
         run = run_corpus(corpus, replace(cfg, tau_early=0.4))
-        assert row.mean_levenshtein_accuracy == run.aggregate.mean_accuracy
-        assert row.matched_count == run.aggregate.matched
-        assert row.mean_early_frames == (run.aggregate.early.mean if run.aggregate.early else None)
+        assert agg == replace(run.aggregate, windows_processed=0, classifier_invocations=0, open_at_end=0)

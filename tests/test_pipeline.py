@@ -11,7 +11,7 @@ from gesturestream.activation import ActivationState, EventKind, activation_step
 from gesturestream.core import GESTURE_INDEX, FilterKind, PipelineConfig, top2
 from gesturestream.gate import GateDecision, GateMode, GateState, gate_step
 from gesturestream.pipeline import FoldedVideo, RunTrace, run_corpus, run_video
-from gesturestream.evaluate import SweepRow, sweep
+from gesturestream.evaluate import sweep
 from gesturestream.scoring import Corpus, GroundTruthSegment, ScoreStream, SynthConfig, generate_synthetic
 from gesturestream.windows import advance, cursor_for
 
@@ -44,7 +44,7 @@ class TestRunVideo:
     def test_single_gesture_one_activation_cycle(self):
         corpus = single_video_corpus()
         vid = corpus.video_ids()[0]
-        trace = run_video(corpus.detector[vid], corpus.classifier[vid], CFG, collect_trace=True)
+        trace = run_video(corpus.detector[vid], corpus.classifier[vid], CFG)
         activations, deactivations = mode_transitions(trace.folded)
         assert activations == 1
         assert deactivations == 1
@@ -75,11 +75,30 @@ class TestRunVideo:
         with pytest.raises(ValueError, match="v@40"):
             ScoreStream("v", 2, rows)
 
+    def test_arity_mismatch_reported_before_missing_frame(self):
+        det = ScoreStream("v", 2, np.tile([0.0, 1.0], (100, 1)))
+        cls = ScoreStream("v", 3, np.full((50, 3), 1.0 / 3))
+        cfg = PipelineConfig(num_classes=4)
+        message = "arity mismatch: mean has 4 classes, scores have 3"
+        assert outcome(replay_online, det, cls, cfg) == f"ValueError: {message}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_video(det, cls, cfg)
+
+    def test_gate_closing_at_last_window_is_not_open_at_end(self):
+        gesture = np.array([0.9] * 40 + [0.0])
+        det = ScoreStream("v", 2, np.column_stack([1.0 - gesture, gesture]))
+        cls = ScoreStream("v", 3, np.full((41, 3), 1.0 / 3))
+        cfg = PipelineConfig(num_classes=3, classifier_window=1, filter_size=1, deactivate_count=1)
+        trace = run_video(det, cls, cfg)
+        assert trace.folded.periods == [(0, 40)]
+        assert (trace.windows_processed, trace.classifier_invocations, trace.open_at_end) == (41, 40, 0)
+        assert replay_online(det, cls, cfg)[1] == (41, 40, 0)
+
     def test_late_threshold_is_inclusive(self):
         corpus = single_video_corpus()
         vid = corpus.video_ids()[0]
         det, cls = corpus.detector[vid], corpus.classifier[vid]
-        folded = run_video(det, cls, CFG, collect_trace=True).folded
+        folded = run_video(det, cls, CFG).folded
         # the top-1 of the last fold of the first period the gate closes
         folds = 0
         for first, stop in folded.periods:
@@ -94,16 +113,14 @@ class TestRunVideo:
     def test_replay_is_identical(self):
         corpus = single_video_corpus()
         vid = corpus.video_ids()[0]
-        a = run_video(corpus.detector[vid], corpus.classifier[vid], CFG, collect_trace=True)
-        b = run_video(corpus.detector[vid], corpus.classifier[vid], CFG, collect_trace=True)
+        a = run_video(corpus.detector[vid], corpus.classifier[vid], CFG)
+        b = run_video(corpus.detector[vid], corpus.classifier[vid], CFG)
         assert a == b
 
-    def test_trace_optional_and_increasing(self):
+    def test_trace_kept_and_increasing(self):
         corpus = single_video_corpus()
         vid = corpus.video_ids()[0]
-        bare = run_video(corpus.detector[vid], corpus.classifier[vid], CFG)
-        assert bare.folded is None
-        traced = run_video(corpus.detector[vid], corpus.classifier[vid], CFG, collect_trace=True)
+        traced = run_video(corpus.detector[vid], corpus.classifier[vid], CFG)
         ts = list(traced.folded.ends)
         assert ts == sorted(ts)
         assert len(set(ts)) == len(ts)
@@ -112,7 +129,7 @@ class TestRunVideo:
     def test_invocations_below_windows_when_idle_exists(self):
         corpus = single_video_corpus()
         vid = corpus.video_ids()[0]
-        trace = run_video(corpus.detector[vid], corpus.classifier[vid], CFG, collect_trace=True)
+        trace = run_video(corpus.detector[vid], corpus.classifier[vid], CFG)
         assert sum(stop - first for first, stop in trace.folded.periods) < len(trace.folded.ends)
         assert trace.classifier_invocations < trace.windows_processed
 
@@ -122,7 +139,7 @@ class TestRunVideo:
         corpus = generate_synthetic(cfg)
         pcfg = PipelineConfig(num_classes=8, tau_early=0.2)
         for vid in corpus.video_ids():
-            trace = run_video(corpus.detector[vid], corpus.classifier[vid], pcfg, collect_trace=True)
+            trace = run_video(corpus.detector[vid], corpus.classifier[vid], pcfg)
             # period boundaries: windows where the mode flips idle->active
             period_starts = [trace.folded.ends[first] for first, _ in trace.folded.periods]
             for lo, hi in zip(period_starts, period_starts[1:] + [float("inf")]):
@@ -184,18 +201,20 @@ class TestRunCorpus:
 def replay_online(det, cls, cfg):
     """Reference for run_video: the window-by-window replay through the online API.
 
-    Gives the RunTrace, its fold included, and one tuple per window holding
+    Gives the RunTrace; the run counters (windows, classifier invocations,
+    open at end), counted window by window; and one tuple per window holding
     the columns of the --trace TSV.
     """
     gate = GateState.idle(cfg.filter_size)
     act = ActivationState.inactive(cfg.num_classes)
     t_mid = midpoint(cfg.mean_duration, cfg.stride)
     ends = cursor_for(det.length, cfg)
-    events, rows, invocations = [], [], 0
+    events, rows, windows, invocations = [], [], 0, 0
     raws, filtered_probs, periods, labels, top1s, top2s, best_margins = [], [], [], [], [], [], []
     for k, window in enumerate(advance(ends, cfg)):
         raw = det.score(window.end).values[GESTURE_INDEX]
         gate, decision, filtered = gate_step(gate, raw, cfg)
+        windows += 1
         raws.append(raw)
         filtered_probs.append(filtered)
         if decision is GateDecision.ACTIVATE:
@@ -223,8 +242,8 @@ def replay_online(det, cls, cfg):
         det.video_id, ends, raws, filtered_probs, [tuple(p) for p in periods], weights,
         labels, top1s, top2s, best_margins,
     )
-    open_at_end = int(gate.mode is GateMode.ACTIVE)
-    return RunTrace(det.video_id, tuple(events), len(ends), invocations, open_at_end, folded), rows
+    counters = (windows, invocations, int(gate.mode is GateMode.ACTIVE))
+    return RunTrace(tuple(events), folded), counters, rows
 
 
 def outcome(fn, *args):
@@ -252,11 +271,13 @@ def stream_arrays(draw, classes):
     return det, cls
 
 
-def inject_fault(draw, det, cls, fault):
-    """Cut the classifier stream short."""
-    if fault == "short-classifier" and len(det):
+def inject_fault(draw, det, cls, cfg, fault):
+    """Cut the classifier stream short, configure a class count it does not have, or both."""
+    if "short-classifier" in fault and len(det):
         cls = cls[: draw(st.integers(0, len(det) - 1))]
-    return det, cls
+    if "num-classes" in fault:
+        cfg = replace(cfg, num_classes=draw(st.sampled_from([n for n in range(2, 8) if n != cfg.num_classes])))
+    return det, cls, cfg
 
 
 def pipeline_configs(draw, classes):
@@ -275,15 +296,14 @@ def pipeline_configs(draw, classes):
     )
 
 
-FAULTS = ["none"] * 6 + ["short-classifier"]
+FAULTS = ["none"] * 6 + ["short-classifier", "num-classes", "num-classes+short-classifier"]
 
 
 @st.composite
 def video_streams(draw):
     classes = draw(st.integers(2, 6))
     det, cls = stream_arrays(draw, classes)
-    det, cls = inject_fault(draw, det, cls, draw(st.sampled_from(FAULTS)))
-    cfg = pipeline_configs(draw, classes)
+    det, cls, cfg = inject_fault(draw, det, cls, pipeline_configs(draw, classes), draw(st.sampled_from(FAULTS)))
     return ScoreStream("v", 2, det), ScoreStream("v", classes, cls), cfg
 
 
@@ -294,42 +314,41 @@ class TestKernelMatchesOnlineReplay:
         det, cls, cfg = streams
         replayed = outcome(replay_online, det, cls, cfg)
         if isinstance(replayed, str):
-            assert outcome(run_video, det, cls, cfg, True) == replayed
             assert outcome(run_video, det, cls, cfg) == replayed
             return
-        want, rows = replayed
-        traced = run_video(det, cls, cfg, True)
+        want, counters, rows = replayed
+        traced = run_video(det, cls, cfg)
         assert traced == want
+        assert (traced.windows_processed, traced.classifier_invocations, traced.open_at_end) == counters
         # repr text also tells -0.0 from 0.0
         header = "\t".join(["t", "raw_prob", "filtered_prob", "mode", "j", "weight", "top_label", "top1", "top2"])
         lines = ["\t".join(x if isinstance(x, str) else repr(x) for x in row) for row in rows]
         assert cli.trace_tsv(traced.folded) == "".join(line + "\n" for line in [header, *lines])
-        assert run_video(det, cls, cfg) == replace(want, folded=None)
 
 
 def sweep_by_reruns(corpus, cfg, taus):
-    """Reference for sweep: one full run_corpus per threshold."""
-    rows = []
-    for tau in taus:
-        agg = run_corpus(corpus, replace(cfg, tau_early=tau)).aggregate
-        rows.append(SweepRow(
-            tau, agg.mean_accuracy, agg.early.mean if agg.early else None,
-            agg.early.median if agg.early else None, agg.matched, agg.duplicates, agg.missed_segments,
-        ))
-    return rows
+    """Reference for sweep: one full run_corpus per threshold, its run counters zeroed."""
+    return {
+        tau: replace(
+            run_corpus(corpus, replace(cfg, tau_early=tau)).aggregate,
+            windows_processed=0, classifier_invocations=0, open_at_end=0,
+        )
+        for tau in taus
+    }
 
 
 @st.composite
 def corpora(draw):
-    """Up to four videos under one config, some unannotated, one fault at most."""
+    """Up to four videos under one config, some unannotated, one fault draw at most."""
     classes = draw(st.integers(2, 6))
+    cfg = pipeline_configs(draw, classes)
     detector, classifier, segments = {}, {}, {}
     fault = draw(st.sampled_from(FAULTS + ["no-classifier-stream"]))
     for k in range(draw(st.integers(1, 4))):
         video = f"v{k}"
         det, cls = stream_arrays(draw, classes)
         if k == 0:
-            det, cls = inject_fault(draw, det, cls, fault)
+            det, cls, cfg = inject_fault(draw, det, cls, cfg, fault)
         detector[video] = ScoreStream(video, 2, det)
         if not (k == 0 and fault == "no-classifier-stream"):
             classifier[video] = ScoreStream(video, classes, cls)
@@ -339,7 +358,7 @@ def corpora(draw):
                 GroundTruthSegment(video, draw(st.integers(0, classes - 1)), start, start + draw(st.integers(0, 30)))
                 for start in sorted(starts)
             ]
-    return Corpus(detector, classifier, segments), pipeline_configs(draw, classes)
+    return Corpus(detector, classifier, segments), cfg
 
 
 def reached_margins(corpus, cfg):
@@ -364,7 +383,10 @@ class TestSweepMatchesReruns:
         if margins:
             taus.append(data.draw(st.sampled_from(margins)))  # ties a margin some fold reaches
         taus = data.draw(st.permutations(list(dict.fromkeys(taus))))
-        assert outcome(sweep, corpus, cfg, taus) == outcome(sweep_by_reruns, corpus, cfg, taus)
+        swept = outcome(sweep, corpus, cfg, taus)
+        assert swept == outcome(sweep_by_reruns, corpus, cfg, taus)
+        if not isinstance(swept, str):
+            assert list(swept) == taus
 
     def test_period_open_at_end_fires_only_early(self):
         gesture = np.array([0.05] * 60 + [0.9] * 60)
@@ -373,14 +395,15 @@ class TestSweepMatchesReruns:
         probs[:, 3] = 0.55
         cls = ScoreStream("v", 10, probs)
         corpus = Corpus({"v": det}, {"v": cls}, {"v": [GroundTruthSegment("v", 3, 60, 119)]})
-        trace = run_video(det, cls, CFG, collect_trace=True)
+        trace = run_video(det, cls, CFG)
         assert trace.open_at_end == 1 and trace.events == ()
         reached = max(top1 - second for top1, second in zip(trace.folded.top1s, trace.folded.top2s))
         taus = [reached, math.nextafter(reached, 1.0)]
-        low, high = sweep(corpus, CFG, taus)
-        assert low.matched_count == 1 and low.mean_early_frames is not None
-        assert high.matched_count == 0 and high.missed_count == 1
-        assert [low, high] == sweep_by_reruns(corpus, CFG, taus)
+        swept = sweep(corpus, CFG, taus)
+        low, high = swept.values()
+        assert low.matched == 1 and low.early is not None
+        assert high.matched == 0 and high.missed_segments == 1
+        assert swept == sweep_by_reruns(corpus, CFG, taus)
         # had the gate closed, the high threshold would have given a late event;
         # uniform scores after the gesture only shrink the margin
         closed = ScoreStream("v", 2, np.vstack([det.rows, np.tile([0.95, 0.05], (20, 1))]))
@@ -393,8 +416,8 @@ class TestSweepMatchesReruns:
         det, cls = constant_streams("extra", 120, gesture_prob=0.05)
         merged = Corpus({**corpus.detector, "extra": det}, {**corpus.classifier, "extra": cls}, corpus.segments)
         with caplog.at_level("WARNING"):
-            rows = sweep(merged, CFG, [0.3, 0.6, 1.0])
-        assert len(rows) == 3
+            swept = sweep(merged, CFG, [0.3, 0.6, 1.0])
+        assert list(swept) == [0.3, 0.6, 1.0]
         assert [r.getMessage() for r in caplog.records].count("skipping extra: no annotations") == 1
 
     @pytest.mark.parametrize("taus,message", [

@@ -280,6 +280,15 @@ class TestLoadAnnotations:
         with pytest.raises(StreamFormatError, match="start"):
             load_annotations(path)
 
+    def test_negative_start_rejected_with_line(self, tmp_path):
+        path = tmp_path / "ann.jsonl"
+        write_lines(path, [
+            json.dumps({"video": "a", "class": 1, "start": 10, "end": 40}),
+            json.dumps({"video": "a", "class": 2, "start": -5, "end": 5}),
+        ])
+        with pytest.raises(StreamFormatError, match=re.escape(f"{path}:2: a: negative segment start -5")):
+            load_annotations(path)
+
     def test_label_range_enforced_when_given(self, tmp_path):
         path = tmp_path / "ann.jsonl"
         write_lines(path, [json.dumps({"video": "a", "class": 7, "start": 1, "end": 5})])
