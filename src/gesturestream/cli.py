@@ -253,23 +253,14 @@ def trace_tsv(folded: FoldedVideo) -> str:
 
     Idle windows carry j = 0, weight 0.0, top_label -1 and top-1/top-2 of 0.0.
     """
-    count = len(folded.ends)
-    modes, js, weights = ["idle"] * count, [0] * count, [0.0] * count
-    labels, top1s, top2s = [-1] * count, [0.0] * count, [0.0] * count
-    offset = 0
+    js = [0] * len(folded.ends)
     for first, stop in folded.periods:
-        size = stop - first
-        modes[first:stop] = ["active"] * size
-        js[first:stop] = range(1, size + 1)
-        weights[first:stop] = folded.weights[1 : size + 1]
-        labels[first:stop] = folded.labels[offset : offset + size]
-        top1s[first:stop] = folded.top1s[offset : offset + size]
-        top2s[first:stop] = folded.top2s[offset : offset + size]
-        offset += size
-    columns = zip(folded.ends, folded.raws, folded.filtered, modes, js, weights, labels, top1s, top2s)
+        js[first:stop] = range(1, stop - first + 1)
+    weights = folded.weights
+    columns = zip(folded.ends, folded.raws, folded.filtered, js, folded.labels, folded.top1s, folded.top2s)
     return "t\traw_prob\tfiltered_prob\tmode\tj\tweight\ttop_label\ttop1\ttop2\n" + "".join(
-        f"{t}\t{raw!r}\t{filtered!r}\t{mode}\t{j}\t{weight!r}\t{label}\t{top1!r}\t{top2!r}\n"
-        for t, raw, filtered, mode, j, weight, label, top1, top2 in columns
+        f"{t}\t{raw!r}\t{filtered!r}\t{'active' if j else 'idle'}\t{j}\t{weights[j]!r}\t{label}\t{top1!r}\t{top2!r}\n"
+        for t, raw, filtered, j, label, top1, top2 in columns
     )
 
 

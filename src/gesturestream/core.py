@@ -94,9 +94,6 @@ class WeightedMean:
     def zeros(cls, arity: int) -> WeightedMean:
         return cls(values=(0.0,) * arity, count=0)
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 @dataclass(frozen=True, slots=True)
 class PipelineConfig:
@@ -169,26 +166,29 @@ def normalize(raw) -> ProbVector:
     return ProbVector(tuple(x / total for x in values))
 
 
-def ingest_probs(raw, context: str = "") -> ProbVector:
+def ingest_probs(raw) -> ProbVector:
     """Validate a probability vector arriving from an external source.
 
-    Vectors whose sum misses 1 by at most INGEST_RENORM_TOL are renormalized
-    silently (float serialization loss); anything worse is an error. The
-    optional context string is prepended to error messages.
+    raw is a sequence of ints and floats; a bool or any other value is an
+    error, not converted. Vectors whose sum misses 1 by at most
+    INGEST_RENORM_TOL are renormalized silently (float serialization loss);
+    anything worse is an error.
     """
+    for x in raw:
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise ValueError(f"probability {x!r} is not a number")
     values = tuple(float(x) for x in raw)
-    where = f"{context}: " if context else ""
     if len(values) < 2:
-        raise ValueError(f"{where}probability vector needs >= 2 classes, got {len(values)}")
+        raise ValueError(f"probability vector needs >= 2 classes, got {len(values)}")
     for x in values:
         if x < 0.0 or x > 1.0 + INGEST_RENORM_TOL:
-            raise ValueError(f"{where}probability {x!r} outside [0, 1]")
+            raise ValueError(f"probability {x!r} outside [0, 1]")
     total = math.fsum(values)
     if abs(total - 1.0) <= PROB_SUM_TOL:
         return ProbVector(values)
     if abs(total - 1.0) <= INGEST_RENORM_TOL:
         return normalize(values)
-    raise ValueError(f"{where}probabilities sum to {total!r}, expected 1 within {INGEST_RENORM_TOL}")
+    raise ValueError(f"probabilities sum to {total!r}, expected 1 within {INGEST_RENORM_TOL}")
 
 
 def top2(v) -> tuple[int, float, float]:

@@ -47,9 +47,6 @@ class FilterQueue:
         """Prepend a sample, evicting the oldest beyond capacity."""
         return FilterQueue(items=(x,) + self.items[: self.capacity - 1], capacity=self.capacity)
 
-    def __len__(self) -> int:
-        return len(self.items)
-
 
 @functools.lru_cache(maxsize=64)
 def ewa_weights(length: int) -> tuple[float, ...]:

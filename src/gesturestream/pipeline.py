@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Callable, Optional, TypeVar
 
 import numpy as np
@@ -46,7 +47,7 @@ class RunTrace:
 
     @property
     def classifier_invocations(self) -> int:
-        return len(self.folded.best_margins)
+        return sum(stop - first for first, stop in self.folded.periods)
 
     @property
     def open_at_end(self) -> int:
@@ -60,12 +61,11 @@ class FoldedVideo:
 
     Neither the gate nor the weighted means read tau_early or tau_late, so
     one pass serves every threshold and video_events derives each
-    threshold's events from it. The per-fold lists hold the folds of all
-    active periods, period after period; best_margins holds, for each fold,
-    the largest top-2 margin its period has reached so far.
+    threshold's events from it. All but periods and weights are per window:
+    an active window holds its mean's top-2 and its period's best margin so
+    far, an idle one -1, 0.0, 0.0 and 0.0.
     """
 
-    video_id: str
     ends: range
     raws: list[float]
     filtered: list[float]
@@ -81,10 +81,10 @@ def fold_video(detector: ScoreStream, classifier: ScoreStream, cfg: PipelineConf
     """Gate one video's windows and fold the classifier rows of its active periods.
 
     A plain float loop over the detector's gesture column finds the active
-    periods, then fold_periods folds the classifier rows of all of them at
-    once. The schedule spans the detector stream. A classifier arity other
-    than cfg.num_classes, or a classifier stream that ends before a fold
-    window, aborts with the error a window-by-window replay raises first.
+    periods, fold_periods folds the classifier rows of all of them at once,
+    and each fold lands at its window. The schedule spans the detector
+    stream. A classifier arity other than cfg.num_classes, or a classifier
+    stream that ends before a fold window, aborts with a replay's first error.
     """
     validate_config(cfg)
     ends = cursor_for(detector.length, cfg)
@@ -112,40 +112,34 @@ def fold_video(detector: ScoreStream, classifier: ScoreStream, cfg: PipelineConf
     means = classifier.rows[fold_frames]
     fold_periods(means, lengths, weights)
     label_arr, top1_arr, top2_arr = top2_rows(means)
-    best_margins = top1_arr - top2_arr
-    offset = 0
-    for size in lengths:
-        period = best_margins[offset : offset + size]
-        np.maximum.accumulate(period, out=period)
-        offset += size
-    return FoldedVideo(
-        detector.video_id, ends, raw_list, filtered, periods, weights,
-        label_arr.tolist(), top1_arr.tolist(), top2_arr.tolist(), best_margins.tolist(),
-    )
+    # idle windows share one sentinel object per column, so each costs a list slot and no float
+    labels, top1s, top2s, best_margins = [-1] * len(ends), [0.0] * len(ends), [0.0] * len(ends), [0.0] * len(ends)
+    for (first, stop), fold in zip(periods, accumulate(lengths, initial=0)):
+        folds = slice(fold, fold + stop - first)
+        labels[first:stop] = label_arr[folds].tolist()
+        top1s[first:stop] = top1_arr[folds].tolist()
+        top2s[first:stop] = top2_arr[folds].tolist()
+        best_margins[first:stop] = np.maximum.accumulate(top1_arr[folds] - top2_arr[folds]).tolist()
+    return FoldedVideo(ends, raw_list, filtered, periods, weights, labels, top1s, top2s, best_margins)
 
 
 def video_events(folded: FoldedVideo, tau_early: float, tau_late: float) -> tuple[ActivationEvent, ...]:
     """The events of a folded video at the given thresholds, at most one per active period.
 
-    The first fold whose margin reaches tau_early gives an early event;
-    failing that, a period the gate closed gives a late event at its
-    deactivation window when the last mean's maximum reaches tau_late. A
-    period still open at the end of the stream gives no late event.
+    The first window of a period whose margin reaches tau_early gives an
+    early event; failing that, a period the gate closed gives a late event
+    at its deactivation window when its last mean's maximum reaches
+    tau_late. A period still open at the end of the stream gives no late event.
     """
-    ends, labels, best = folded.ends, folded.labels, folded.best_margins
+    ends, labels, top1s, best = folded.ends, folded.labels, folded.top1s, folded.best_margins
     events: list[ActivationEvent] = []
-    offset = 0
     for first, stop in folded.periods:
-        size = stop - first
-        # the first fold whose margin reaches tau_early, where the running best is that margin
-        hit = bisect_left(best, tau_early, offset, offset + size)
-        if hit < offset + size:
-            events.append(ActivationEvent(labels[hit], ends[first + hit - offset], EventKind.EARLY, best[hit]))
-        elif stop < len(ends):
-            last = offset + size - 1
-            if folded.top1s[last] >= tau_late:
-                events.append(ActivationEvent(labels[last], ends[stop], EventKind.LATE, folded.top1s[last]))
-        offset += size
+        # the first window whose margin reaches tau_early, where the running best is that margin
+        hit = bisect_left(best, tau_early, first, stop)
+        if hit < stop:
+            events.append(ActivationEvent(labels[hit], ends[hit], EventKind.EARLY, best[hit]))
+        elif stop < len(ends) and top1s[stop - 1] >= tau_late:
+            events.append(ActivationEvent(labels[stop - 1], ends[stop], EventKind.LATE, top1s[stop - 1]))
     return tuple(events)
 
 

@@ -376,7 +376,7 @@ def _record_where(path, index: int) -> str:
 def _ingest(path, index: int, p: list) -> tuple[float, ...]:
     try:
         return ingest_probs(p).values
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise StreamFormatError(f"{_record_where(path, index)}: {exc}") from None
 
 
@@ -386,13 +386,16 @@ def _validated_rows(path, probs: list[list], first: int) -> np.ndarray:
     A row with every value in [0, 1] and a sum clearly within PROB_SUM_TOL of
     1 is accepted as it stands, in bulk. Every other row, one to renormalise,
     near a tolerance edge or invalid, goes through ingest_probs itself, so
-    every decision and every renormalised value is the scalar path's.
+    every decision and every renormalised value is the scalar path's. A
+    block holding any value that is not an int or a float goes through it
+    row by row, since numpy would convert a bool or a numeric string.
     """
+    numbers = set(map(type, itertools.chain.from_iterable(probs))) <= {int, float}
     try:
-        rows = np.array(probs, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):  # some value that float() rejects too
+        rows = np.array(probs, dtype=np.float64) if numbers else None
+    except OverflowError:  # an int too large for a float
         rows = None
-    if rows is None or rows.ndim != 2:  # ndim > 2 when the values are lists
+    if rows is None:
         return np.array([_ingest(path, first + i, p) for i, p in enumerate(probs)])
     for i in np.flatnonzero(~_bulk_valid(rows)).tolist():
         rows[i] = _ingest(path, first + i, probs[i])

@@ -58,7 +58,7 @@ class TestGen:
 
     def test_config_file_with_flag_precedence(self, tmp_path):
         cfg = tmp_path / "synth.cfg"
-        cfg.write_text("num_videos = 2\nseed = 7  # overridden below\nnum_classes = 5\n")
+        cfg.write_text("# a comment line\nnum_videos = 2\nseed = 7  # overridden below\nnum_classes = 5\n")
         out = tmp_path / "cfgout"
         assert main(["gen", "--out", str(out), "--config", str(cfg), "--seed", "9"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
@@ -66,10 +66,16 @@ class TestGen:
         assert manifest["synth_config"]["num_classes"] == 5
         assert manifest["synth_config"]["seed"] == 9
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "synth.cfg"
-        cfg.write_text("frobnicate = 3\n")
-        assert main(["gen", "--out", str(tmp_path / "x"), "--config", str(cfg)]) == 1
+        for text, message in [
+            ("frobnicate = 3\n", "unknown config key 'frobnicate'"),
+            ("seed = 1\nnum_videos 3\n", f"{cfg}:2: expected key = value, got 'num_videos 3'"),
+            ("num_videos = three\n", "bad value for num_videos: 'three'"),
+        ]:
+            cfg.write_text(text)
+            assert main(["gen", "--out", str(tmp_path / "x"), "--config", str(cfg)]) == 1
+            assert message in capsys.readouterr().err
 
     def test_manifest_suffices_to_regenerate(self, corpus_dir, tmp_path):
         from gesturestream.scoring import SynthConfig, generate_synthetic, write_annotation_file, write_score_file
@@ -387,7 +393,9 @@ class TestExitCodes:
         assert "FilterKind." not in text
 
     @pytest.mark.parametrize(
-        "p", ["[0.5, 0.6]", "[null, 1.0]", "[0.5, 1" + "0" * 400 + "]"], ids=["sum", "null", "huge-int"]
+        "p",
+        ["[0.5, 0.6]", "[null, 1.0]", "[0.5, 1" + "0" * 400 + "]", '["0.9", "0.1"]', "[false, true]"],
+        ids=["sum", "null", "huge-int", "strings", "bools"],
     )
     def test_bad_probability_row_is_validation_error(self, corpus_dir, tmp_path, capsys, p):
         path = corpus_dir / "detector_scores.jsonl"

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -102,9 +103,10 @@ class TestIngestProbs:
         with pytest.raises(ValueError, match="sum"):
             ingest_probs([0.4, 0.5])
 
-    def test_context_in_message(self):
-        with pytest.raises(ValueError, match="scores.jsonl:3"):
-            ingest_probs([0.4, 0.5], context="scores.jsonl:3")
+    @pytest.mark.parametrize("value", [True, False, "0.5", None, [0.5]])
+    def test_non_number_rejected(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"probability {value!r} is not a number")):
+            ingest_probs([0.5, value])
 
 
 class TestProbVector:

@@ -100,12 +100,8 @@ class TestRunVideo:
         det, cls = corpus.detector[vid], corpus.classifier[vid]
         folded = run_video(det, cls, CFG).folded
         # the top-1 of the last fold of the first period the gate closes
-        folds = 0
-        for first, stop in folded.periods:
-            folds += stop - first
-            if stop < len(folded.ends):
-                last_top1 = folded.top1s[folds - 1]
-                break
+        stop = next(stop for _, stop in folded.periods if stop < len(folded.ends))
+        last_top1 = folded.top1s[stop - 1]
         at = run_video(det, cls, replace(CFG, tau_late=last_top1))
         assert [(e.kind, e.margin_or_score) for e in at.events] == [(EventKind.LATE, last_top1)]
         assert run_video(det, cls, replace(CFG, tau_late=math.nextafter(last_top1, 1.0))).events == ()
@@ -229,18 +225,18 @@ def replay_online(det, cls, cfg):
         if j:
             label, top1, second = top2(act.mean)
             weight = sigmoid_weight(j, t_mid, cfg.sigmoid_slope)
-            labels.append(label)
-            top1s.append(top1)
-            top2s.append(second)
-            best_margins.append(top1 - second if j == 1 else max(best_margins[-1], top1 - second))
+            best = top1 - second if j == 1 else max(best_margins[-1], top1 - second)
         else:
-            label, top1, second, weight = -1, 0.0, 0.0, 0.0
+            label, top1, second, weight, best = -1, 0.0, 0.0, 0.0, 0.0
+        labels.append(label)
+        top1s.append(top1)
+        top2s.append(second)
+        best_margins.append(best)
         rows.append((window.end, raw, filtered, gate.mode.value, j, weight, label, top1, second))
     longest = max((stop - first for first, stop in periods), default=0)
     weights = [0.0] + [sigmoid_weight(j, t_mid, cfg.sigmoid_slope) for j in range(1, longest + 1)]
     folded = FoldedVideo(
-        det.video_id, ends, raws, filtered_probs, [tuple(p) for p in periods], weights,
-        labels, top1s, top2s, best_margins,
+        ends, raws, filtered_probs, [tuple(p) for p in periods], weights, labels, top1s, top2s, best_margins
     )
     counters = (windows, invocations, int(gate.mode is GateMode.ACTIVE))
     return RunTrace(tuple(events), folded), counters, rows
@@ -369,7 +365,9 @@ def reached_margins(corpus, cfg):
             replayed = outcome(replay_online, corpus.detector[video], corpus.classifier[video], cfg)
             if not isinstance(replayed, str):
                 folded = replayed[0].folded
-                margins += [top1 - second for top1, second in zip(folded.top1s, folded.top2s)]
+                margins += [
+                    folded.top1s[k] - folded.top2s[k] for first, stop in folded.periods for k in range(first, stop)
+                ]
     return margins
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -119,6 +120,9 @@ class TestLoadScoreStream:
         write_lines(path, [json.dumps({"video": "a", "t": 31, "p": [0.2, 0.3, 0.5]})])
         with pytest.raises(StreamFormatError, match="expected 2"):
             load_score_stream(path, expected_arity=2)
+        write_lines(path, [json.dumps({"video": "a", "t": 0, "p": [1.0]})])
+        with pytest.raises(StreamFormatError, match=":1: probability vector needs >= 2 classes, got 1$"):
+            load_score_stream(path)
 
     def test_inconsistent_arity_across_lines(self, tmp_path):
         path = tmp_path / "cls.jsonl"
@@ -136,6 +140,10 @@ class TestLoadScoreStream:
             "{not json",
         ])
         with pytest.raises(StreamFormatError, match=":2: invalid JSON"):
+            load_score_stream(path)
+        # a blank line is skipped but still counted
+        write_lines(path, [json.dumps({"video": "a", "t": 0, "p": [0.1, 0.9]}), "", "[1, 2]"])
+        with pytest.raises(StreamFormatError, match=":3: expected a JSON object$"):
             load_score_stream(path)
 
     def test_near_one_sum_renormalized(self, tmp_path):
@@ -155,6 +163,9 @@ class TestLoadScoreStream:
         path = tmp_path / "det.jsonl"
         write_lines(path, [json.dumps({"video": "a", "p": [0.1, 0.9]})])
         with pytest.raises(StreamFormatError, match="'t'"):
+            load_score_stream(path)
+        write_lines(path, [json.dumps({"video": "a", "t": -1, "p": [0.1, 0.9]})])
+        with pytest.raises(StreamFormatError, match=":1: negative frame index -1$"):
             load_score_stream(path)
 
     def test_empty_file_rejected(self, tmp_path):
@@ -198,6 +209,8 @@ class TestLoaderMatchesIngestProbs:
     @example(rows=[[0.5, 0.5], [0.5, [0.5]]])
     @example(rows=[[[0.5], [0.5]]])  # lists of equal shape stack into a 3-D array
     @example(rows=[[0.5, 0.5]] * 4 + [[0.5, 0.6]])  # rejected in the second chunk
+    @example(rows=[[0.5, 0.5], ["0.9", "0.1"]])  # numpy would convert numeric strings
+    @example(rows=[[0.5, 0.5], [False, True]])  # and bools
     @settings(max_examples=400, deadline=None, derandomize=True)
     def test_same_decisions_and_values(self, tmp_path_factory, rows):
         path = tmp_path_factory.mktemp("scores") / "cls.jsonl"
@@ -207,7 +220,7 @@ class TestLoaderMatchesIngestProbs:
             for line, p in enumerate(rows, 1):
                 try:
                     want.append(ingest_probs(p).values)
-                except (TypeError, ValueError, OverflowError) as exc:
+                except (ValueError, OverflowError) as exc:
                     with pytest.raises(StreamFormatError) as got:
                         load_score_stream(path)
                     assert str(got.value) == f"{path}:{line}: {exc}"
@@ -294,6 +307,9 @@ class TestLoadAnnotations:
         write_lines(path, [json.dumps({"video": "a", "class": 7, "start": 1, "end": 5})])
         with pytest.raises(StreamFormatError, match="class 7"):
             load_annotations(path, num_classes=5)
+        write_lines(path, [json.dumps({"video": "a", "class": -1, "start": 1, "end": 5})])
+        with pytest.raises(StreamFormatError, match=":1: a: negative class label -1$"):
+            load_annotations(path)
 
 
 class TestSynthConfigValidation:
@@ -314,9 +330,26 @@ class TestSynthConfigValidation:
 
     def test_all_violations_reported(self):
         with pytest.raises(ConfigError) as exc:
-            validate_synth_config(SynthConfig(num_videos=0, noise_sigma=-1, prep_ambiguity=2))
-        for fragment in ("num_videos", "noise_sigma", "prep_ambiguity"):
-            assert fragment in str(exc.value)
+            validate_synth_config(SynthConfig(
+                num_videos=0, gestures_per_video=0, num_classes=1, duration_mean=0.0, duration_spread=-1.0,
+                gap_mean=-1.0, gap_spread=-1.0, phase_fractions=(-0.5, 1.0, 0.5), detector_base=1.5,
+                noise_sigma=-1, prep_ambiguity=2, seed=-1, edge_ramp=0,
+            ))
+        assert str(exc.value) == "; ".join([
+            "num_videos must be >= 1",
+            "gestures_per_video must be >= 1",
+            "num_classes must be >= 2",
+            "duration_mean must be > 0",
+            "duration_spread must be >= 0",
+            "gap_mean must be >= 0",
+            "gap_spread must be >= 0",
+            "phase_fractions must be three non-negative reals",
+            "detector_base must be in [0, 1]",
+            "noise_sigma must be >= 0",
+            "prep_ambiguity must be in [0, 1]",
+            "seed must be >= 0",
+            "edge_ramp must be >= 1",
+        ])
 
 
 NOISELESS = SynthConfig(
@@ -337,17 +370,21 @@ class TestGenerateSynthetic:
             assert (tmp_path / f"{stem}_a.jsonl").read_bytes() == (tmp_path / f"{stem}_b.jsonl").read_bytes()
 
     def test_noiseless_nucleus_argmax_is_true_label(self):
-        corpus = generate_synthetic(NOISELESS)
-        for video_id, segments in corpus.segments.items():
-            stream = corpus.classifier[video_id]
-            for seg in segments:
-                # nucleus occupies the middle half of the segment by default
-                dur = seg.duration
-                nucleus_lo = seg.start + max(1, round(dur * 0.25))
-                nucleus_hi = seg.start + dur - max(1, round(dur * 0.25)) - 1
-                for t in range(nucleus_lo, nucleus_hi + 1):
-                    vals = stream.score(t).values
-                    assert vals.index(max(vals)) == seg.label
+        # 3-frame gestures without a nucleus share: both other phases shrink to one frame, leaving the middle one
+        short = replace(
+            NOISELESS, duration_mean=3.0, duration_spread=0.0, edge_ramp=3, phase_fractions=(0.5, 0.0, 0.5)
+        )
+        for corpus in (generate_synthetic(NOISELESS), generate_synthetic(short)):
+            for video_id, segments in corpus.segments.items():
+                stream = corpus.classifier[video_id]
+                for seg in segments:
+                    # nucleus occupies the middle half of the segment by default
+                    dur = seg.duration
+                    nucleus_lo = seg.start + max(1, round(dur * 0.25))
+                    nucleus_hi = seg.start + dur - max(1, round(dur * 0.25)) - 1
+                    for t in range(nucleus_lo, nucleus_hi + 1):
+                        vals = stream.score(t).values
+                        assert vals.index(max(vals)) == seg.label
 
     def test_noiseless_detector_base_on_interior(self):
         cfg = SynthConfig(num_videos=2, gestures_per_video=4, num_classes=5,
