@@ -163,7 +163,8 @@ def write_events_file(path, run: CorpusRun) -> int:
 def load_events_file(path) -> dict[str, list[ActivationEvent]]:
     """Load an events file back into per-video event lists."""
     per_video: dict[str, list[ActivationEvent]] = {}
-    for where, record in iter_records(path):
+    for lineno, record in iter_records(path):
+        where = f"{path}:{lineno}"
         video = _require_field(record, "video", str, where)
         label = _require_field(record, "class", int, where)
         frame = _require_field(record, "frame", int, where)

@@ -7,11 +7,14 @@ when the stream is built. One pair of streams (detector, classifier) covers
 every frame of a video, so a stored corpus replays under any window geometry;
 the gate alone decides which classifier rows are ever consulted.
 
-Loading parses each file line by line, checking fields, arity and duplicate
-frames, and checks the vectors a block of lines at a time with array
-operations: range, sum to 1 and renormalisation give the same decisions and
-values as ingest_probs on each line. A video must be scored at every frame
-from 0 up to its last.
+Loading decodes each stripped line with the C scanner that json.loads runs,
+so a line decodes, or fails with the same message, exactly as under
+json.loads; a line nested too deep to decode is a format error too. Each
+record's fields, arity and frame are checked as it is read, and the vectors
+a block of lines at a time with array operations: range, sum to 1 and
+renormalisation give the same decisions and values as ingest_probs on each
+line. Every error names its "file:line". A video must be scored at every
+frame from 0 up to its last.
 
 File formats (one JSON object per line, UTF-8, unknown fields ignored):
   score file:      {"video": str, "t": int, "p": [float, ...]}
@@ -341,24 +344,36 @@ def generate_synthetic(cfg: SynthConfig) -> Corpus:
 
 
 def iter_records(path):
-    """Yield (where, record) for each non-blank line of a JSON-lines file.
+    """Yield (line number, record) for each non-blank line of a JSON-lines file.
 
-    `where` is "path:line" for error messages; a line that is not a JSON
-    object raises StreamFormatError.
+    Each stripped line is decoded as json.loads would decode it; a line that
+    is not one JSON object, or nests too deep to decode, raises
+    StreamFormatError naming "path:line".
     """
+    # The C scanner behind json.loads, minus its BOM check and whitespace
+    # skips: str.strip leaves no JSON whitespace at either end, so a scan
+    # that consumes the whole line accepts exactly what json.loads accepts.
+    # Anything else goes to json.loads itself for its error message.
+    scan = json.JSONDecoder().scan_once
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            where = f"{path}:{lineno}"
             try:
-                record = json.loads(line)
+                try:
+                    record, end = scan(line, 0)
+                except (StopIteration, json.JSONDecodeError):
+                    end = -1
+                if end != len(line):
+                    record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise StreamFormatError(f"{where}: invalid JSON ({exc.msg})") from None
-            if not isinstance(record, dict):
-                raise StreamFormatError(f"{where}: expected a JSON object")
-            yield where, record
+                raise StreamFormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+            except RecursionError:
+                raise StreamFormatError(f"{path}:{lineno}: invalid JSON (nesting too deep)") from None
+            if type(record) is not dict:
+                raise StreamFormatError(f"{path}:{lineno}: expected a JSON object")
+            yield lineno, record
 
 
 def _require_field(record: dict, name: str, kinds, where: str):
@@ -368,20 +383,15 @@ def _require_field(record: dict, name: str, kinds, where: str):
     return value
 
 
-def _record_where(path, index: int) -> str:
-    """The "path:line" of a file's index-th record, found by reading the file again."""
-    return next(itertools.islice(iter_records(path), index, None))[0]
-
-
-def _ingest(path, index: int, p: list) -> tuple[float, ...]:
+def _ingest(path, lineno: int, p: list) -> tuple[float, ...]:
     try:
         return ingest_probs(p).values
     except (ValueError, OverflowError) as exc:
-        raise StreamFormatError(f"{_record_where(path, index)}: {exc}") from None
+        raise StreamFormatError(f"{path}:{lineno}: {exc}") from None
 
 
-def _validated_rows(path, probs: list[list], first: int) -> np.ndarray:
-    """Records first, first + 1, ... of a file as a float64 array, each row checked as ingest_probs checks it.
+def _validated_rows(path, probs: list[list], linenos: list[int]) -> np.ndarray:
+    """Probability lists read from a file's lines `linenos` as a float64 array, each row checked as ingest_probs checks it.
 
     A row with every value in [0, 1] and a sum clearly within PROB_SUM_TOL of
     1 is accepted as it stands, in bulk. Every other row, one to renormalise,
@@ -396,9 +406,9 @@ def _validated_rows(path, probs: list[list], first: int) -> np.ndarray:
     except OverflowError:  # an int too large for a float
         rows = None
     if rows is None:
-        return np.array([_ingest(path, first + i, p) for i, p in enumerate(probs)])
+        return np.array([_ingest(path, lineno, p) for lineno, p in zip(linenos, probs)])
     for i in np.flatnonzero(~_bulk_valid(rows)).tolist():
-        rows[i] = _ingest(path, first + i, probs[i])
+        rows[i] = _ingest(path, linenos[i], probs[i])
     return rows
 
 
@@ -412,33 +422,41 @@ def load_score_stream(path, expected_arity: int | None = None) -> dict[str, Scor
     in id order.
     """
     chunks: list[np.ndarray] = []
-    pending: list[list] = []
+    pending: list[list] = []  # probability lists awaiting validation
+    pending_lines: list[int] = []  # the line each was read from
     count = 0
     per_video: dict[str, dict[int, int]] = {}  # video -> {frame: record index}
     arity = expected_arity
-    for where, record in iter_records(path):
-        video = _require_field(record, "video", str, where)
-        t = _require_field(record, "t", int, where)
-        p = _require_field(record, "p", list, where)
+    for lineno, record in iter_records(path):
+        video = record.get("video")
+        t = record.get("t")
+        p = record.get("p")
+        # JSON decodes to exact types, so these match _require_field's checks
+        if type(video) is not str or type(t) is not int or type(p) is not list:
+            where = f"{path}:{lineno}"
+            _require_field(record, "video", str, where)
+            _require_field(record, "t", int, where)
+            _require_field(record, "p", list, where)
         if t < 0:
-            raise StreamFormatError(f"{where}: negative frame index {t}")
+            raise StreamFormatError(f"{path}:{lineno}: negative frame index {t}")
         if arity is None:
             arity = len(p)
         if len(p) != arity:
-            raise StreamFormatError(f"{where}: expected {arity} probabilities, got {len(p)}")
+            raise StreamFormatError(f"{path}:{lineno}: expected {arity} probabilities, got {len(p)}")
         if arity < 2:
-            raise StreamFormatError(f"{where}: probability vector needs >= 2 classes, got {arity}")
+            raise StreamFormatError(f"{path}:{lineno}: probability vector needs >= 2 classes, got {arity}")
         frames = per_video.setdefault(video, {})
         if t in frames:
-            raise StreamFormatError(f"{where}: duplicate entry for {video}@{t}")
+            raise StreamFormatError(f"{path}:{lineno}: duplicate entry for {video}@{t}")
         frames[t] = count
         count += 1
         pending.append(p)
+        pending_lines.append(lineno)
         if len(pending) == CHUNK_RECORDS:
-            chunks.append(_validated_rows(path, pending, count - len(pending)))
-            pending = []
+            chunks.append(_validated_rows(path, pending, pending_lines))
+            pending, pending_lines = [], []
     if pending:
-        chunks.append(_validated_rows(path, pending, count - len(pending)))
+        chunks.append(_validated_rows(path, pending, pending_lines))
     if not chunks:
         raise StreamFormatError(f"{path}: no score records")
     rows = np.concatenate(chunks)
@@ -459,7 +477,8 @@ def load_score_stream(path, expected_arity: int | None = None) -> dict[str, Scor
 def load_annotations(path, num_classes: int | None = None) -> dict[str, list[GroundTruthSegment]]:
     """Load ground-truth segments, sorted by start and checked for overlap."""
     per_video: dict[str, list[GroundTruthSegment]] = {}
-    for where, record in iter_records(path):
+    for lineno, record in iter_records(path):
+        where = f"{path}:{lineno}"
         video = _require_field(record, "video", str, where)
         label = _require_field(record, "class", int, where)
         start = _require_field(record, "start", int, where)
@@ -501,12 +520,20 @@ def load_corpus(detector_path, classifier_path, annotation_path) -> Corpus:
 
 
 def write_score_file(path, streams: dict[str, ScoreStream]) -> int:
-    """Write streams as line-delimited records, sorted by video then frame."""
+    """Write streams as line-delimited records, sorted by video then frame.
+
+    Each line is the bytes json.dumps({"video": ..., "t": ..., "p": ...})
+    gives: json writes an int with int.__repr__ and a finite float with
+    float.__repr__, and every stream value is finite.
+    """
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         for video in sorted(streams):
-            for t, row in enumerate(streams[video].rows.tolist()):
-                fh.write(json.dumps({"video": video, "t": t, "p": row}) + "\n")
+            head = f'{{"video": {json.dumps(video)}, "t": '
+            fh.writelines(
+                f'{head}{t}, "p": [{", ".join(map(repr, row))}]}}\n'
+                for t, row in enumerate(streams[video].rows.tolist())
+            )
             count += streams[video].length
     return count
 

@@ -1,8 +1,13 @@
+import hashlib
 import json
+import shutil
+import tempfile
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gesturestream.cli import _atomic_write_text, _atomic_write_with, main
 from gesturestream.core import PipelineConfig
@@ -91,6 +96,35 @@ class TestGen:
         write_annotation_file(redo / "annotations.jsonl", corpus.segments)
         for name in ["detector_scores.jsonl", "classifier_scores.jsonl", "annotations.jsonl"]:
             assert (redo / name).read_bytes() == (corpus_dir / name).read_bytes()
+
+    # The two gated benchmark workload shapes (idle-c10, active-c83) at seed 1.
+    @pytest.mark.parametrize("flags,digests", [
+        (
+            ["--videos", "6", "--gestures-per-video", "10", "--num-classes", "10", "--duration-mean", "30.0",
+             "--duration-spread", "3.0", "--gap-mean", "70.0", "--gap-spread", "7.0"],
+            {
+                "annotations.jsonl": "1adc80f8aa1df90c76c63dc6508e4083fb380f1a623ae9936007297ea7d5f1eb",
+                "classifier_scores.jsonl": "df9fff624f03bcd88a3560ed6cc494208c3b1b64e11215212ff1e527e577ede9",
+                "detector_scores.jsonl": "e150433ea06d890bf6ea0454c888b003b63adb2e1f6a732901f6a6d82b217a6d",
+                "manifest.json": "0971083e26211bd75b19ca5ec12869cf0e3c7402448b076fbef6ea94c21f7c6f",
+            },
+        ),
+        (
+            ["--videos", "3", "--gestures-per-video", "10", "--num-classes", "83", "--duration-mean", "90.0",
+             "--duration-spread", "8.0", "--gap-mean", "36.0", "--gap-spread", "3.0"],
+            {
+                "annotations.jsonl": "4be0e6d5b893e18abd4fde73ba30140a0a2364e6a7aecc3eaefc0edd2b2558c3",
+                "classifier_scores.jsonl": "81fdcb009e09beb8a9e6c8080c6c6563f3472c94bd690ddae5713c2f9c6c0852",
+                "detector_scores.jsonl": "ec345f5dfc3d2d2ff385dc4c22314b942de96a5e292b76c175cf652f4b1aa24a",
+                "manifest.json": "c3b63c7d26457dcde3c67b7e930123bc65b456f4d1188d7203b352d85b632c83",
+            },
+        ),
+    ], ids=["idle-c10", "active-c83"])
+    def test_benchmark_shapes_keep_their_bytes(self, tmp_path, flags, digests):
+        out = tmp_path / "corpus"
+        argv = ["gen", "--out", str(out), "--seed", "1", "--noise-sigma", "0.05", "--prep-ambiguity", "0.5"]
+        assert main(argv + flags) == 0
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in CORPUS_FILES} == digests
 
 
 class TestRun:
@@ -418,6 +452,21 @@ class TestExitCodes:
         assert f"{path}:3: probability " in err
         assert "RuntimeWarning" not in err
 
+    @pytest.mark.parametrize("name", ["detector_scores.jsonl", "classifier_scores.jsonl", "annotations.jsonl", "events"])
+    def test_deep_nesting_is_validation_error(self, corpus_dir, tmp_path, capsys, name):
+        if name == "events":
+            path = tmp_path / "events.jsonl"
+            argv = ["eval", "--events", str(path), "--annotations", str(corpus_dir / "annotations.jsonl")]
+            path.write_text(json.dumps({"video": "v000", "class": 1, "frame": 40, "kind": "late", "score": 0.5}) + "\n")
+        else:
+            path = corpus_dir / name
+            argv = ["run", "--data", str(corpus_dir)]
+        lines = path.read_text().splitlines()
+        lines.insert(1, "[" * 200_000)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+        assert f"{path}:2: invalid JSON (nesting too deep)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_annotated_video_without_streams_is_validation_error(self, corpus_dir, tmp_path, capsys, command):
         with open(corpus_dir / "annotations.jsonl", "a", encoding="utf-8") as fh:
@@ -483,6 +532,48 @@ SYNTH_VALUES = {
 }
 # Keeps generated corpora small; a field's own line or flag comes later and wins.
 SMALL_SYNTH = "num_videos = 1\ngestures_per_video = 1\nnum_classes = 3\n"
+
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    out = tmp_path_factory.mktemp("small") / "corpus"
+    assert main(GEN_SMALL + ["--out", str(out)]) == 0
+    return out
+
+
+# Replacement lines at the edges of the decoder and the loaders: deep nesting,
+# numbers out of every range, non-finite tokens, surrogates, a BOM, two objects.
+NASTY_LINES = [
+    "[" * 200_000,
+    '{"video": "v000", "t": 0, "p": ' + "[" * 100_000 + "}",
+    '{"video": "v000", "t": 1' + "0" * 5_000 + ', "p": [0.5, 0.5]}',
+    '{"video": "v000", "t": 10000000000000000000000, "p": [0.5, 0.5]}',
+    '{"video": "v000", "t": 0, "p": [1e400, -1e400]}',
+    '{"video": "v000", "t": 0, "p": [NaN, Infinity]}',
+    '{"video": "\\ud800", "t": 0, "p": [0.5, 0.5]}',
+    '\ufeff{"video": "v000", "t": 0, "p": [0.5, 0.5]}',
+    '{"video": "v000", "t": 0, "p": [0.5, 0.5]} {}',
+    '{"video": "v000", "class": 1e400, "start": 0, "end": 10}',
+    '{"video": "v000", "class": 0, "start": 0, "end": 100000000000000000000}',
+]
+
+
+class TestBadInputNeverInternalError:
+    @given(
+        name=st.sampled_from(["detector_scores.jsonl", "classifier_scores.jsonl", "annotations.jsonl"]),
+        index=st.integers(0, 10**6),
+        text=st.one_of(st.sampled_from(NASTY_LINES), st.text()),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_run_exits_zero_or_one(self, small_corpus, name, index, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            data = Path(tmp) / "corpus"
+            shutil.copytree(small_corpus, data)
+            lines = (data / name).read_text(encoding="utf-8").splitlines()
+            lines[index % len(lines)] = text
+            (data / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            assert main(["run", "--data", str(data), "--out", str(Path(tmp) / "out")]) in (0, 1)
 
 
 class TestConfigFields:

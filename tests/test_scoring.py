@@ -16,6 +16,7 @@ from gesturestream.scoring import (
     SynthConfig,
     SynthesisError,
     generate_synthetic,
+    iter_records,
     load_annotations,
     load_corpus,
     load_score_stream,
@@ -173,6 +174,119 @@ class TestLoadScoreStream:
         path.write_text("", encoding="utf-8")
         with pytest.raises(StreamFormatError, match="no score records"):
             load_score_stream(path)
+
+    def test_bad_row_names_its_line_past_blank_lines(self, tmp_path):
+        path = tmp_path / "det.jsonl"
+        good = [json.dumps({"video": "a", "t": t, "p": [0.5, 0.5]}) for t in range(5)]
+        write_lines(path, good[:2] + ["", "  "] + good[2:] + ["", json.dumps({"video": "a", "t": 5, "p": [0.5, 0.6]})])
+        with mock.patch.object(scoring, "CHUNK_RECORDS", 2):
+            with pytest.raises(StreamFormatError, match=r":9: probabilities sum to 1\.1, "):
+                load_score_stream(path)
+
+    def test_deep_nesting_is_format_error(self, tmp_path):
+        path = tmp_path / "det.jsonl"
+        for line in ["[" * 200_000, "[" * 5_000 + "]" * 5_000, '{"p": ' + "[" * 5_000 + "]" * 5_000 + "}"]:
+            write_lines(path, [json.dumps({"video": "a", "t": 0, "p": [0.5, 0.5]}), line])
+            with pytest.raises(StreamFormatError, match=r"^.*det\.jsonl:2: invalid JSON \(nesting too deep\)$"):
+                load_score_stream(path)
+
+
+def reference_records(path):
+    """The per-line json.loads reader that iter_records must match record for record and error for error."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise StreamFormatError(f"{where}: invalid JSON ({exc.msg})") from None
+            except RecursionError:
+                raise StreamFormatError(f"{where}: invalid JSON (nesting too deep)") from None
+            if not isinstance(record, dict):
+                raise StreamFormatError(f"{where}: expected a JSON object")
+            yield lineno, record
+
+
+def read_outcome(reader, path) -> list:
+    """Every (line, record) a reader yields, then the type and text of the error that stopped it, if any."""
+    out = []
+    try:
+        for lineno, record in reader(path):
+            out.append((lineno, repr(record)))  # repr, so that NaN compares equal to NaN
+    except ValueError as exc:  # StreamFormatError, or json's own ValueError for an int of too many digits
+        out.append((type(exc), str(exc)))
+    return out
+
+
+# Characters str.strip removes: JSON whitespace and whitespace JSON does not allow.
+STRIPPED = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2000", "\u2028", "\u3000"]
+JSON_LINES = [
+    '{"video": "a", "t": 0, "p": [0.5, 0.5]}',
+    "{}",
+    "{} {}",
+    '{"a": 1}{"b": 2}',
+    '{"a": 1} x',
+    '{"a": 1},',
+    "\ufeff{}",
+    '{"p": [NaN, Infinity, -Infinity]}',
+    '{"p": NaN}',
+    '{"p": nan}',
+    '{"s": "\\ud800"}',
+    '{"s": "\\udc00\\ud800x"}',
+    '{"s": "\\ud8"}',
+    '{"n": ' + "9" * 400 + "}",
+    '{"n": ' + "9" * 5_000 + "}",
+    '{"n": -0, "m": 1e400, "k": 1E-400}',
+    "[" * 200_000,
+    '{"a": ' + "[" * 3_000 + "]" * 3_000 + "}",
+    '{"a": ' + "[" * 500 + "]" * 500 + "}",
+    "[1, 2]",
+    '"text"',
+    "null",
+    '{"a": 1',
+    '{"a" 1}',
+    "{'a': 1}",
+    '{"a": "tab\there"}',
+    '{"a":\t1 ,\n"b" : 2}',
+]
+ENDINGS = ["\n", "\r\n", "\r", ""]
+
+
+@st.composite
+def jsonl_text(draw):
+    """A file's text: lines from JSON_LINES, arbitrary JSON or arbitrary text, each padded and ended at random."""
+    values = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=6,
+    )
+    line = st.one_of(
+        st.sampled_from(JSON_LINES),
+        st.dictionaries(st.text(max_size=3), values, max_size=3).map(json.dumps),
+        st.text(max_size=20),
+    )
+    pad = st.text(st.sampled_from(STRIPPED), max_size=2)
+    parts = []
+    for _ in range(draw(st.integers(1, 6))):
+        parts.append(draw(pad) + draw(line) + draw(pad) + draw(st.sampled_from(ENDINGS)))
+    return "".join(parts)
+
+
+class TestReaderMatchesJsonLoads:
+    @given(jsonl_text())
+    @example(text="{}\n{} {}\n")
+    @example(text='{"a": 1}\r{"b": 2}\r\n\ufeff{}\n')
+    @example(text='\x0b{"p": [NaN]}\x1c\u3000\n' + "[" * 200_000 + "\n")
+    @example(text='{"s": "\\ud800"}\n{"n": ' + "9" * 5_000 + "}\n")
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_same_records_and_errors(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("jsonl") / "records.jsonl"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        assert read_outcome(iter_records, path) == read_outcome(reference_records, path)
 
 
 # Values ingest_probs must judge: in and out of range, non-finite, ints, bools,
@@ -471,3 +585,42 @@ class TestRoundTrip:
             for t in probe:
                 assert back.score(t).values == pytest.approx(orig.score(t).values, abs=1e-12)
         assert loaded.segments == corpus.segments
+
+
+def reference_write(path, streams) -> None:
+    """The json.dumps writer that write_score_file must match byte for byte."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for video in sorted(streams):
+            for t, row in enumerate(streams[video].rows.tolist()):
+                fh.write(json.dumps({"video": video, "t": t, "p": row}) + "\n")
+
+
+VIDEO_IDS = st.one_of(
+    st.text(st.characters(exclude_categories=()), max_size=6),  # surrogates and control characters included
+    st.sampled_from(['"', "\\", 'a"b\\c', "\x00\x1f\x7f", "\n\r\t", "é", "ü€😀", "\u2028", "\ud800"]),
+)
+PROBABILITIES = st.one_of(st.floats(0.0, 1.0), st.sampled_from([5e-324, 1e-07, 0.1 + 0.2, 1.0, 0.0, -0.0]))
+
+
+@st.composite
+def stream_sets(draw):
+    """Streams whose rows are [x, 1 - x] padded with zeros, one arity across the set."""
+    arity = draw(st.integers(2, 4))
+    streams = {}
+    for video in draw(st.lists(VIDEO_IDS, min_size=1, max_size=3, unique=True)):
+        xs = draw(st.lists(PROBABILITIES, min_size=1, max_size=5))
+        rows = np.array([[x, 1.0 - x] + [0.0] * (arity - 2) for x in xs])
+        streams[video] = ScoreStream(video, arity, rows)
+    return streams
+
+
+class TestWriterMatchesJsonDumps:
+    @given(stream_sets())
+    @example(streams={"v": ScoreStream("v", 3, np.array([[5e-324, 1.0, 0.0], [1e-07, 1 - 1e-07, 0.0], [0.1 + 0.2, 0.7, 0.0]]))})
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_same_bytes(self, tmp_path_factory, streams):
+        base = tmp_path_factory.mktemp("written")
+        count = write_score_file(base / "new.jsonl", streams)
+        reference_write(base / "old.jsonl", streams)
+        assert (base / "new.jsonl").read_bytes() == (base / "old.jsonl").read_bytes()
+        assert count == sum(stream.length for stream in streams.values())
