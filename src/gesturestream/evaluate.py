@@ -38,17 +38,6 @@ def levenshtein_distance(a: Sequence, b: Sequence) -> int:
     return prev[-1]
 
 
-def levenshtein_accuracy(gt: Sequence, pred: Sequence) -> float:
-    """Percent closeness of pred to gt: (1 - distance/len(gt)) * 100.
-
-    Not clamped at zero; heavily over-predicting goes negative. Empty ground
-    truth is rejected here and excluded from aggregation by callers.
-    """
-    if len(gt) < 1:
-        raise ValueError("levenshtein accuracy needs at least one ground-truth label")
-    return (1.0 - levenshtein_distance(gt, pred) / len(gt)) * 100.0
-
-
 @dataclass(frozen=True, slots=True)
 class Match:
     """One event attributed to a segment; correct when the labels agree."""
@@ -156,7 +145,11 @@ def evaluate_video(
     segments: Sequence[GroundTruthSegment],
     grace: int,
 ) -> tuple[VideoResult, MatchReport]:
-    """Score one video's events: Levenshtein result plus the match report."""
+    """Score one video's events: Levenshtein result plus the match report.
+
+    Accuracy is (1 - distance/len(gt)) * 100, not clamped at zero; a video
+    without ground truth gets None and callers leave it out of the mean.
+    """
     ordered_segments = sorted(segments, key=lambda s: s.start)
     gt = tuple(seg.label for seg in ordered_segments)
     pred = tuple(e.label for e in sorted(events, key=lambda e: e.emit_frame))

@@ -4,7 +4,10 @@ Raw gesture probabilities are pushed into a bounded queue and smoothed with
 a mean, median, or exponentially-weighted average filter. The gate opens
 when the filtered value crosses the on-threshold and closes only after a
 configured run of consecutive sub-threshold values, so a single noisy dip
-never deactivates the classifier.
+never deactivates the classifier. gate_step advances one stream by one
+window, as scores arrive; gate_periods gates a stored video in array
+passes, filtering every window at once and walking only the on/off run
+boundaries, with the same results bit for bit.
 """
 
 from __future__ import annotations
@@ -14,6 +17,9 @@ import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import FilterKind, PipelineConfig
 
@@ -136,35 +142,53 @@ def gate_step(state: GateState, raw_gesture_prob: float, cfg: PipelineConfig) ->
     return GateStepResult(GateState(GateMode.ACTIVE, queue, run), GateDecision.STAY_ACTIVE, filtered)
 
 
-def gate_periods(raws: list[float], cfg: PipelineConfig) -> tuple[list[float], list[tuple[int, int]]]:
-    """Run the gate over a whole sequence of raw gesture probabilities.
+def gate_periods(raws: np.ndarray, cfg: PipelineConfig) -> tuple[list[float], list[tuple[int, int]]]:
+    """Run the gate over a whole video's raw gesture probabilities at once.
 
-    The batch form of gate_step, with the same queue, filter and hysteresis
-    rule, for values already known to lie in [0, 1]. Returns the filtered
-    value of every window and the active periods as (first, stop) window
-    indices: first is the ACTIVATE window and stop the DEACTIVATE window, or
+    The batch form of gate_step for values already known to lie in [0, 1],
+    bit for bit. Every window pushes to the filter queue whatever the gate's
+    mode, so every full queue is a row of one sliding-window view of raws,
+    newest first, filtered with apply_filter's arithmetic: a stable sort
+    for the median, the builtin sum for the mean, and the EWA column by
+    column in its operand order. The filter_size - 1 warm-up windows go
+    through apply_filter itself. The hysteresis then walks only the run
+    boundaries of filtered >= gate_on_threshold: an on-run opens a period
+    while idle, and the first off-run of deactivate_count windows or more
+    closes it at its deactivate_count-th window. Returns the filtered value
+    of every window and the active periods as (first, stop) window indices:
+    first is the ACTIVATE window and stop the DEACTIVATE window, or
     len(raws) when the gate is still open at the end.
     """
-    capacity, kind = cfg.filter_size, cfg.filter_kind
-    threshold, deactivate_count = cfg.gate_on_threshold, cfg.deactivate_count
-    items: tuple[float, ...] = ()
-    filtered: list[float] = []
+    size, kind, count = cfg.filter_size, cfg.filter_kind, len(raws)
+    head = raws[: size - 1].tolist()
+    values = np.array([apply_filter(tuple(head[k::-1]), kind) for k in range(len(head))])
+    if count >= size:
+        columns = sliding_window_view(raws, size)[:, ::-1]
+        if kind is FilterKind.MEDIAN:
+            ordered = np.sort(columns, axis=1, kind="stable")
+            mid = size // 2
+            body = ordered[:, mid] if size % 2 else (ordered[:, mid - 1] + ordered[:, mid]) / 2.0
+        elif kind is FilterKind.MEAN:
+            # apply_filter's own sum, whose float rounding differs between Python versions
+            body = np.array(list(map(sum, columns.tolist()))) / size
+        else:
+            weights = ewa_weights(size)
+            num = den = 0.0
+            for w, column in zip(weights, columns.T):
+                num = num + w * column
+                den += w
+            body = num / den
+        values = np.concatenate([values, body])
+    on = values >= cfg.gate_on_threshold
+    starts = np.flatnonzero(np.diff(on, prepend=~on[:1])).tolist()  # first window of each on- or off-run
     periods: list[tuple[int, int]] = []
     first = -1  # window that opened the current period, -1 while idle
-    run = 0
-    for k, raw in enumerate(raws):
-        items = (raw,) + items[: capacity - 1]
-        value = apply_filter(items, kind)
-        filtered.append(value)
-        if value >= threshold:
-            if first < 0:
-                first = k
-            run = 0
-        elif first >= 0:
-            run += 1
-            if run >= deactivate_count:
-                periods.append((first, k))
-                first, run = -1, 0
+    for a, b in zip(starts, starts[1:] + [count]):
+        if first < 0:
+            first = a if on[a] else -1
+        elif not on[a] and b - a >= cfg.deactivate_count:
+            periods.append((first, a + cfg.deactivate_count - 1))
+            first = -1
     if first >= 0:
-        periods.append((first, len(raws)))
-    return filtered, periods
+        periods.append((first, count))
+    return values.tolist(), periods

@@ -80,11 +80,12 @@ class FoldedVideo:
 def fold_video(detector: ScoreStream, classifier: ScoreStream, cfg: PipelineConfig) -> FoldedVideo:
     """Gate one video's windows and fold the classifier rows of its active periods.
 
-    A plain float loop over the detector's gesture column finds the active
-    periods, fold_periods folds the classifier rows of all of them at once,
-    and each fold lands at its window. The schedule spans the detector
-    stream. A classifier arity other than cfg.num_classes, or a classifier
-    stream that ends before a fold window, aborts with a replay's first error.
+    gate_periods filters the detector's gesture column in one array pass
+    and finds the active periods from its on/off boundaries, fold_periods
+    folds the classifier rows of all of them at once, and each fold lands
+    at its window. The schedule spans the detector stream. A classifier
+    arity other than cfg.num_classes, or a classifier stream that ends
+    before a fold window, aborts with a replay's first error.
     """
     validate_config(cfg)
     ends = cursor_for(detector.length, cfg)
@@ -94,8 +95,8 @@ def fold_video(detector: ScoreStream, classifier: ScoreStream, cfg: PipelineConf
             detector.length,
             cfg.classifier_window,
         )
-    raw_list = detector.rows[ends.start :: ends.step, GESTURE_INDEX].tolist()
-    filtered, periods = gate_periods(raw_list, cfg)
+    raws = detector.rows[ends.start :: ends.step, GESTURE_INDEX]
+    filtered, periods = gate_periods(raws, cfg)
 
     lengths = [stop - first for first, stop in periods]
     fold_windows = np.concatenate([np.arange(first, stop) for first, stop in periods]) if periods else np.arange(0)
@@ -120,7 +121,7 @@ def fold_video(detector: ScoreStream, classifier: ScoreStream, cfg: PipelineConf
         top1s[first:stop] = top1_arr[folds].tolist()
         top2s[first:stop] = top2_arr[folds].tolist()
         best_margins[first:stop] = np.maximum.accumulate(top1_arr[folds] - top2_arr[folds]).tolist()
-    return FoldedVideo(ends, raw_list, filtered, periods, weights, labels, top1s, top2s, best_margins)
+    return FoldedVideo(ends, raws.tolist(), filtered, periods, weights, labels, top1s, top2s, best_margins)
 
 
 def video_events(folded: FoldedVideo, tau_early: float, tau_late: float) -> tuple[ActivationEvent, ...]:

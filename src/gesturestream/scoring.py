@@ -223,19 +223,16 @@ def _draw_at_least(rng, mean: float, spread: float, floor: int, what: str, video
 
 
 def _phase_lengths(duration: int, fractions: tuple[float, float, float]) -> tuple[int, int, int]:
-    """Split a duration into preparation/nucleus/retraction frames, each >= 1."""
+    """Split a duration of >= 3 frames into preparation/nucleus/retraction frames, each >= 1.
+
+    Where the rounded edge phases leave no nucleus, the longer one gives up
+    frames first, the preparation on ties, until the nucleus is one frame.
+    """
     prep = max(1, int(round(duration * fractions[0])))
     retract = max(1, int(round(duration * fractions[2])))
-    nucleus = duration - prep - retract
-    while nucleus < 1:
-        if prep >= retract and prep > 1:
-            prep -= 1
-        elif retract > 1:
-            retract -= 1
-        else:
-            raise SynthesisError(f"cannot fit three phases into {duration} frames")
-        nucleus = duration - prep - retract
-    return prep, nucleus, retract
+    edges = min(prep + retract, duration - 1)
+    prep = min(prep, max(edges - retract, edges // 2))
+    return prep, duration - edges, edges - prep
 
 
 def _layout_video(video_id: str, cfg: SynthConfig, rng):
@@ -347,8 +344,8 @@ def iter_records(path):
     """Yield (line number, record) for each non-blank line of a JSON-lines file.
 
     Each stripped line is decoded as json.loads would decode it; a line that
-    is not one JSON object, or nests too deep to decode, raises
-    StreamFormatError naming "path:line".
+    is not one JSON object, nests too deep to decode, or holds an integer
+    too long to convert raises StreamFormatError naming "path:line".
     """
     # The C scanner behind json.loads, minus its BOM check and whitespace
     # skips: str.strip leaves no JSON whitespace at either end, so a scan
@@ -369,6 +366,8 @@ def iter_records(path):
                     record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise StreamFormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+            except ValueError as exc:  # an integer past Python's int-string digit limit
+                raise StreamFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from None
             except RecursionError:
                 raise StreamFormatError(f"{path}:{lineno}: invalid JSON (nesting too deep)") from None
             if type(record) is not dict:

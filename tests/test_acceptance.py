@@ -13,13 +13,13 @@ from contextlib import contextmanager
 
 import pytest
 
-from gesturestream.activation import ActivationState, midpoint, sigmoid_weight, update_mean
+from gesturestream.activation import ActivationEvent, ActivationState, EventKind, midpoint, sigmoid_weight, update_mean
 from gesturestream.cli import main
 from gesturestream.core import FilterKind, PipelineConfig, WeightedMean, normalize
-from gesturestream.evaluate import levenshtein_accuracy, levenshtein_distance, sweep
+from gesturestream.evaluate import evaluate_video, levenshtein_distance, sweep
 from gesturestream.gate import FilterQueue, apply_filter, ewa_weights
 from gesturestream.pipeline import run_corpus
-from gesturestream.scoring import SynthConfig, generate_synthetic, load_corpus
+from gesturestream.scoring import GroundTruthSegment, SynthConfig, generate_synthetic, load_corpus
 
 
 @contextmanager
@@ -37,7 +37,11 @@ def test_criterion_01_worked_metric_example():
         gt = [1, 2, 3, 4, 5, 6, 7, 8, 9]
         pred = [1, 2, 7, 4, 5, 6, 6, 7, 8, 9]
         assert levenshtein_distance(gt, pred) == 2
-        assert levenshtein_accuracy(gt, pred) == pytest.approx(77.78, abs=0.01)
+        segments = [GroundTruthSegment("v", label, 100 * i, 100 * i + 50) for i, label in enumerate(gt)]
+        events = [ActivationEvent(label, 100 * i + 10, EventKind.LATE, 0.5) for i, label in enumerate(pred)]
+        result, _ = evaluate_video("v", events, segments, grace=32)
+        assert result.distance == 2
+        assert result.accuracy == pytest.approx(77.78, abs=0.01)
 
 
 def test_criterion_02_weight_function_anchors():

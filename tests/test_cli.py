@@ -467,6 +467,15 @@ class TestExitCodes:
         assert main(argv + ["--out", str(tmp_path / "o")]) == 1
         assert f"{path}:2: invalid JSON (nesting too deep)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["detector_scores.jsonl", "classifier_scores.jsonl", "annotations.jsonl"])
+    def test_overlong_integer_is_validation_error(self, corpus_dir, tmp_path, capsys, name):
+        path = corpus_dir / name
+        lines = path.read_text().splitlines()
+        lines.insert(1, LONG_INT_LINE)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["run", "--data", str(corpus_dir), "--out", str(tmp_path / "o")]) == 1
+        assert f"{path}:2: invalid JSON (Exceeds the limit (4300 digits)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_annotated_video_without_streams_is_validation_error(self, corpus_dir, tmp_path, capsys, command):
         with open(corpus_dir / "annotations.jsonl", "a", encoding="utf-8") as fh:
@@ -542,12 +551,14 @@ def small_corpus(tmp_path_factory):
     return out
 
 
+# A 5,001-digit integer, past Python's int-string conversion limit.
+LONG_INT_LINE = '{"video": "v000", "t": 1' + "0" * 5_000 + ', "p": [0.5, 0.5]}'
 # Replacement lines at the edges of the decoder and the loaders: deep nesting,
 # numbers out of every range, non-finite tokens, surrogates, a BOM, two objects.
 NASTY_LINES = [
     "[" * 200_000,
     '{"video": "v000", "t": 0, "p": ' + "[" * 100_000 + "}",
-    '{"video": "v000", "t": 1' + "0" * 5_000 + ', "p": [0.5, 0.5]}',
+    LONG_INT_LINE,
     '{"video": "v000", "t": 10000000000000000000000, "p": [0.5, 0.5]}',
     '{"video": "v000", "t": 0, "p": [1e400, -1e400]}',
     '{"video": "v000", "t": 0, "p": [NaN, Infinity]}',

@@ -9,7 +9,6 @@ from gesturestream.core import PipelineConfig
 from gesturestream.evaluate import (
     early_detection_stats,
     evaluate_video,
-    levenshtein_accuracy,
     levenshtein_distance,
     match_activations,
     sweep,
@@ -73,28 +72,34 @@ class TestLevenshteinDistance:
         assert d_ab <= levenshtein_distance(a, c) + levenshtein_distance(c, b)
 
 
+def accuracy(gt, pred):
+    """evaluate_video's accuracy for a ground-truth and a predicted label sequence."""
+    segments = [seg(label, 100 * i, 100 * i + 50) for i, label in enumerate(gt)]
+    events = [late(label, 100 * i + 10) for i, label in enumerate(pred)]
+    return evaluate_video("v", events, segments, grace=32)[0].accuracy
+
+
 class TestLevenshteinAccuracy:
     def test_worked_example_percentage(self):
         gt = [1, 2, 3, 4, 5, 6, 7, 8, 9]
         pred = [1, 2, 7, 4, 5, 6, 6, 7, 8, 9]
-        assert levenshtein_accuracy(gt, pred) == pytest.approx(77.78, abs=0.01)
+        assert accuracy(gt, pred) == pytest.approx(77.78, abs=0.01)
 
     def test_identical_is_hundred(self):
-        assert levenshtein_accuracy([4, 2], [4, 2]) == 100.0
+        assert accuracy([4, 2], [4, 2]) == 100.0
 
     def test_unclamped_negative(self):
-        assert levenshtein_accuracy([1], [2, 3, 4]) == pytest.approx(-200.0)
+        assert accuracy([1], [2, 3, 4]) == pytest.approx(-200.0)
 
     def test_empty_gt_rejected(self):
-        with pytest.raises(ValueError):
-            levenshtein_accuracy([], [1])
+        assert accuracy([], [1]) is None
 
     def test_hundred_iff_equal(self):
         rng = random.Random(37)
         for _ in range(300):
             gt = [rng.randrange(5) for _ in range(rng.randint(1, 6))]
             pred = [rng.randrange(5) for _ in range(rng.randint(0, 6))]
-            acc = levenshtein_accuracy(gt, pred)
+            acc = accuracy(gt, pred)
             assert (acc == 100.0) == (gt == pred)
 
 

@@ -1,7 +1,9 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gesturestream.core import FilterKind, PipelineConfig
 from gesturestream.gate import (
@@ -11,6 +13,7 @@ from gesturestream.gate import (
     GateState,
     apply_filter,
     ewa_weights,
+    gate_periods,
     gate_step,
 )
 
@@ -207,3 +210,48 @@ class TestGateStep:
     def test_rejects_out_of_range_input(self):
         with pytest.raises(ValueError, match="outside"):
             gate_step(GateState.idle(4), 1.5, CFG)
+
+
+THRESHOLDS = [0.3, 0.5, 0.7]
+# -0.0, the thresholds and their float neighbours on top of uniform draws
+EDGE_RAWS = [0.0, -0.0, 1.0] + [x for t in THRESHOLDS for x in (math.nextafter(t, 0.0), t, math.nextafter(t, 1.0))]
+
+
+@st.composite
+def gated_streams(draw):
+    cfg = PipelineConfig(
+        num_classes=10,
+        filter_kind=draw(st.sampled_from(list(FilterKind))),
+        filter_size=draw(st.integers(1, 8)),
+        gate_on_threshold=draw(st.sampled_from(THRESHOLDS)),
+        deactivate_count=draw(st.integers(1, 5)),
+    )
+    raw = st.one_of(st.floats(0.0, 1.0), st.sampled_from(EDGE_RAWS))
+    return draw(st.lists(raw, max_size=cfg.filter_size + 10)), cfg
+
+
+def replay_periods(raws, cfg):
+    """Filtered values and (first, stop) periods of a gate_step replay."""
+    state, filtered, periods, first = GateState.idle(cfg.filter_size), [], [], -1
+    for k, raw in enumerate(raws):
+        state, decision, value = gate_step(state, raw, cfg)
+        filtered.append(value)
+        if decision is GateDecision.ACTIVATE:
+            first = k
+        elif decision is GateDecision.DEACTIVATE:
+            periods.append((first, k))
+    if state.mode is GateMode.ACTIVE:
+        periods.append((first, len(raws)))
+    return filtered, periods
+
+
+class TestGatePeriods:
+    @given(gated_streams())
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_matches_gate_step_replay(self, stream):
+        raws, cfg = stream
+        filtered, periods = gate_periods(np.array(raws, dtype=float), cfg)
+        want_filtered, want_periods = replay_periods(raws, cfg)
+        assert periods == want_periods
+        assert [x.hex() for x in filtered] == [x.hex() for x in want_filtered]
+        assert all(type(x) is float for x in filtered)

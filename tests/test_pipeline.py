@@ -250,7 +250,13 @@ def outcome(fn, *args):
 
 
 # Gesture probabilities around the gate threshold, plus a few exact repeats.
-RAW = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]))
+# -0.0 and the thresholds' float neighbours are values a uniform draw never gives
+RAW = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from(
+        [0.0, -0.0, 1.0] + [x for t in (0.3, 0.5, 0.7) for x in (math.nextafter(t, 0.0), t, math.nextafter(t, 1.0))]
+    ),
+)
 
 
 def stream_arrays(draw, classes):

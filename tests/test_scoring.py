@@ -203,6 +203,8 @@ def reference_records(path):
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise StreamFormatError(f"{where}: invalid JSON ({exc.msg})") from None
+            except ValueError as exc:  # an integer of too many digits for int()
+                raise StreamFormatError(f"{where}: invalid JSON ({exc})") from None
             except RecursionError:
                 raise StreamFormatError(f"{where}: invalid JSON (nesting too deep)") from None
             if not isinstance(record, dict):
@@ -216,7 +218,7 @@ def read_outcome(reader, path) -> list:
     try:
         for lineno, record in reader(path):
             out.append((lineno, repr(record)))  # repr, so that NaN compares equal to NaN
-    except ValueError as exc:  # StreamFormatError, or json's own ValueError for an int of too many digits
+    except ValueError as exc:  # StreamFormatError, or any other ValueError a reader lets escape
         out.append((type(exc), str(exc)))
     return out
 
