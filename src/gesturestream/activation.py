@@ -101,25 +101,31 @@ def fold_periods(scores: np.ndarray, lengths: list[int], weights: list[float]) -
     `scores` holds the classifier rows of every period's fold windows, period
     after period, lengths[p] rows for period p; weights[j] is the sigmoid
     weight of the j-th fold. Afterwards row i holds the period's mean just
-    after folding row i. The periods advance together one fold index j at a
-    time, each row computed as (mean * (j - 1) + weights[j] * score) / j with
-    the same IEEE operations as update_mean, so the means are update_mean's
-    bit for bit.
+    after folding row i. One gather lays the rows out fold index major: fold
+    1 of every period, then fold 2 of the periods still open, and so on,
+    longest period first, so each fold index j is one contiguous block whose
+    periods' previous means are the first rows of the block before it. Each
+    row becomes (mean * (j - 1) + weights[j] * score) / j with the same IEEE
+    operations as update_mean, so the means are update_mean's bit for bit,
+    and one scatter writes them back.
     """
-    if not lengths:
+    if not any(lengths):
         return
     sizes = np.asarray(lengths)
-    starts = np.cumsum(sizes) - sizes
-    order = np.argsort(-sizes, kind="stable")  # longest first, so open periods are a prefix
-    starts, longest_first = starts[order], sizes[order].tolist()
-    mean = np.zeros((len(lengths), scores.shape[1]))
-    open_count = len(lengths)
-    for j in range(1, longest_first[0] + 1):
-        while longest_first[open_count - 1] < j:
-            open_count -= 1
-        rows = starts[:open_count] + (j - 1)
-        mean = (mean[:open_count] * (j - 1) + weights[j] * scores[rows]) / j
-        scores[rows] = mean
+    folds = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # each row's j - 1
+    rows = np.lexsort((-np.repeat(sizes, sizes), folds))  # by fold index, then longest period first
+    counts = np.bincount(folds).tolist()  # the periods still open at each fold index
+    laid = scores.take(rows, axis=0)
+    laid *= np.repeat(weights[1 : len(counts) + 1], counts)[:, None]
+    prev, start = laid[: counts[0]], counts[0]
+    prev += 0.0  # update_mean's first fold is 0.0 * 0 + w * score, which turns -0.0 into 0.0
+    spare = np.empty_like(prev)
+    for j, k in enumerate(counts[1:], start=2):
+        block = laid[start : start + k]
+        block += np.multiply(prev[:k], j - 1, out=spare[:k])
+        block /= j
+        prev, start = block, start + k
+    scores[rows] = laid
 
 
 def try_early(

@@ -62,15 +62,6 @@ class ProbVector:
         object.__setattr__(vec, "values", values)
         return vec
 
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, i: int) -> float:
-        return self.values[i]
-
-    def __iter__(self):
-        return iter(self.values)
-
 
 @dataclass(frozen=True, slots=True)
 class WeightedMean:
@@ -217,7 +208,12 @@ def top2_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """top2 of every row of a 2-D array: (argmax classes, largest values, second largest).
 
     The same numbers top2 gives row by row: argmax picks the lowest index
-    among equal maxima, and partitioning selects the values themselves.
+    among equal maxima, that entry is the largest value, and the second is
+    the row's maximum once that one entry is masked to -inf, so a maximum
+    that appears twice is also the second. `values` is left unchanged.
     """
-    ordered = np.partition(values, -2, axis=1)
-    return values.argmax(axis=1), ordered[:, -1], ordered[:, -2]
+    labels = values.argmax(axis=1)
+    masked, picked = values.copy(), (np.arange(len(values)), labels)
+    top1s = masked[picked]
+    masked[picked] = -np.inf
+    return labels, top1s, masked.max(axis=1)

@@ -74,7 +74,10 @@ def apply_filter(items: tuple[float, ...], kind: FilterKind) -> float:
     if size == 0:
         raise ValueError("cannot filter an empty queue")
     if kind is FilterKind.MEAN:
-        return sum(items) / size
+        total = 0.0  # left to right, the same bits on every Python version
+        for x in items:
+            total += x
+        return total / size
     if kind is FilterKind.MEDIAN:
         ordered = sorted(items)
         mid = size // 2
@@ -149,8 +152,8 @@ def gate_periods(raws: np.ndarray, cfg: PipelineConfig) -> tuple[list[float], li
     bit for bit. Every window pushes to the filter queue whatever the gate's
     mode, so every full queue is a row of one sliding-window view of raws,
     newest first, filtered with apply_filter's arithmetic: a stable sort
-    for the median, the builtin sum for the mean, and the EWA column by
-    column in its operand order. The filter_size - 1 warm-up windows go
+    for the median, and the mean's sum and the EWA column by column in
+    their operand order. The filter_size - 1 warm-up windows go
     through apply_filter itself. The hysteresis then walks only the run
     boundaries of filtered >= gate_on_threshold: an on-run opens a period
     while idle, and the first off-run of deactivate_count windows or more
@@ -169,8 +172,10 @@ def gate_periods(raws: np.ndarray, cfg: PipelineConfig) -> tuple[list[float], li
             mid = size // 2
             body = ordered[:, mid] if size % 2 else (ordered[:, mid - 1] + ordered[:, mid]) / 2.0
         elif kind is FilterKind.MEAN:
-            # apply_filter's own sum, whose float rounding differs between Python versions
-            body = np.array(list(map(sum, columns.tolist()))) / size
+            total = 0.0
+            for column in columns.T:
+                total = total + column
+            body = total / size
         else:
             weights = ewa_weights(size)
             num = den = 0.0

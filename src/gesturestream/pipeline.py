@@ -81,11 +81,12 @@ def fold_video(detector: ScoreStream, classifier: ScoreStream, cfg: PipelineConf
     """Gate one video's windows and fold the classifier rows of its active periods.
 
     gate_periods filters the detector's gesture column in one array pass
-    and finds the active periods from its on/off boundaries, fold_periods
-    folds the classifier rows of all of them at once, and each fold lands
-    at its window. The schedule spans the detector stream. A classifier
-    arity other than cfg.num_classes, or a classifier stream that ends
-    before a fold window, aborts with a replay's first error.
+    and finds the active periods from its on/off boundaries. fold_periods
+    then folds the classifier rows of all of them together, one contiguous
+    block per fold index, top2_rows reads every mean's top-2 at once, and
+    each fold lands at its window. The schedule spans the detector stream.
+    A classifier arity other than cfg.num_classes, or a classifier stream
+    that ends before a fold window, aborts with a replay's first error.
     """
     validate_config(cfg)
     ends = cursor_for(detector.length, cfg)

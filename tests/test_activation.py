@@ -1,13 +1,16 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gesturestream.activation import (
     ActivationState,
     EventKind,
     activation_step,
     finalize_late,
+    fold_periods,
     midpoint,
     sigmoid_weight,
     try_early,
@@ -120,6 +123,49 @@ class TestUpdateMean:
         state = ActivationState(mean=WeightedMean.zeros(3), active=True)
         with pytest.raises(ValueError, match="arity"):
             update_mean(state, ProbVector((0.5, 0.5)), 0.5)
+
+
+@st.composite
+def period_scores(draw):
+    """Classifier rows of 0-30 active periods, period after period, with their weights.
+
+    Lengths repeat, one long period often sits among short ones, and exact
+    0.0 and -0.0 entries appear.
+    """
+    classes = draw(st.integers(2, 83))
+    pool = draw(st.lists(st.integers(1, 20), min_size=1, max_size=4))
+    lengths = draw(st.lists(st.sampled_from(pool), max_size=29))
+    if draw(st.booleans()):
+        lengths.insert(draw(st.integers(0, len(lengths))), draw(st.integers(1, 150)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scores = rng.dirichlet(np.full(classes, draw(st.sampled_from([0.1, 1.0]))), size=sum(lengths))
+    zeros = rng.random(scores.shape)
+    scores[zeros < 0.1] = 0.0
+    scores[zeros > 0.9] = -0.0
+    t, slope = draw(st.integers(0, 40)), draw(st.sampled_from([0.05, 0.2, 1.0]))
+    weights = [0.0] + [sigmoid_weight(j, t, slope) for j in range(1, max(lengths, default=0) + 1)]
+    return scores, lengths, weights
+
+
+class TestFoldPeriods:
+    @given(period_scores())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_chained_update_mean(self, drawn):
+        scores, lengths, weights = drawn
+        want, rows = [], iter(scores.tolist())
+        for length in lengths:
+            state = ActivationState(mean=WeightedMean.zeros(scores.shape[1]), active=True)
+            for j in range(1, length + 1):
+                state = update_mean(state, ProbVector.trusted(tuple(next(rows))), weights[j])
+                want.append([x.hex() for x in state.mean.values])
+        fold_periods(scores, lengths, weights)
+        # float.hex also tells -0.0 from 0.0
+        assert [[x.hex() for x in row] for row in scores.tolist()] == want
+
+    def test_first_fold_of_negative_zero_is_zero(self):
+        scores = np.array([[-0.0, 1.0], [0.5, 0.5], [-0.0, 1.0]])
+        fold_periods(scores, [2, 1], [0.0, 0.5, 0.75])
+        assert [x.hex() for x in scores[:, 0].tolist()] == [(0.0).hex(), (0.1875).hex(), (0.0).hex()]
 
 
 class TestTryEarly:

@@ -2,8 +2,9 @@ import math
 import random
 import re
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gesturestream.core import (
     ConfigError,
@@ -13,6 +14,7 @@ from gesturestream.core import (
     ingest_probs,
     normalize,
     top2,
+    top2_rows,
     validate_config,
 )
 
@@ -118,12 +120,6 @@ class TestProbVector:
         with pytest.raises(ValueError, match="outside"):
             ProbVector((1.2, -0.2))
 
-    def test_sequence_protocol(self):
-        vec = ProbVector((0.25, 0.75))
-        assert len(vec) == 2
-        assert vec[1] == 0.75
-        assert list(vec) == [0.25, 0.75]
-
 
 class TestWeightedMean:
     def test_zeros_constructor(self):
@@ -175,3 +171,35 @@ class TestTop2:
         assert max1 >= max2
         assert 0 <= label < len(vals)
         assert vals[label] == max1
+
+
+@st.composite
+def score_rows(draw):
+    """Rows of 2-83 values in [0, 1], each random, with its maximum twice, all equal, or with its maximum last.
+
+    The fold never gives -0.0, so no row holds one.
+    """
+    classes = draw(st.integers(2, 83))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.random((draw(st.integers(0, 12)), classes)) * 0.5
+    for row in rows:
+        shape = draw(st.sampled_from(["random", "max-twice", "all-equal", "max-last"]))
+        if shape == "max-twice":
+            row[rng.choice(classes, 2, replace=False)] = draw(st.sampled_from([0.5, 1.0]))
+        elif shape == "all-equal":
+            row[:] = draw(st.sampled_from([0.0, 1.0 / classes, 1.0]))
+        elif shape == "max-last":
+            row[-1] = 1.0
+    return rows
+
+
+class TestTop2Rows:
+    @given(score_rows())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_top2_row_by_row_and_keeps_its_argument(self, rows):
+        before = rows.copy()
+        labels, top1s, top2s = top2_rows(rows)
+        got = [(label, a.hex(), b.hex()) for label, a, b in zip(labels.tolist(), top1s.tolist(), top2s.tolist())]
+        want = [(label, a.hex(), b.hex()) for label, a, b in map(top2, rows.tolist())]
+        assert got == want
+        assert rows.tobytes() == before.tobytes()

@@ -62,6 +62,10 @@ class TestFilters:
     def test_mean_symmetric(self):
         assert apply_filter(filled_queue([0.2, 0.4, 0.6, 0.8]).items, FilterKind.MEAN) == pytest.approx(0.5)
 
+    def test_mean_sums_left_to_right(self):
+        # ((0.0 + 0.1) + 0.2) + 0.3 rounds to 0.6000000000000001; a compensated sum gives 0.6
+        assert apply_filter((0.1, 0.2, 0.3), FilterKind.MEAN).hex() == (0.6000000000000001 / 3).hex()
+
     def test_even_median_mid_mean(self):
         q = filled_queue([0.2, 0.9, 0.8, 0.85])
         assert apply_filter(q.items, FilterKind.MEDIAN) == pytest.approx(0.825)

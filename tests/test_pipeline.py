@@ -267,6 +267,11 @@ def stream_arrays(draw, classes):
     det = np.column_stack([[1.0 - p for p in gesture], gesture]).reshape(-1, 2)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     cls = rng.dirichlet(np.full(classes, draw(st.sampled_from([0.1, 1.0, 10.0]))), size=len(det))
+    top = (np.arange(len(det)), cls.argmax(axis=1))
+    zeros = rng.random(cls.shape) < 0.15
+    zeros[top] = False
+    cls[top] = np.minimum(cls[top] + np.where(zeros, cls, 0.0).sum(axis=1), 1.0)  # rows still sum to one
+    cls[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)  # exact zeros of either sign
     cls[rng.random(len(det)) < 0.2] = 1.0 / classes  # all-class ties
     tie = rng.random(len(det)) < 0.2
     cls[tie, :2] = cls[tie, :2].mean(axis=1, keepdims=True)  # two-class ties
@@ -318,14 +323,27 @@ class TestKernelMatchesOnlineReplay:
         if isinstance(replayed, str):
             assert outcome(run_video, det, cls, cfg) == replayed
             return
-        want, counters, rows = replayed
-        traced = run_video(det, cls, cfg)
-        assert traced == want
-        assert (traced.windows_processed, traced.classifier_invocations, traced.open_at_end) == counters
-        # repr text also tells -0.0 from 0.0
-        header = "\t".join(["t", "raw_prob", "filtered_prob", "mode", "j", "weight", "top_label", "top1", "top2"])
-        lines = ["\t".join(x if isinstance(x, str) else repr(x) for x in row) for row in rows]
-        assert cli.trace_tsv(traced.folded) == "".join(line + "\n" for line in [header, *lines])
+        assert_matches_replay(run_video(det, cls, cfg), *replayed)
+
+    def test_eighty_three_classes_and_long_gestures(self):
+        synth = SynthConfig(num_videos=2, gestures_per_video=4, num_classes=83, duration_mean=90.0, seed=5)
+        corpus = generate_synthetic(synth)
+        cfg = PipelineConfig(num_classes=83, tau_early=0.3, mean_duration=90.0)
+        for video in corpus.video_ids():
+            det, cls = corpus.detector[video], corpus.classifier[video]
+            traced = run_video(det, cls, cfg)
+            assert max(stop - first for first, stop in traced.folded.periods) >= 80
+            assert_matches_replay(traced, *replay_online(det, cls, cfg))
+
+
+def assert_matches_replay(traced, want, counters, rows):
+    """A run_video trace equals replay_online's, and so do its counters and its --trace TSV."""
+    assert traced == want
+    assert (traced.windows_processed, traced.classifier_invocations, traced.open_at_end) == counters
+    # repr text also tells -0.0 from 0.0
+    header = "\t".join(["t", "raw_prob", "filtered_prob", "mode", "j", "weight", "top_label", "top1", "top2"])
+    lines = ["\t".join(x if isinstance(x, str) else repr(x) for x in row) for row in rows]
+    assert cli.trace_tsv(traced.folded) == "".join(line + "\n" for line in [header, *lines])
 
 
 def sweep_by_reruns(corpus, cfg, taus):
