@@ -209,11 +209,13 @@ def top2_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The same numbers top2 gives row by row: argmax picks the lowest index
     among equal maxima, that entry is the largest value, and the second is
-    the row's maximum once that one entry is masked to -inf, so a maximum
-    that appears twice is also the second. `values` is left unchanged.
+    read at the argmax once that one entry is masked to -inf, so a maximum
+    that appears twice is also the second and 0.0 and -0.0 come out as top2
+    gives them (max may give either). `values` is left unchanged.
     """
+    rows = np.arange(len(values))
     labels = values.argmax(axis=1)
-    masked, picked = values.copy(), (np.arange(len(values)), labels)
-    top1s = masked[picked]
-    masked[picked] = -np.inf
-    return labels, top1s, masked.max(axis=1)
+    masked = values.copy()
+    top1s = masked[rows, labels]
+    masked[rows, labels] = -np.inf
+    return labels, top1s, masked[rows, masked.argmax(axis=1)]

@@ -132,31 +132,10 @@ def early_detection_stats(matches: Sequence[Match]) -> Optional[EarlyStats]:
 class VideoResult:
     """Sequence comparison for one video; accuracy is None for empty gt."""
 
-    video_id: str
     gt_labels: tuple[int, ...]
     pred_labels: tuple[int, ...]
     distance: int
     accuracy: Optional[float]
-
-
-def evaluate_video(
-    video_id: str,
-    events: Sequence[ActivationEvent],
-    segments: Sequence[GroundTruthSegment],
-    grace: int,
-) -> tuple[VideoResult, MatchReport]:
-    """Score one video's events: Levenshtein result plus the match report.
-
-    Accuracy is (1 - distance/len(gt)) * 100, not clamped at zero; a video
-    without ground truth gets None and callers leave it out of the mean.
-    """
-    ordered_segments = sorted(segments, key=lambda s: s.start)
-    gt = tuple(seg.label for seg in ordered_segments)
-    pred = tuple(e.label for e in sorted(events, key=lambda e: e.emit_frame))
-    distance = levenshtein_distance(gt, pred)
-    accuracy = (1.0 - distance / len(gt)) * 100.0 if gt else None
-    report = match_activations(events, ordered_segments, grace)
-    return VideoResult(video_id, gt, pred, distance, accuracy), report
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,6 +146,26 @@ class VideoScore:
     result: VideoResult
     matches: MatchReport
     early: Optional[EarlyStats]
+
+
+def evaluate_video(
+    events: Sequence[ActivationEvent],
+    segments: Sequence[GroundTruthSegment],
+    grace: int,
+) -> VideoScore:
+    """Score one video's events: Levenshtein result, match report and early-detection stats.
+
+    Accuracy is (1 - distance/len(gt)) * 100, not clamped at zero; a video
+    without ground truth gets None and callers leave it out of the mean.
+    """
+    events = tuple(events)
+    ordered_segments = sorted(segments, key=lambda s: s.start)
+    gt = tuple(seg.label for seg in ordered_segments)
+    pred = tuple(e.label for e in sorted(events, key=lambda e: e.emit_frame))
+    distance = levenshtein_distance(gt, pred)
+    accuracy = (1.0 - distance / len(gt)) * 100.0 if gt else None
+    report = match_activations(events, ordered_segments, grace)
+    return VideoScore(events, VideoResult(gt, pred, distance, accuracy), report, early_detection_stats(report.matches))
 
 
 @dataclass(frozen=True, slots=True)
@@ -199,15 +198,14 @@ def evaluate_corpus(
     scores all its segments as missed, and events of unannotated videos are
     ignored. The aggregate's run counters (windows, classifier invocations,
     periods open at the end of the stream) stay 0: events do not carry
-    them, and run_corpus fills them in from each video's fold.
+    them, and run_corpus and sweep fill them in from each video's fold.
     """
     if grace < 0:
         raise ValueError(f"grace must be >= 0, got {grace}")
-    scores: dict[str, VideoScore] = {}
-    for video_id in sorted(segments_by_video):
-        events = tuple(events_by_video.get(video_id, ()))
-        result, matches = evaluate_video(video_id, events, segments_by_video[video_id], grace)
-        scores[video_id] = VideoScore(events, result, matches, early_detection_stats(matches.matches))
+    scores = {
+        video_id: evaluate_video(events_by_video.get(video_id, ()), segments_by_video[video_id], grace)
+        for video_id in sorted(segments_by_video)
+    }
     accuracies = [s.result.accuracy for s in scores.values() if s.result.accuracy is not None]
     kinds = [e.kind for s in scores.values() for e in s.events]
     aggregate = AggregateStats(
@@ -238,27 +236,25 @@ def check_taus(taus: Sequence[float]) -> None:
 
 
 def sweep(corpus: Corpus, cfg: PipelineConfig, taus: Sequence[float]) -> dict[float, AggregateStats]:
-    """The evaluate_corpus aggregate at each early threshold, all else fixed, keyed by threshold.
+    """run_corpus's aggregate at each early threshold, all else fixed, keyed by threshold.
 
     The gate and the weighted means never read tau_early, so every
-    annotated video is gated and folded once, and each threshold's events
-    are derived from that one pass. Each aggregate equals run_corpus's at
-    its threshold (grace = the classifier window) but for the run counters,
-    which stay 0 as evaluate_corpus leaves them; keys come in the given
-    order. Every threshold is checked before any work.
+    annotated video is run once, and each threshold scores the events its
+    fold gives at that threshold. Each aggregate equals run_corpus's with
+    that tau_early (grace = the classifier window) in every field; keys come
+    in the given order. Every threshold is checked before any work.
     """
-    from .pipeline import fold_video, over_annotated_videos, video_events  # local import to avoid a module cycle
+    from .pipeline import RunTrace, run_videos, score_runs, video_events  # local import to avoid a module cycle
 
     check_taus(taus)
     validate_config(cfg)
-
-    def events_per_tau(detector, classifier):
-        folded = fold_video(detector, classifier, cfg)  # dropped once its events are derived
-        return [video_events(folded, tau, cfg.tau_late) for tau in taus]
-
-    events, _ = over_annotated_videos(corpus, events_per_tau)
-    segments = {v: corpus.segments[v] for v in events}
+    traces, skipped = run_videos(corpus, cfg)
     return {
-        tau: evaluate_corpus({v: per_tau[i] for v, per_tau in events.items()}, segments, cfg.classifier_window)[1]
-        for i, tau in enumerate(taus)
+        tau: score_runs(
+            {v: RunTrace(video_events(t.folded, tau, cfg.tau_late), t.folded) for v, t in traces.items()},
+            skipped,
+            corpus,
+            cfg.classifier_window,
+        ).aggregate
+        for tau in taus
     }

@@ -13,7 +13,7 @@ import logging
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from itertools import accumulate
-from typing import Callable, Optional, TypeVar
+from typing import Optional
 
 import numpy as np
 
@@ -25,8 +25,6 @@ from .scoring import Corpus, ScoreStream
 from .windows import cursor_for
 
 log = logging.getLogger(__name__)
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,15 +170,13 @@ class CorpusRun:
     aggregate: AggregateStats
 
 
-def over_annotated_videos(
-    corpus: Corpus, per_video: Callable[[ScoreStream, ScoreStream], T]
-) -> tuple[dict[str, T], tuple[str, ...]]:
-    """Apply per_video(detector, classifier) to every annotated video, in id order.
+def run_videos(corpus: Corpus, cfg: PipelineConfig) -> tuple[dict[str, RunTrace], tuple[str, ...]]:
+    """run_video over every annotated video, in id order: the one pass run_corpus and sweep score.
 
     Videos without annotations are skipped with a warning and returned as
     the second item. A corpus with no videos, an annotated video without a
     detector or a classifier stream, and a corpus with no annotated video
-    are errors, raised before any video is processed.
+    are errors, raised before any video is run.
     """
     video_ids = corpus.video_ids()
     if not video_ids:
@@ -196,8 +192,24 @@ def over_annotated_videos(
         log.warning("skipping %s: no annotations", video_id)
     if not annotated:
         raise ValueError("no videos with annotations to evaluate")
-    done = {video_id: per_video(corpus.detector[video_id], corpus.classifier[video_id]) for video_id in annotated}
-    return done, skipped
+    return {v: run_video(corpus.detector[v], corpus.classifier[v], cfg) for v in annotated}, skipped
+
+
+def score_runs(traces: dict[str, RunTrace], skipped: tuple[str, ...], corpus: Corpus, grace: int) -> CorpusRun:
+    """Score every run against its video's annotations; the aggregate's run counters sum the runs' folds."""
+    scores, aggregate = evaluate_corpus(
+        {v: trace.events for v, trace in traces.items()},
+        {v: corpus.segments[v] for v in traces},
+        grace,
+    )
+    runs = {v: VideoRun(s.events, s.result, s.matches, s.early, traces[v]) for v, s in scores.items()}
+    aggregate = replace(
+        aggregate,
+        windows_processed=sum(t.windows_processed for t in traces.values()),
+        classifier_invocations=sum(t.classifier_invocations for t in traces.values()),
+        open_at_end=sum(t.open_at_end for t in traces.values()),
+    )
+    return CorpusRun(videos=runs, skipped=skipped, aggregate=aggregate)
 
 
 def run_corpus(
@@ -215,17 +227,4 @@ def run_corpus(
     validate_config(cfg)
     if grace is None:
         grace = cfg.classifier_window
-    traces, skipped = over_annotated_videos(corpus, lambda detector, classifier: run_video(detector, classifier, cfg))
-    scores, aggregate = evaluate_corpus(
-        {v: trace.events for v, trace in traces.items()},
-        {v: corpus.segments[v] for v in traces},
-        grace,
-    )
-    runs = {v: VideoRun(s.events, s.result, s.matches, s.early, traces[v]) for v, s in scores.items()}
-    aggregate = replace(
-        aggregate,
-        windows_processed=sum(t.windows_processed for t in traces.values()),
-        classifier_invocations=sum(t.classifier_invocations for t in traces.values()),
-        open_at_end=sum(t.open_at_end for t in traces.values()),
-    )
-    return CorpusRun(videos=runs, skipped=skipped, aggregate=aggregate)
+    return score_runs(*run_videos(corpus, cfg), corpus, grace)

@@ -39,7 +39,7 @@ def test_criterion_01_worked_metric_example():
         assert levenshtein_distance(gt, pred) == 2
         segments = [GroundTruthSegment("v", label, 100 * i, 100 * i + 50) for i, label in enumerate(gt)]
         events = [ActivationEvent(label, 100 * i + 10, EventKind.LATE, 0.5) for i, label in enumerate(pred)]
-        result, _ = evaluate_video("v", events, segments, grace=32)
+        result = evaluate_video(events, segments, grace=32).result
         assert result.distance == 2
         assert result.accuracy == pytest.approx(77.78, abs=0.01)
 

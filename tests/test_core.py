@@ -175,21 +175,25 @@ class TestTop2:
 
 @st.composite
 def score_rows(draw):
-    """Rows of 2-83 values in [0, 1], each random, with its maximum twice, all equal, or with its maximum last.
+    """Rows of 2-83 values in [0, 1], each of one shape.
 
-    The fold never gives -0.0, so no row holds one.
+    Random, with its maximum twice, all equal, with its maximum last, or
+    0.0 and -0.0 around at most one positive value.
     """
     classes = draw(st.integers(2, 83))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = rng.random((draw(st.integers(0, 12)), classes)) * 0.5
     for row in rows:
-        shape = draw(st.sampled_from(["random", "max-twice", "all-equal", "max-last"]))
+        shape = draw(st.sampled_from(["random", "max-twice", "all-equal", "max-last", "signed-zeros"]))
         if shape == "max-twice":
             row[rng.choice(classes, 2, replace=False)] = draw(st.sampled_from([0.5, 1.0]))
         elif shape == "all-equal":
             row[:] = draw(st.sampled_from([0.0, 1.0 / classes, 1.0]))
         elif shape == "max-last":
             row[-1] = 1.0
+        elif shape == "signed-zeros":
+            row[:] = rng.choice([0.0, -0.0], classes)
+            row[rng.integers(classes)] = draw(st.sampled_from([0.0, -0.0, 0.5]))
     return rows
 
 

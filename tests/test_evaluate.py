@@ -76,7 +76,7 @@ def accuracy(gt, pred):
     """evaluate_video's accuracy for a ground-truth and a predicted label sequence."""
     segments = [seg(label, 100 * i, 100 * i + 50) for i, label in enumerate(gt)]
     events = [late(label, 100 * i + 10) for i, label in enumerate(pred)]
-    return evaluate_video("v", events, segments, grace=32)[0].accuracy
+    return evaluate_video(events, segments, grace=32).result.accuracy
 
 
 class TestLevenshteinAccuracy:
@@ -182,21 +182,21 @@ class TestEvaluateVideo:
     def test_result_fields(self):
         segments = [seg(1, 10, 40), seg(2, 100, 130)]
         events = [late(1, 35), late(5, 120)]
-        result, report = evaluate_video("v", events, segments, grace=32)
-        assert result.gt_labels == (1, 2)
-        assert result.pred_labels == (1, 5)
-        assert result.distance == 1
-        assert result.accuracy == pytest.approx(50.0)
-        assert len(report.matches) == 2
+        score = evaluate_video(events, segments, grace=32)
+        assert score.result.gt_labels == (1, 2)
+        assert score.result.pred_labels == (1, 5)
+        assert score.result.distance == 1
+        assert score.result.accuracy == pytest.approx(50.0)
+        assert len(score.matches.matches) == 2
 
     def test_pred_ordered_by_emit_frame(self):
         segments = [seg(1, 10, 40), seg(2, 100, 130)]
         events = [late(2, 120), late(1, 35)]  # given out of order
-        result, _ = evaluate_video("v", events, segments, grace=32)
+        result = evaluate_video(events, segments, grace=32).result
         assert result.pred_labels == (1, 2)
 
     def test_empty_gt_has_no_accuracy(self):
-        result, _ = evaluate_video("v", [late(1, 5)], [], grace=32)
+        result = evaluate_video([late(1, 5)], [], grace=32).result
         assert result.accuracy is None
         assert result.distance == 1
 
@@ -208,7 +208,7 @@ class TestEvaluateVideo:
                 for i in range(rng.randint(1, 5))
             ]
             events = [late(rng.randrange(4), rng.randrange(600)) for _ in range(rng.randint(0, 5))]
-            result, _ = evaluate_video("v", events, segments, grace=16)
+            result = evaluate_video(events, segments, grace=16).result
             assert result.distance <= max(len(result.gt_labels), len(result.pred_labels))
 
 
@@ -240,5 +240,4 @@ class TestSweep:
         (agg,) = sweep(corpus, cfg, [0.4]).values()
         from dataclasses import replace
 
-        run = run_corpus(corpus, replace(cfg, tau_early=0.4))
-        assert agg == replace(run.aggregate, windows_processed=0, classifier_invocations=0, open_at_end=0)
+        assert agg == run_corpus(corpus, replace(cfg, tau_early=0.4)).aggregate

@@ -347,14 +347,8 @@ def assert_matches_replay(traced, want, counters, rows):
 
 
 def sweep_by_reruns(corpus, cfg, taus):
-    """Reference for sweep: one full run_corpus per threshold, its run counters zeroed."""
-    return {
-        tau: replace(
-            run_corpus(corpus, replace(cfg, tau_early=tau)).aggregate,
-            windows_processed=0, classifier_invocations=0, open_at_end=0,
-        )
-        for tau in taus
-    }
+    """Reference for sweep: one full run_corpus per threshold."""
+    return {tau: run_corpus(corpus, replace(cfg, tau_early=tau)).aggregate for tau in taus}
 
 
 @st.composite
@@ -432,6 +426,21 @@ class TestSweepMatchesReruns:
         closed_cls = ScoreStream("v", 10, np.vstack([probs, np.full((20, 10), 0.1)]))
         late = run_video(closed, closed_cls, replace(CFG, tau_early=taus[1]))
         assert late.open_at_end == 0 and [e.kind for e in late.events] == [EventKind.LATE]
+
+    @pytest.mark.parametrize("count", [1, 9])
+    def test_each_annotated_video_folded_once(self, monkeypatch, count):
+        corpus = generate_synthetic(SynthConfig(num_videos=3, gestures_per_video=2, num_classes=10, seed=6))
+        det, cls = constant_streams("extra", 120, gesture_prob=0.9)
+        merged = Corpus({**corpus.detector, "extra": det}, {**corpus.classifier, "extra": cls}, corpus.segments)
+        folded, fold_video = [], pipeline.fold_video
+
+        def counted(det, *rest):
+            folded.append(det.video_id)
+            return fold_video(det, *rest)
+
+        monkeypatch.setattr(pipeline, "fold_video", counted)
+        sweep(merged, CFG, [k / 8 for k in range(count)])
+        assert folded == sorted(corpus.segments)
 
     def test_unannotated_video_warned_once(self, caplog):
         corpus = single_video_corpus()
