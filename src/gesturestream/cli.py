@@ -15,13 +15,13 @@ import enum
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, get_type_hints
 
 from .activation import ActivationEvent, EventKind
 from .core import ConfigError, PipelineConfig, validate_config
-from .evaluate import AggregateStats, EarlyStats, VideoScore, check_taus, evaluate_corpus, sweep
+from .evaluate import AggregateStats, EarlyStats, VideoScore, check_grace, check_taus, evaluate_corpus, sweep
 from .pipeline import CorpusRun, FoldedVideo, run_corpus
 from .scoring import (
     Corpus,
@@ -32,6 +32,7 @@ from .scoring import (
     iter_records,
     load_annotations,
     load_corpus,
+    undecodable_at,
     validate_synth_config,
     write_annotation_file,
     write_score_file,
@@ -46,7 +47,8 @@ REPORT_FILE = "report.json"
 SWEEP_FILE = "sweep.csv"
 
 DEFAULT_TAUS = tuple(i / 10 for i in range(2, 11))  # 0.2 .. 1.0 in 0.1 steps
-DEFAULT_GRACE = 32
+# eval's default grace is run's: the classifier window, here at its default
+DEFAULT_GRACE = next(f.default for f in fields(PipelineConfig) if f.name == "classifier_window")
 
 
 def _parse_fractions(text: str) -> tuple[float, ...]:
@@ -65,22 +67,26 @@ def _coercers(config_cls) -> dict:
     }
 
 
-_PIPELINE_COERCERS = _coercers(PipelineConfig)
+# The class count is the classifier's arity, not an option of run or sweep.
+_PIPELINE_COERCERS = {k: v for k, v in _coercers(PipelineConfig).items() if k != "num_classes"}
 _SYNTH_COERCERS = _coercers(SynthConfig)
 
 
 def parse_flat_config(path) -> dict[str, str]:
     """Read a flat `key = value` config file; # starts a comment."""
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
+                key, _, value = line.partition("=")
+                values[key.strip()] = value.strip()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{undecodable_at(path)}: invalid UTF-8 ({exc.reason})") from None
     return values
 
 
@@ -107,14 +113,12 @@ def _build_synth_config(args) -> SynthConfig:
     return validate_synth_config(SynthConfig(**overrides))
 
 
-def _build_pipeline_config(args, inferred_classes: int) -> PipelineConfig:
-    overrides = _coerced_overrides(args, _PIPELINE_COERCERS, args.config)
-    declared = overrides.pop("num_classes", None)
-    if declared is not None and declared != inferred_classes:
-        raise ConfigError(
-            f"num_classes {declared} does not match classifier stream arity {inferred_classes}"
-        )
-    return validate_config(PipelineConfig(num_classes=inferred_classes, **overrides))
+def _grace(text: str) -> int:
+    """--grace as an int >= 0, so a bad value fails while the arguments are parsed."""
+    try:
+        return check_grace(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _atomic_write_with(path: Path, writer):
@@ -272,6 +276,11 @@ def _write_trace_files(out_dir: Path, run: CorpusRun) -> None:
         _atomic_write_text(trace_dir / f"{video_id}.tsv", trace_tsv(run.videos[video_id].trace.folded))
 
 
+def _tau_label(tau: float) -> str:
+    """A threshold as sweep.csv and the sweep summary write it."""
+    return f"{tau:g}"
+
+
 def _format_sweep_csv(aggregates: Mapping[float, AggregateStats]) -> str:
     def num(x) -> str:
         return "" if x is None else f"{x:.6f}"
@@ -280,20 +289,24 @@ def _format_sweep_csv(aggregates: Mapping[float, AggregateStats]) -> str:
     for tau, agg in aggregates.items():
         mean, median = (agg.early.mean, agg.early.median) if agg.early else (None, None)
         lines.append(
-            f"{tau:g},{num(agg.mean_accuracy)},{num(mean)},{num(median)},"
+            f"{_tau_label(tau)},{num(agg.mean_accuracy)},{num(mean)},{num(median)},"
             f"{agg.matched},{agg.duplicates},{agg.missed_segments}\n"
         )
     return "".join(lines)
 
 
-def _load_data_dir(data: str) -> Corpus:
-    base = Path(data)
-    return load_corpus(base / DETECTOR_FILE, base / CLASSIFIER_FILE, base / ANNOTATION_FILE)
+def _load_run_inputs(args) -> tuple[Corpus, PipelineConfig]:
+    """The corpus in --data and the run/sweep config, every flag and key checked before any data file is read.
 
-
-def _classifier_arity(corpus: Corpus) -> int:
-    first = next(iter(sorted(corpus.classifier)))
-    return corpus.classifier[first].arity
+    The class count is not an option but the classifier's arity, one across the
+    corpus. It is checked as 2, the least arity the loader admits, so a
+    config that passes the check passes it at the loaded arity too.
+    """
+    overrides = _coerced_overrides(args, _PIPELINE_COERCERS, args.config)
+    cfg = validate_config(PipelineConfig(num_classes=2, **overrides))
+    base = Path(args.data)
+    corpus = load_corpus(base / DETECTOR_FILE, base / CLASSIFIER_FILE, base / ANNOTATION_FILE)
+    return corpus, replace(cfg, num_classes=next(iter(corpus.classifier.values())).arity)
 
 
 def cmd_gen(args) -> int:
@@ -326,8 +339,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_run(args) -> int:
-    corpus = _load_data_dir(args.data)
-    cfg = _build_pipeline_config(args, _classifier_arity(corpus))
+    corpus, cfg = _load_run_inputs(args)
     run = run_corpus(corpus, cfg, grace=args.grace)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -364,8 +376,11 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     taus = list(args.taus) if args.taus else list(DEFAULT_TAUS)
     check_taus(taus)
-    corpus = _load_data_dir(args.data)
-    cfg = _build_pipeline_config(args, _classifier_arity(corpus))
+    labels = [_tau_label(tau) for tau in taus]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise ValueError(f"sweep.csv labels must be distinct, got {', '.join(repeated)} more than once")
+    corpus, cfg = _load_run_inputs(args)
     aggregates = sweep(corpus, cfg, taus)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -375,7 +390,7 @@ def cmd_sweep(args) -> int:
         agg = aggregates[tau]
         acc = "n/a" if agg.mean_accuracy is None else f"{agg.mean_accuracy:.2f}%"
         early = "n/a" if agg.early is None else f"{agg.early.mean:.1f}"
-        return f"tau={tau:g}: accuracy {acc}, mean early {early} frames"
+        return f"tau={_tau_label(tau)}: accuracy {acc}, mean early {early} frames"
 
     _say(f"sweep: {len(aggregates)} thresholds -> {out / SWEEP_FILE}")
     _say(f"sweep: {brief(taus[0])}  |  {brief(taus[-1])}")
@@ -409,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--data", required=True, help="directory holding a generated/loaded corpus")
     run.add_argument("--out", required=True)
     _add_config_flags(run, _PIPELINE_COERCERS)
-    run.add_argument("--grace", type=int, default=None, help="event matching grace (frames)")
+    run.add_argument("--grace", type=_grace, default=None, help="event matching grace (frames)")
     run.add_argument("--trace", action="store_true", help="also write per-video trace files")
     run.set_defaults(func=cmd_run)
 
@@ -417,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--events", required=True)
     ev.add_argument("--annotations", required=True)
     ev.add_argument("--out", required=True)
-    ev.add_argument("--grace", type=int, default=DEFAULT_GRACE)
+    ev.add_argument("--grace", type=_grace, default=DEFAULT_GRACE)
     ev.set_defaults(func=cmd_eval)
 
     sw = sub.add_parser("sweep", help="gate and fold once, then tabulate the tradeoff across early thresholds")

@@ -181,10 +181,18 @@ class AggregateStats:
     missed_segments: int
     events_early: int
     events_late: int
-    windows_processed: int
-    classifier_invocations: int
-    open_at_end: int
     grace: int
+    # counted by a run (score_runs) from its folds; events alone do not carry them
+    windows_processed: int = 0
+    classifier_invocations: int = 0
+    open_at_end: int = 0
+
+
+def check_grace(grace: int) -> int:
+    """The event matching grace, rejected when negative."""
+    if grace < 0:
+        raise ValueError(f"grace must be >= 0, got {grace}")
+    return grace
 
 
 def evaluate_corpus(
@@ -196,21 +204,22 @@ def evaluate_corpus(
 
     Videos are scored in sorted order; an annotated video without events
     scores all its segments as missed, and events of unannotated videos are
-    ignored. The aggregate's run counters (windows, classifier invocations,
-    periods open at the end of the stream) stay 0: events do not carry
-    them, and run_corpus and sweep fill them in from each video's fold.
+    ignored. The aggregate's run counters keep their default 0; score_runs
+    fills them in from each video's fold.
     """
-    if grace < 0:
-        raise ValueError(f"grace must be >= 0, got {grace}")
+    check_grace(grace)
     scores = {
         video_id: evaluate_video(events_by_video.get(video_id, ()), segments_by_video[video_id], grace)
         for video_id in sorted(segments_by_video)
     }
     accuracies = [s.result.accuracy for s in scores.values() if s.result.accuracy is not None]
+    total = 0.0  # left to right, the same bits on every Python version (sum() compensates from 3.12)
+    for accuracy in accuracies:
+        total += accuracy
     kinds = [e.kind for s in scores.values() for e in s.events]
     aggregate = AggregateStats(
         video_count=len(scores),
-        mean_accuracy=sum(accuracies) / len(accuracies) if accuracies else None,
+        mean_accuracy=total / len(accuracies) if accuracies else None,
         early=early_detection_stats([m for s in scores.values() for m in s.matches.matches]),
         matched=sum(len(s.matches.matches) for s in scores.values()),
         duplicates=sum(len(s.matches.duplicates) for s in scores.values()),
@@ -218,9 +227,6 @@ def evaluate_corpus(
         missed_segments=sum(len(s.matches.missed_segments) for s in scores.values()),
         events_early=kinds.count(EventKind.EARLY),
         events_late=kinds.count(EventKind.LATE),
-        windows_processed=0,
-        classifier_invocations=0,
-        open_at_end=0,
         grace=grace,
     )
     return scores, aggregate
@@ -248,11 +254,10 @@ def sweep(corpus: Corpus, cfg: PipelineConfig, taus: Sequence[float]) -> dict[fl
 
     check_taus(taus)
     validate_config(cfg)
-    traces, skipped = run_videos(corpus, cfg)
+    traces = run_videos(corpus, cfg)
     return {
         tau: score_runs(
             {v: RunTrace(video_events(t.folded, tau, cfg.tau_late), t.folded) for v, t in traces.items()},
-            skipped,
             corpus,
             cfg.classifier_window,
         ).aggregate

@@ -19,7 +19,7 @@ import numpy as np
 
 from .activation import ActivationEvent, EventKind, fold_periods, midpoint, sigmoid_weight
 from .core import GESTURE_INDEX, PipelineConfig, top2_rows, validate_config
-from .evaluate import AggregateStats, VideoScore, evaluate_corpus
+from .evaluate import AggregateStats, VideoScore, check_grace, evaluate_corpus
 from .gate import gate_periods
 from .scoring import Corpus, ScoreStream
 from .windows import cursor_for
@@ -170,13 +170,13 @@ class CorpusRun:
     aggregate: AggregateStats
 
 
-def run_videos(corpus: Corpus, cfg: PipelineConfig) -> tuple[dict[str, RunTrace], tuple[str, ...]]:
+def run_videos(corpus: Corpus, cfg: PipelineConfig) -> dict[str, RunTrace]:
     """run_video over every annotated video, in id order: the one pass run_corpus and sweep score.
 
-    Videos without annotations are skipped with a warning and returned as
-    the second item. A corpus with no videos, an annotated video without a
-    detector or a classifier stream, and a corpus with no annotated video
-    are errors, raised before any video is run.
+    Videos without annotations are skipped with a warning each. A corpus
+    with no videos, an annotated video without a detector or a classifier
+    stream, and a corpus with no annotated video are errors, raised before
+    any video is run.
     """
     video_ids = corpus.video_ids()
     if not video_ids:
@@ -187,16 +187,19 @@ def run_videos(corpus: Corpus, cfg: PipelineConfig) -> tuple[dict[str, RunTrace]
             raise ValueError(f"no detector stream for {video_id}")
         if video_id not in corpus.classifier:
             raise ValueError(f"no classifier stream for {video_id}")
-    skipped = tuple(video_id for video_id in video_ids if not corpus.segments.get(video_id))
-    for video_id in skipped:
-        log.warning("skipping %s: no annotations", video_id)
+    for video_id in video_ids:
+        if not corpus.segments.get(video_id):
+            log.warning("skipping %s: no annotations", video_id)
     if not annotated:
         raise ValueError("no videos with annotations to evaluate")
-    return {v: run_video(corpus.detector[v], corpus.classifier[v], cfg) for v in annotated}, skipped
+    return {v: run_video(corpus.detector[v], corpus.classifier[v], cfg) for v in annotated}
 
 
-def score_runs(traces: dict[str, RunTrace], skipped: tuple[str, ...], corpus: Corpus, grace: int) -> CorpusRun:
-    """Score every run against its video's annotations; the aggregate's run counters sum the runs' folds."""
+def score_runs(traces: dict[str, RunTrace], corpus: Corpus, grace: int) -> CorpusRun:
+    """Score every run against its video's annotations; the corpus's videos without a run are skipped.
+
+    The aggregate's run counters sum the runs' folds.
+    """
     scores, aggregate = evaluate_corpus(
         {v: trace.events for v, trace in traces.items()},
         {v: corpus.segments[v] for v in traces},
@@ -209,6 +212,7 @@ def score_runs(traces: dict[str, RunTrace], skipped: tuple[str, ...], corpus: Co
         classifier_invocations=sum(t.classifier_invocations for t in traces.values()),
         open_at_end=sum(t.open_at_end for t in traces.values()),
     )
+    skipped = tuple(v for v in corpus.video_ids() if v not in traces)
     return CorpusRun(videos=runs, skipped=skipped, aggregate=aggregate)
 
 
@@ -222,9 +226,9 @@ def run_corpus(
     Videos without annotations are skipped with a warning and listed in the
     result. The grace window for event/segment matching defaults to the
     classifier window, the span within which a late detection can still
-    belong to the gesture that just ended.
+    belong to the gesture that just ended; a negative one is rejected
+    before any video runs.
     """
     validate_config(cfg)
-    if grace is None:
-        grace = cfg.classifier_window
-    return score_runs(*run_videos(corpus, cfg), corpus, grace)
+    grace = check_grace(cfg.classifier_window if grace is None else grace)
+    return score_runs(run_videos(corpus, cfg), corpus, grace)

@@ -340,39 +340,64 @@ def generate_synthetic(cfg: SynthConfig) -> Corpus:
     return Corpus(detector=detector, classifier=classifier, segments=annotations)
 
 
+def undecodable_at(path) -> str:
+    """"path:line" of the first byte of a file that is not UTF-8, or just "path" when none is.
+
+    Text mode decodes a block at a time, so its error comes before the bad
+    line is read and names no line. This reads the file again as bytes, a
+    line at a time, on the error path only, and numbers lines as universal
+    newlines do: a lone CR ends a line, as LF and CR LF do.
+    """
+    lineno = 1
+    with open(path, "rb") as fh:
+        for raw in fh:  # no UTF-8 character holds an LF byte, so no line splits one
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                head = raw[: exc.start]
+                lineno += head.count(b"\r") - head.count(b"\r\n")
+                return f"{path}:{lineno}"
+            lineno += 1 + raw.count(b"\r") - raw.count(b"\r\n")
+    return str(path)
+
+
 def iter_records(path):
     """Yield (line number, record) for each non-blank line of a JSON-lines file.
 
     Each stripped line is decoded as json.loads would decode it; a line that
-    is not one JSON object, nests too deep to decode, or holds an integer
-    too long to convert raises StreamFormatError naming "path:line".
+    is not one JSON object, nests too deep to decode, holds an integer too
+    long to convert, or is not UTF-8 raises StreamFormatError naming
+    "path:line".
     """
     # The C scanner behind json.loads, minus its BOM check and whitespace
     # skips: str.strip leaves no JSON whitespace at either end, so a scan
     # that consumes the whole line accepts exactly what json.loads accepts.
     # Anything else goes to json.loads itself for its error message.
     scan = json.JSONDecoder().scan_once
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
                 try:
-                    record, end = scan(line, 0)
-                except (StopIteration, json.JSONDecodeError):
-                    end = -1
-                if end != len(line):
-                    record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise StreamFormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
-            except ValueError as exc:  # an integer past Python's int-string digit limit
-                raise StreamFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from None
-            except RecursionError:
-                raise StreamFormatError(f"{path}:{lineno}: invalid JSON (nesting too deep)") from None
-            if type(record) is not dict:
-                raise StreamFormatError(f"{path}:{lineno}: expected a JSON object")
-            yield lineno, record
+                    try:
+                        record, end = scan(line, 0)
+                    except (StopIteration, json.JSONDecodeError):
+                        end = -1
+                    if end != len(line):
+                        record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise StreamFormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+                except ValueError as exc:  # an integer past Python's int-string digit limit
+                    raise StreamFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from None
+                except RecursionError:
+                    raise StreamFormatError(f"{path}:{lineno}: invalid JSON (nesting too deep)") from None
+                if type(record) is not dict:
+                    raise StreamFormatError(f"{path}:{lineno}: expected a JSON object")
+                yield lineno, record
+    except UnicodeDecodeError as exc:
+        raise StreamFormatError(f"{undecodable_at(path)}: invalid UTF-8 ({exc.reason})") from None
 
 
 def _require_field(record: dict, name: str, kinds, where: str):

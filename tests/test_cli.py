@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gesturestream import cli
 from gesturestream.cli import _atomic_write_text, _atomic_write_with, main
 from gesturestream.core import PipelineConfig
 from gesturestream.scoring import SynthConfig
@@ -19,6 +20,10 @@ GEN_SMALL = [
 ]
 
 CORPUS_FILES = ["detector_scores.jsonl", "classifier_scores.jsonl", "annotations.jsonl", "manifest.json"]
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("refused: read a file")
 
 
 def read_tree(base, names):
@@ -200,6 +205,19 @@ class TestRun:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_class_count_is_the_classifier_arity(self, corpus_dir, tmp_path, capsys, command):
+        base = [command, "--data", str(corpus_dir), "--out", str(tmp_path / "o")]
+        assert main(base + ["--num-classes", "6"]) == 1  # not an option, even at the arity
+        assert "--num-classes" in capsys.readouterr().err
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text("num_classes = 6\n")
+        assert main(base + ["--config", str(cfg)]) == 1
+        assert "unknown config key 'num_classes'" in capsys.readouterr().err
+        assert main(base) == 0
+        if command == "run":
+            assert json.loads((tmp_path / "o" / "report.json").read_text())["config"]["num_classes"] == 6
+
     def test_pipeline_flag_reaches_config(self, corpus_dir, tmp_path):
         out = tmp_path / "run"
         assert main([
@@ -341,6 +359,13 @@ class TestSweep:
         assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
 
 
+    def test_thresholds_sharing_a_label_rejected_before_loading(self, corpus_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "load_corpus", refuse)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--data", str(corpus_dir), "--out", str(out), "--taus", "0.3", "0.5", "0.3000001"]) == 1
+        assert "sweep.csv labels must be distinct, got 0.3 more than once" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_thresholds_named_before_any_output(self, corpus_dir, tmp_path, capsys):
         out = tmp_path / "sweep"
         assert main(["sweep", "--data", str(corpus_dir), "--out", str(out), "--taus", "0.3", "0.5", "1.5"]) == 1
@@ -353,6 +378,55 @@ class TestSweep:
 class TestExitCodes:
     def test_usage_error_is_one(self):
         assert main(["run"]) == 1  # missing required flags
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--filter-size", "0"],
+        ["run", "--grace", "-1"],
+        ["run", "--config", "BAD_CONFIG"],
+        ["sweep", "--filter-size", "0"],
+        ["sweep", "--config", "BAD_CONFIG"],
+        ["eval", "--events", "events.jsonl", "--annotations", "annotations.jsonl", "--grace", "-1"],
+    ], ids=["run-flag", "run-grace", "run-config", "sweep-flag", "sweep-config", "eval-grace"])
+    def test_flags_checked_before_any_file_is_read(self, tmp_path, capsys, monkeypatch, argv):
+        for name in ("load_corpus", "load_events_file", "load_annotations"):
+            monkeypatch.setattr(cli, name, refuse)
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text("stride = 0\n")
+        argv = [str(cfg) if arg == "BAD_CONFIG" else arg for arg in argv]
+        data = [] if argv[0] == "eval" else ["--data", str(tmp_path / "missing")]
+        assert main(argv + data + ["--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "must be >= " in err and "refused" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("name,line", [
+        ("detector_scores.jsonl", 200),
+        ("classifier_scores.jsonl", 6),
+        ("classifier_scores.jsonl", 100),
+        ("annotations.jsonl", 5),
+        ("events.jsonl", 150),
+        ("pipeline.cfg", 300),
+    ])
+    def test_invalid_utf8_names_file_and_line(self, corpus_dir, tmp_path, capsys, name, line, crlf):
+        # most of these lines lie past the first 8 KiB, which text mode decodes before it yields line 1
+        argv = ["run", "--data", str(corpus_dir)]
+        if name == "events.jsonl":
+            path = tmp_path / name
+            event = {"video": "v000", "class": 1, "frame": 40, "kind": "late", "score": 0.5}
+            path.write_text("".join(json.dumps({**event, "frame": f}) + "\n" for f in range(200)))
+            argv = ["eval", "--events", str(path), "--annotations", str(corpus_dir / "annotations.jsonl")]
+        elif name == "pipeline.cfg":
+            path = tmp_path / name
+            path.write_text("# a comment line\n" * 299 + "stride = 2\n")
+            argv += ["--config", str(path)]
+        else:
+            path = corpus_dir / name
+        lines = path.read_bytes().split(b"\n")
+        lines[line - 1] = lines[line - 1][:12] + b"\xff" + lines[line - 1][12:]
+        path.write_bytes((b"\r\n" if crlf else b"\n").join(lines))
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+        assert f"{path}:{line}: invalid UTF-8 (invalid start byte)" in capsys.readouterr().err
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
@@ -512,7 +586,6 @@ class TestExitCodes:
 
 # A valid value for every config field, its text form and what the JSON holds.
 PIPELINE_VALUES = {
-    "num_classes": ("6", 6),  # must match the classifier arity
     "classifier_window": ("16", 16),
     "stride": ("2", 2),
     "filter_kind": ("ewa", "ewa"),
@@ -588,9 +661,9 @@ class TestBadInputNeverInternalError:
 
 
 class TestConfigFields:
-    """Every config field is a --field-name flag and a field_name config key."""
+    """Every config field is a --field-name flag and a field_name config key, bar the class count."""
 
-    @pytest.mark.parametrize("name", [f.name for f in fields(PipelineConfig)])
+    @pytest.mark.parametrize("name", [f.name for f in fields(PipelineConfig) if f.name != "num_classes"])
     @pytest.mark.parametrize("via", ["flag", "config"])
     def test_pipeline_field_reaches_report(self, corpus_dir, tmp_path, name, via):
         text, want = PIPELINE_VALUES[name]

@@ -8,6 +8,7 @@ from gesturestream.activation import ActivationEvent, EventKind
 from gesturestream.core import PipelineConfig
 from gesturestream.evaluate import (
     early_detection_stats,
+    evaluate_corpus,
     evaluate_video,
     levenshtein_distance,
     match_activations,
@@ -210,6 +211,19 @@ class TestEvaluateVideo:
             events = [late(rng.randrange(4), rng.randrange(600)) for _ in range(rng.randint(0, 5))]
             result = evaluate_video(events, segments, grace=16).result
             assert result.distance <= max(len(result.gt_labels), len(result.pred_labels))
+
+
+class TestEvaluateCorpus:
+    def test_mean_accuracy_sums_left_to_right(self):
+        # gt of 9, 6 and 5 gestures with 1, 1 and 2 hits: accuracies 11.111111111111116,
+        # 16.666666666666664 and 40.0; builtin sum()'s compensated sum from Python 3.12
+        # on would give a mean of 22.592592592592595
+        segments, events = {}, {}
+        for video, (count, hits) in {"a": (9, 1), "b": (6, 1), "c": (5, 2)}.items():
+            segments[video] = [GroundTruthSegment(video, i, 100 * i, 100 * i + 50) for i in range(count)]
+            events[video] = [late(i, 100 * i + 10) for i in range(hits)]
+        _, aggregate = evaluate_corpus(events, segments, grace=0)
+        assert aggregate.mean_accuracy == 22.59259259259259
 
 
 class TestSweep:

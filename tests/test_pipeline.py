@@ -193,6 +193,11 @@ class TestRunCorpus:
         run = run_corpus(corpus, CFG)
         assert run.aggregate.grace == CFG.classifier_window
 
+    def test_negative_grace_rejected_before_any_run(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "run_video", None)  # any video work would fail differently
+        with pytest.raises(ValueError, match="grace must be >= 0, got -1"):
+            run_corpus(single_video_corpus(), CFG, grace=-1)
+
 
 def replay_online(det, cls, cfg):
     """Reference for run_video: the window-by-window replay through the online API.
