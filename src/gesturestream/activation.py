@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import PipelineConfig, ProbVector, WeightedMean, top2
+from .core import PipelineConfig, ProbVector, top2
 from .gate import GateDecision
 from .windows import Window
 
@@ -44,15 +44,24 @@ class ActivationEvent:
 
 @dataclass(frozen=True, slots=True)
 class ActivationState:
-    """Classifier-side accumulator threaded through activation_step."""
+    """Classifier-side accumulator threaded through activation_step.
 
-    mean: WeightedMean
+    values is the active period's running weighted mean and count its number
+    of updates, 0 while idle. Each summand is a probability scaled by a weight
+    <= 1, so elements stay in [0, 1] but may sum to less than 1.
+    """
+
+    values: tuple[float, ...]
+    count: int = 0
     early_fired: bool = False
-    active: bool = False
+
+    @property
+    def active(self) -> bool:
+        return self.count > 0
 
     @classmethod
     def inactive(cls, arity: int) -> ActivationState:
-        return cls(mean=WeightedMean.zeros(arity), early_fired=False, active=False)
+        return cls((0.0,) * arity)
 
 
 def midpoint(mean_duration: float, stride: int) -> int:
@@ -70,7 +79,10 @@ def midpoint(mean_duration: float, stride: int) -> int:
 
 def sigmoid_weight(j: int, t: int, slope: float) -> float:
     """Weight for the j-th active iteration: 1 / (1 + exp(-slope * (j - t)))."""
-    return 1.0 / (1.0 + math.exp(-slope * (j - t)))
+    try:
+        return 1.0 / (1.0 + math.exp(-slope * (j - t)))
+    except OverflowError:  # exp past the float range: 1 / (1 + inf) rounds to 0.0
+        return 0.0
 
 
 def update_mean(state: ActivationState, probs: ProbVector, weight: float) -> ActivationState:
@@ -80,19 +92,15 @@ def update_mean(state: ActivationState, probs: ProbVector, weight: float) -> Act
     (previous_mean * (j - 1) + weight * probs) / j elementwise, which keeps
     it equal to the batch average of all weighted scores so far.
     """
-    old = state.mean.values
+    old = state.values
     if len(old) != len(probs.values):
         raise ValueError(f"arity mismatch: mean has {len(old)} classes, scores have {len(probs.values)}")
-    j = state.mean.count + 1
+    j = state.count + 1
     # float() of a count is exact: the conversion float * int makes per element
     prev, count = float(j - 1), float(j)
     vals = probs.values
     new_values = tuple([(o * prev + weight * v) / count for o, v in zip(old, vals)])
-    return ActivationState(
-        mean=WeightedMean(values=new_values, count=j),
-        early_fired=state.early_fired,
-        active=state.active,
-    )
+    return ActivationState(new_values, j, state.early_fired)
 
 
 def fold_periods(scores: np.ndarray, lengths: list[int], weights: list[float]) -> None:
@@ -138,13 +146,13 @@ def try_early(
     """
     if state.early_fired:
         return state, None
-    label, max1, max2 = top2(state.mean)
+    label, max1, max2 = top2(state.values)
     margin = max1 - max2
     if margin >= tau_early:
         event = ActivationEvent(
             label=label, emit_frame=emit_frame, kind=EventKind.EARLY, margin_or_score=margin
         )
-        return ActivationState(mean=state.mean, early_fired=True, active=state.active), event
+        return ActivationState(state.values, state.count, True), event
     return state, None
 
 
@@ -159,12 +167,12 @@ def finalize_late(
     """
     event: Optional[ActivationEvent] = None
     if not state.early_fired:
-        label, max1, _ = top2(state.mean)
+        label, max1, _ = top2(state.values)
         if max1 >= tau_late:
             event = ActivationEvent(
                 label=label, emit_frame=emit_frame, kind=EventKind.LATE, margin_or_score=max1
             )
-    return ActivationState.inactive(len(state.mean.values)), event
+    return ActivationState.inactive(len(state.values)), event
 
 
 def activation_step(
@@ -188,11 +196,11 @@ def activation_step(
             raise RuntimeError("deactivate without a preceding active period")
         return finalize_late(state, cfg.tau_late, window.end)
     if decision is GateDecision.ACTIVATE:
-        state = ActivationState(mean=WeightedMean.zeros(cfg.num_classes), early_fired=False, active=True)
+        state = ActivationState.inactive(cfg.num_classes)
     elif not state.active:
         raise RuntimeError("stay-active decision while the activation state is inactive")
     probs = classifier.score(window.end)
     t_mid = midpoint(cfg.mean_duration, cfg.stride)
-    weight = sigmoid_weight(state.mean.count + 1, t_mid, cfg.sigmoid_slope)
+    weight = sigmoid_weight(state.count + 1, t_mid, cfg.sigmoid_slope)
     state = update_mean(state, probs, weight)
     return try_early(state, cfg.tau_early, window.end)

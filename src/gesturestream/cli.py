@@ -438,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", help="gate and fold once, then tabulate the tradeoff across early thresholds")
     sw.add_argument("--data", required=True)
     sw.add_argument("--out", required=True)
-    _add_config_flags(sw, _PIPELINE_COERCERS)
+    # each threshold comes from --taus; a tau_early config key is accepted and overridden
+    _add_config_flags(sw, {k: v for k, v in _PIPELINE_COERCERS.items() if k != "tau_early"})
     sw.add_argument("--taus", nargs="+", type=float, help="early thresholds to sweep")
     sw.set_defaults(func=cmd_sweep)
     return parser

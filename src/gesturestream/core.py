@@ -1,4 +1,4 @@
-"""Shared value types: probability vectors, running weighted means, pipeline config.
+"""Shared value types: probability vectors and the pipeline config.
 
 Every type here is an immutable value object; instances are safe to share
 across concurrently running evaluation jobs.
@@ -64,29 +64,6 @@ class ProbVector:
 
 
 @dataclass(frozen=True, slots=True)
-class WeightedMean:
-    """Running weighted average of probability vectors with its update count.
-
-    The values are not re-normalized: each summand is a probability scaled by
-    a weight <= 1 and averaged, so elements stay in [0, 1] but the vector may
-    sum to less than 1.
-    """
-
-    values: tuple[float, ...]
-    count: int = 0
-
-    def __post_init__(self) -> None:
-        if self.count < 0:
-            raise ValueError("update count must be >= 0")
-        if self.count == 0 and any(self.values):
-            raise ValueError("zero-count mean must be all zeros")
-
-    @classmethod
-    def zeros(cls, arity: int) -> WeightedMean:
-        return cls(values=(0.0,) * arity, count=0)
-
-
-@dataclass(frozen=True, slots=True)
 class PipelineConfig:
     """All tunables of the streaming recognizer.
 
@@ -131,10 +108,10 @@ def validate_config(cfg: PipelineConfig) -> PipelineConfig:
         problems.append("tau_early must be in [0, 1]")
     if not (0.0 <= cfg.tau_late <= 1.0):
         problems.append("tau_late must be in [0, 1]")
-    if not cfg.mean_duration > 0:
-        problems.append("mean_duration must be > 0")
-    if not cfg.sigmoid_slope > 0:
-        problems.append("sigmoid_slope must be > 0")
+    if not 0 < cfg.mean_duration < math.inf:
+        problems.append("mean_duration must be finite and > 0")
+    if not 0 < cfg.sigmoid_slope < math.inf:
+        problems.append("sigmoid_slope must be finite and > 0")
     if not isinstance(cfg.filter_kind, FilterKind):
         problems.append(f"filter_kind must be one of {[k.value for k in FilterKind]}")
     if problems:
@@ -185,7 +162,7 @@ def ingest_probs(raw) -> ProbVector:
 def top2(v) -> tuple[int, float, float]:
     """Return (argmax class, largest value, second largest value).
 
-    Accepts a ProbVector, WeightedMean, or any sequence of length >= 2.
+    Accepts a ProbVector, an ActivationState, or any sequence of length >= 2.
     Ties are broken toward the lowest class index.
     """
     vals = getattr(v, "values", v)

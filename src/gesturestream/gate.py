@@ -1,12 +1,12 @@
 """Detector-side gating: probability smoothing plus Idle/Active hysteresis.
 
-Raw gesture probabilities are pushed into a bounded queue and smoothed with
-a mean, median, or exponentially-weighted average filter. The gate opens
-when the filtered value crosses the on-threshold and closes only after a
-configured run of consecutive sub-threshold values, so a single noisy dip
-never deactivates the classifier. gate_step advances one stream by one
-window, as scores arrive; gate_periods gates a stored video in array
-passes, filtering every window at once and walking only the on/off run
+Raw gesture probabilities are pushed into the bounded queue a GateState
+holds and smoothed with a mean, median, or exponentially-weighted average
+filter. The gate opens when the filtered value crosses the on-threshold and
+closes only after a configured run of consecutive sub-threshold values, so
+a single noisy dip never deactivates the classifier. gate_step advances one
+stream by one window, as scores arrive; gate_periods gates a stored video in
+array passes, filtering every window at once and walking only the on/off run
 boundaries, with the same results bit for bit.
 """
 
@@ -36,24 +36,6 @@ class GateDecision(enum.Enum):
     DEACTIVATE = "deactivate"
 
 
-@dataclass(frozen=True, slots=True)
-class FilterQueue:
-    """The last <= capacity raw gesture probabilities, newest first."""
-
-    items: tuple[float, ...]
-    capacity: int
-
-    @classmethod
-    def empty(cls, capacity: int) -> FilterQueue:
-        if capacity < 1:
-            raise ValueError("filter queue capacity must be >= 1")
-        return cls(items=(), capacity=capacity)
-
-    def push(self, x: float) -> FilterQueue:
-        """Prepend a sample, evicting the oldest beyond capacity."""
-        return FilterQueue(items=(x,) + self.items[: self.capacity - 1], capacity=self.capacity)
-
-
 @functools.lru_cache(maxsize=64)
 def ewa_weights(length: int) -> tuple[float, ...]:
     """Exponential weights for a queue of the given length, newest first.
@@ -68,8 +50,14 @@ def ewa_weights(length: int) -> tuple[float, ...]:
     return tuple(math.exp((length - i - 1) / length) for i in range(length))
 
 
-def apply_filter(items: tuple[float, ...], kind: FilterKind) -> float:
-    """Smooth a queue's items, newest first, down to one probability."""
+def apply_filter(items: tuple[float, ...] | np.ndarray, kind: FilterKind) -> float | np.ndarray:
+    """Smooth a queue's items, newest first, down to one probability.
+
+    items is a tuple, or a 2-D array whose row i holds the i-th newest item of
+    many queues, one column per queue, which all filter to one value each with
+    the tuple's arithmetic: the mean and the EWA sum rows in tuple order, and
+    the median sorts each column stably.
+    """
     size = len(items)
     if size == 0:
         raise ValueError("cannot filter an empty queue")
@@ -79,7 +67,8 @@ def apply_filter(items: tuple[float, ...], kind: FilterKind) -> float:
             total += x
         return total / size
     if kind is FilterKind.MEDIAN:
-        ordered = sorted(items)
+        # an array's queues sort along their contiguous axis, which is the faster sort
+        ordered = sorted(items) if isinstance(items, tuple) else np.sort(items.T, axis=1, kind="stable").T
         mid = size // 2
         if size % 2:
             return ordered[mid]
@@ -97,15 +86,21 @@ def apply_filter(items: tuple[float, ...], kind: FilterKind) -> float:
 
 @dataclass(frozen=True, slots=True)
 class GateState:
-    """Hysteresis state threaded through gate_step, one per stream."""
+    """Hysteresis state threaded through gate_step, one per stream.
+
+    queue holds the last <= capacity raw gesture probabilities, newest first.
+    """
 
     mode: GateMode
-    queue: FilterQueue
+    queue: tuple[float, ...]
+    capacity: int
     nogesture_run: int = 0
 
     @classmethod
     def idle(cls, filter_size: int) -> GateState:
-        return cls(mode=GateMode.IDLE, queue=FilterQueue.empty(filter_size), nogesture_run=0)
+        if filter_size < 1:
+            raise ValueError("filter queue capacity must be >= 1")
+        return cls(GateMode.IDLE, (), filter_size)
 
 
 class GateStepResult(NamedTuple):
@@ -124,25 +119,22 @@ def gate_step(state: GateState, raw_gesture_prob: float, cfg: PipelineConfig) ->
     """
     if not (0.0 <= raw_gesture_prob <= 1.0):
         raise ValueError(f"raw gesture probability {raw_gesture_prob!r} outside [0, 1]")
-    queue = state.queue.push(raw_gesture_prob)
-    filtered = apply_filter(queue.items, cfg.filter_kind)
+    capacity = state.capacity
+    queue = (raw_gesture_prob,) + state.queue[: capacity - 1]
+    filtered = apply_filter(queue, cfg.filter_kind)
     on = filtered >= cfg.gate_on_threshold
 
     if state.mode is GateMode.IDLE:
         if on:
-            return GateStepResult(
-                GateState(GateMode.ACTIVE, queue, 0), GateDecision.ACTIVATE, filtered
-            )
-        return GateStepResult(GateState(GateMode.IDLE, queue, 0), GateDecision.STAY_IDLE, filtered)
+            return GateStepResult(GateState(GateMode.ACTIVE, queue, capacity), GateDecision.ACTIVATE, filtered)
+        return GateStepResult(GateState(GateMode.IDLE, queue, capacity), GateDecision.STAY_IDLE, filtered)
 
     if on:
-        return GateStepResult(
-            GateState(GateMode.ACTIVE, queue, 0), GateDecision.STAY_ACTIVE, filtered
-        )
+        return GateStepResult(GateState(GateMode.ACTIVE, queue, capacity), GateDecision.STAY_ACTIVE, filtered)
     run = state.nogesture_run + 1
     if run >= cfg.deactivate_count:
-        return GateStepResult(GateState(GateMode.IDLE, queue, 0), GateDecision.DEACTIVATE, filtered)
-    return GateStepResult(GateState(GateMode.ACTIVE, queue, run), GateDecision.STAY_ACTIVE, filtered)
+        return GateStepResult(GateState(GateMode.IDLE, queue, capacity), GateDecision.DEACTIVATE, filtered)
+    return GateStepResult(GateState(GateMode.ACTIVE, queue, capacity, run), GateDecision.STAY_ACTIVE, filtered)
 
 
 def gate_periods(raws: np.ndarray, cfg: PipelineConfig) -> tuple[list[float], list[tuple[int, int]]]:
@@ -150,14 +142,13 @@ def gate_periods(raws: np.ndarray, cfg: PipelineConfig) -> tuple[list[float], li
 
     The batch form of gate_step for values already known to lie in [0, 1],
     bit for bit. Every window pushes to the filter queue whatever the gate's
-    mode, so every full queue is a row of one sliding-window view of raws,
-    newest first, filtered with apply_filter's arithmetic: a stable sort
-    for the median, and the mean's sum and the EWA column by column in
-    their operand order. The filter_size - 1 warm-up windows go
-    through apply_filter itself. The hysteresis then walks only the run
-    boundaries of filtered >= gate_on_threshold: an on-run opens a period
-    while idle, and the first off-run of deactivate_count windows or more
-    closes it at its deactivate_count-th window. Returns the filtered value
+    mode, so the full queues are the columns of one sliding-window view of
+    raws, newest first, which apply_filter filters in one call; the
+    filter_size - 1 warm-up windows go through it one tuple each. The
+    hysteresis then walks only the run boundaries of filtered >=
+    gate_on_threshold: an on-run opens a period while idle, and the first
+    off-run of deactivate_count windows or more closes it at its
+    deactivate_count-th window. Returns the filtered value
     of every window and the active periods as (first, stop) window indices:
     first is the ACTIVATE window and stop the DEACTIVATE window, or
     len(raws) when the gate is still open at the end.
@@ -166,24 +157,7 @@ def gate_periods(raws: np.ndarray, cfg: PipelineConfig) -> tuple[list[float], li
     head = raws[: size - 1].tolist()
     values = np.array([apply_filter(tuple(head[k::-1]), kind) for k in range(len(head))])
     if count >= size:
-        columns = sliding_window_view(raws, size)[:, ::-1]
-        if kind is FilterKind.MEDIAN:
-            ordered = np.sort(columns, axis=1, kind="stable")
-            mid = size // 2
-            body = ordered[:, mid] if size % 2 else (ordered[:, mid - 1] + ordered[:, mid]) / 2.0
-        elif kind is FilterKind.MEAN:
-            total = 0.0
-            for column in columns.T:
-                total = total + column
-            body = total / size
-        else:
-            weights = ewa_weights(size)
-            num = den = 0.0
-            for w, column in zip(weights, columns.T):
-                num = num + w * column
-                den += w
-            body = num / den
-        values = np.concatenate([values, body])
+        values = np.concatenate([values, apply_filter(sliding_window_view(raws, size)[:, ::-1].T, kind)])
     on = values >= cfg.gate_on_threshold
     starts = np.flatnonzero(np.diff(on, prepend=~on[:1])).tolist()  # first window of each on- or off-run
     periods: list[tuple[int, int]] = []

@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,7 +192,7 @@ def validate_synth_config(cfg: SynthConfig) -> SynthConfig:
         problems.append("gap_mean must be >= 0")
     if cfg.gap_spread < 0:
         problems.append("gap_spread must be >= 0")
-    if len(cfg.phase_fractions) != 3 or any(f < 0 for f in cfg.phase_fractions):
+    if len(cfg.phase_fractions) != 3 or not all(0 <= f < math.inf for f in cfg.phase_fractions):
         problems.append("phase_fractions must be three non-negative reals")
     elif abs(sum(cfg.phase_fractions) - 1.0) > 1e-9:
         problems.append("phase_fractions must sum to 1")
@@ -199,6 +200,9 @@ def validate_synth_config(cfg: SynthConfig) -> SynthConfig:
         problems.append("detector_base must be in [0, 1]")
     if cfg.noise_sigma < 0:
         problems.append("noise_sigma must be >= 0")
+    for name in ("duration_mean", "duration_spread", "gap_mean", "gap_spread", "noise_sigma"):
+        if not math.isfinite(getattr(cfg, name)):
+            problems.append(f"{name} must be finite")
     if not (0.0 <= cfg.prep_ambiguity <= 1.0):
         problems.append("prep_ambiguity must be in [0, 1]")
     if cfg.seed < 0:

@@ -16,7 +16,7 @@ from gesturestream.activation import (
     try_early,
     update_mean,
 )
-from gesturestream.core import PipelineConfig, ProbVector, WeightedMean, normalize
+from gesturestream.core import PipelineConfig, ProbVector, normalize
 from gesturestream.gate import GateDecision
 from gesturestream.windows import Window
 
@@ -52,6 +52,9 @@ class TestSigmoidWeight:
         expected = 1.0 / (1.0 + math.exp(1.6))
         assert sigmoid_weight(1, 9, 0.2) == pytest.approx(expected, abs=1e-12)
         assert sigmoid_weight(1, 9, 0.2) == pytest.approx(0.1680, abs=1e-4)
+        # far enough before the midpoint exp overflows, and 1 / (1 + inf) is 0.0
+        assert sigmoid_weight(1, 3750, 0.2) == 0.0
+        assert sigmoid_weight(1, 9, 100.0) == 0.0
 
     def test_late_iteration(self):
         assert sigmoid_weight(32, 9, 0.2) == pytest.approx(0.9900, abs=1e-4)
@@ -86,17 +89,17 @@ def batch_mean(scores, weights):
 
 class TestUpdateMean:
     def test_first_update_is_weighted_score(self):
-        state = ActivationState(mean=WeightedMean.zeros(3), active=True)
+        state = ActivationState.inactive(3)
         probs = ProbVector((0.2, 0.5, 0.3))
         out = update_mean(state, probs, 0.4)
-        assert out.mean.count == 1
-        assert out.mean.values == pytest.approx((0.08, 0.2, 0.12), abs=1e-15)
+        assert out.count == 1
+        assert out.values == pytest.approx((0.08, 0.2, 0.12), abs=1e-15)
 
     def test_matches_batch_recomputation(self):
         rng = random.Random(3)
         for _ in range(50):
             arity = rng.randint(2, 8)
-            state = ActivationState(mean=WeightedMean.zeros(arity), active=True)
+            state = ActivationState.inactive(arity)
             scores, weights = [], []
             for _ in range(rng.randint(1, 40)):
                 vec = normalize([rng.random() + 1e-9 for _ in range(arity)])
@@ -105,22 +108,22 @@ class TestUpdateMean:
                 weights.append(w)
                 state = update_mean(state, vec, w)
                 expected = batch_mean(scores, weights)
-                assert state.mean.values == pytest.approx(expected, abs=1e-12)
-                assert all(0.0 <= x <= 1.0 for x in state.mean.values)
+                assert state.values == pytest.approx(expected, abs=1e-12)
+                assert all(0.0 <= x <= 1.0 for x in state.values)
 
     def test_one_hot_approaches_one_monotonically(self):
         # all weights near 1 when the midpoint is 0, so the mean of class a rises toward 1
-        state = ActivationState(mean=WeightedMean.zeros(4), active=True)
+        state = ActivationState.inactive(4)
         probs = ProbVector((0.0, 1.0, 0.0, 0.0))
         prev = 0.0
         for j in range(1, 201):
             state = update_mean(state, probs, sigmoid_weight(j, 0, 0.2))
-            assert state.mean.values[1] > prev
-            prev = state.mean.values[1]
+            assert state.values[1] > prev
+            prev = state.values[1]
         assert prev > 0.95
 
     def test_arity_mismatch(self):
-        state = ActivationState(mean=WeightedMean.zeros(3), active=True)
+        state = ActivationState.inactive(3)
         with pytest.raises(ValueError, match="arity"):
             update_mean(state, ProbVector((0.5, 0.5)), 0.5)
 
@@ -154,10 +157,10 @@ class TestFoldPeriods:
         scores, lengths, weights = drawn
         want, rows = [], iter(scores.tolist())
         for length in lengths:
-            state = ActivationState(mean=WeightedMean.zeros(scores.shape[1]), active=True)
+            state = ActivationState.inactive(scores.shape[1])
             for j in range(1, length + 1):
                 state = update_mean(state, ProbVector.trusted(tuple(next(rows))), weights[j])
-                want.append([x.hex() for x in state.mean.values])
+                want.append([x.hex() for x in state.values])
         fold_periods(scores, lengths, weights)
         # float.hex also tells -0.0 from 0.0
         assert [[x.hex() for x in row] for row in scores.tolist()] == want
@@ -170,7 +173,7 @@ class TestFoldPeriods:
 
 class TestTryEarly:
     def test_emits_on_margin(self):
-        state = ActivationState(mean=WeightedMean((0.6, 0.1, 0.05), count=3), active=True)
+        state = ActivationState((0.6, 0.1, 0.05), count=3)
         state, event = try_early(state, 0.4, emit_frame=77)
         assert event is not None
         assert event.kind is EventKind.EARLY
@@ -183,15 +186,12 @@ class TestTryEarly:
         rng = random.Random(17)
         for _ in range(100):
             vals = normalize([rng.random() + 1e-9 for _ in range(5)])
-            mean = WeightedMean(tuple(0.9 * x for x in vals.values), count=2)
-            state = ActivationState(mean=mean, active=True)
+            state = ActivationState(tuple(0.9 * x for x in vals.values), count=2)
             _, event = try_early(state, 1.000001, emit_frame=0)
             assert event is None
 
     def test_single_emission_contract(self):
-        state = ActivationState(
-            mean=WeightedMean((0.9, 0.0), count=1), early_fired=True, active=True
-        )
+        state = ActivationState((0.9, 0.0), count=1, early_fired=True)
         same, event = try_early(state, 0.1, emit_frame=5)
         assert event is None
         assert same is state
@@ -199,25 +199,23 @@ class TestTryEarly:
 
 class TestFinalizeLate:
     def test_fires_above_tau_late(self):
-        state = ActivationState(mean=WeightedMean((0.4, 0.1), count=5), active=True)
+        state = ActivationState((0.4, 0.1), count=5)
         reset, event = finalize_late(state, 0.15, emit_frame=90)
         assert event is not None
         assert event.kind is EventKind.LATE
         assert event.label == 0
         assert event.margin_or_score == pytest.approx(0.4)
-        assert reset.mean.count == 0
+        assert reset.count == 0
         assert not reset.active and not reset.early_fired
 
     def test_suppressed_after_early(self):
-        state = ActivationState(
-            mean=WeightedMean((0.9, 0.0), count=5), early_fired=True, active=True
-        )
+        state = ActivationState((0.9, 0.0), count=5, early_fired=True)
         reset, event = finalize_late(state, 0.15, emit_frame=90)
         assert event is None
-        assert reset.mean.count == 0
+        assert reset.count == 0
 
     def test_noise_floor_rejected(self):
-        state = ActivationState(mean=WeightedMean((0.10, 0.02), count=5), active=True)
+        state = ActivationState((0.10, 0.02), count=5)
         _, event = finalize_late(state, 0.15, emit_frame=90)
         assert event is None
 
@@ -269,7 +267,7 @@ class TestActivationStep:
         state, event = activation_step(state, GateDecision.DEACTIVATE, scorer, self.window(40), cfg)
         assert event is not None and event.kind is EventKind.LATE
         assert event.label == 1
-        assert state.mean.count == 0 and not state.active
+        assert state.count == 0 and not state.active
         assert scorer.lookups == 9  # activate + 8 stay-active; none on deactivate
 
     def test_deactivate_without_active_period_is_error(self):
@@ -291,7 +289,7 @@ class TestActivationStep:
             events.append(event)
         assert all(e is None for e in events)  # single-time contract
         assert scorer.lookups == 19  # state kept current for diagnostics
-        assert state.mean.count == 19
+        assert state.count == 19
 
 
 def emission_index(margins, tau):
@@ -308,13 +306,13 @@ class TestEmissionMonotonicity:
         cfg_base = PipelineConfig(num_classes=5)
         for _ in range(200):
             # simulate one active period and record the margin trajectory
-            state = ActivationState(mean=WeightedMean.zeros(5), active=True)
+            state = ActivationState.inactive(5)
             margins = []
             for j in range(1, rng.randint(5, 45)):
                 vec = normalize([rng.random() + 1e-9 for _ in range(5)])
                 w = sigmoid_weight(j, 9, cfg_base.sigmoid_slope)
                 state = update_mean(state, vec, w)
-                vals = sorted(state.mean.values, reverse=True)
+                vals = sorted(state.values, reverse=True)
                 margins.append(vals[0] - vals[1])
             taus = [0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0]
             indices = [emission_index(margins, tau) for tau in taus]

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import shutil
@@ -358,6 +359,14 @@ class TestSweep:
             assert main(["sweep", "--data", str(corpus_dir), "--out", str(out), "--taus", "0.3", "0.8"]) == 0
         assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
 
+    def test_tau_early_is_a_config_key_not_a_flag(self, corpus_dir, tmp_path, capsys):
+        # each threshold comes from --taus; a run config file still works with sweep
+        base = ["sweep", "--data", str(corpus_dir), "--out", str(tmp_path / "s"), "--taus", "0.4"]
+        assert main(base + ["--tau-early", "0.3"]) == 1
+        assert "--tau-early" in capsys.readouterr().err
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text("tau_early = 0.3\n")
+        assert main(base + ["--config", str(cfg)]) == 0
 
     def test_thresholds_sharing_a_label_rejected_before_loading(self, corpus_dir, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "load_corpus", refuse)
@@ -658,6 +667,41 @@ class TestBadInputNeverInternalError:
             lines[index % len(lines)] = text
             (data / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
             assert main(["run", "--data", str(data), "--out", str(Path(tmp) / "out")]) in (0, 1)
+
+
+def float_flags(command):
+    """The --flags of a command that parse floats, phase_fractions' three included."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    return [a.option_strings[-1] for a in commands[command]._actions if a.type in (float, cli._parse_fractions)]
+
+
+# Huge finite values are left out for gen, which sizes its arrays by its durations and gaps.
+EXTREME_FLOATS = {"run": ["inf", "-inf", "nan", "1e308", "1e-308", "100.0"], "gen": ["inf", "-inf", "nan"]}
+EXTREME_FLOATS["sweep"] = EXTREME_FLOATS["run"]
+SMALL_GEN = ["--videos", "1", "--gestures-per-video", "1", "--num-classes", "2"]
+
+
+class TestExtremeFloatFlags:
+    @pytest.mark.parametrize("command,flag,text", [
+        (command, flag, text)
+        for command in ("run", "sweep", "gen") for flag in float_flags(command) for text in EXTREME_FLOATS[command]
+    ])
+    def test_exits_zero_or_one(self, small_corpus, tmp_path, capsys, monkeypatch, command, flag, text):
+        loads = []
+        load_corpus = cli.load_corpus
+        monkeypatch.setattr(cli, "load_corpus", lambda *paths: loads.append(paths) or load_corpus(*paths))
+        value = ",".join([text] * 3) if flag == "--phase-fractions" else text
+        out = tmp_path / "out"
+        inputs = SMALL_GEN if command == "gen" else ["--data", str(small_corpus)]
+        code = main([command, "--out", str(out), f"{flag}={value}"] + inputs)  # = lets a value start with -
+        assert code in (0, 1)
+        if code == 1:
+            field = "tau_early" if flag == "--taus" else flag[2:].replace("-", "_")
+            assert field in capsys.readouterr().err
+            assert not loads and not out.exists()
+        else:
+            assert all("NaN" not in p.read_text() and "Infinity" not in p.read_text() for p in out.iterdir())
 
 
 class TestConfigFields:

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gesturestream.activation import ActivationState
 from gesturestream.core import (
     ConfigError,
     PipelineConfig,
     ProbVector,
-    WeightedMean,
     ingest_probs,
     normalize,
     top2,
@@ -42,8 +42,10 @@ class TestValidateConfig:
         ("gate_on_threshold", 1.1),
         ("tau_early", 2.0),
         ("mean_duration", 0.0),
+        ("mean_duration", math.inf),
         ("deactivate_count", 0),
         ("sigmoid_slope", 0.0),
+        ("sigmoid_slope", math.nan),
     ])
     def test_single_field_violations(self, field, value):
         cfg = PipelineConfig(**{"num_classes": 10, field: value})
@@ -121,21 +123,6 @@ class TestProbVector:
             ProbVector((1.2, -0.2))
 
 
-class TestWeightedMean:
-    def test_zeros_constructor(self):
-        mean = WeightedMean.zeros(5)
-        assert mean.count == 0
-        assert mean.values == (0.0,) * 5
-
-    def test_zero_count_requires_zero_values(self):
-        with pytest.raises(ValueError, match="all zeros"):
-            WeightedMean(values=(0.1, 0.0), count=0)
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            WeightedMean(values=(0.0, 0.0), count=-1)
-
-
 class TestTop2:
     def test_direct_readoff(self):
         assert top2([0.1, 0.7, 0.2]) == (1, 0.7, 0.2)
@@ -152,7 +139,7 @@ class TestTop2:
 
     def test_accepts_wrapped_types(self):
         assert top2(ProbVector((0.2, 0.8))) == (1, 0.8, 0.2)
-        assert top2(WeightedMean((0.3, 0.1), count=2)) == (0, 0.3, 0.1)
+        assert top2(ActivationState((0.3, 0.1), count=2)) == (0, 0.3, 0.1)
 
     def test_agrees_with_sort_on_random_vectors(self):
         rng = random.Random(42)

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from gesturestream.core import FilterKind, PipelineConfig
 from gesturestream.gate import (
-    FilterQueue,
     GateDecision,
     GateMode,
     GateState,
@@ -21,11 +20,11 @@ CFG = PipelineConfig(num_classes=10)  # median filter, k=4, threshold 0.5, c=4
 
 
 def filled_queue(values, capacity=4):
-    """Build a queue by pushing values oldest first."""
-    q = FilterQueue.empty(capacity)
+    """The queue gate_step leaves in a GateState after pushing values, oldest first."""
+    state = GateState.idle(capacity)
     for x in values:
-        q = q.push(x)
-    return q
+        state, _, _ = gate_step(state, x, CFG)
+    return state.queue
 
 
 def brute_force_filter(items, kind):
@@ -41,26 +40,28 @@ def brute_force_filter(items, kind):
     return math.fsum(w * x for w, x in zip(weights, items)) / math.fsum(weights)
 
 
+# -0.0 beside 0.0, and a few values drawn often enough to tie
+QUEUE_ITEM = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]))
+
+
 class TestFilterQueue:
     def test_evicts_oldest(self):
-        q = filled_queue([0.1, 0.2, 0.3, 0.4, 0.5], capacity=4)
-        assert q.items == (0.5, 0.4, 0.3, 0.2)
+        assert filled_queue([0.1, 0.2, 0.3, 0.4, 0.5], capacity=4) == (0.5, 0.4, 0.3, 0.2)
 
     def test_newest_first_ordering(self):
-        q = filled_queue([0.1, 0.9])
-        assert q.items == (0.9, 0.1)
+        assert filled_queue([0.1, 0.9]) == (0.9, 0.1)
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
-            FilterQueue.empty(0)
+            GateState.idle(0)
 
 
 class TestFilters:
     def test_median_of_constants(self):
-        assert apply_filter(filled_queue([0.8, 0.8, 0.8, 0.8]).items, FilterKind.MEDIAN) == 0.8
+        assert apply_filter(filled_queue([0.8, 0.8, 0.8, 0.8]), FilterKind.MEDIAN) == 0.8
 
     def test_mean_symmetric(self):
-        assert apply_filter(filled_queue([0.2, 0.4, 0.6, 0.8]).items, FilterKind.MEAN) == pytest.approx(0.5)
+        assert apply_filter(filled_queue([0.2, 0.4, 0.6, 0.8]), FilterKind.MEAN) == pytest.approx(0.5)
 
     def test_mean_sums_left_to_right(self):
         # ((0.0 + 0.1) + 0.2) + 0.3 rounds to 0.6000000000000001; a compensated sum gives 0.6
@@ -68,30 +69,30 @@ class TestFilters:
 
     def test_even_median_mid_mean(self):
         q = filled_queue([0.2, 0.9, 0.8, 0.85])
-        assert apply_filter(q.items, FilterKind.MEDIAN) == pytest.approx(0.825)
+        assert apply_filter(q, FilterKind.MEDIAN) == pytest.approx(0.825)
 
     def test_ewa_single_spike(self):
         # newest sample 1, three zeros behind it
         q = filled_queue([0, 0, 0, 1])
         expected = math.exp(0.75) / (math.exp(0.75) + math.exp(0.5) + math.exp(0.25) + 1)
-        got = apply_filter(q.items, FilterKind.EWA)
+        got = apply_filter(q, FilterKind.EWA)
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(0.3499, abs=1e-4)
 
     def test_ewa_constant_passthrough(self):
         for c in (0.0, 0.3, 1.0):
             q = filled_queue([c] * 4)
-            assert apply_filter(q.items, FilterKind.EWA) == pytest.approx(c, abs=1e-12)
+            assert apply_filter(q, FilterKind.EWA) == pytest.approx(c, abs=1e-12)
 
     def test_empty_queue_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            apply_filter(FilterQueue.empty(4).items, FilterKind.MEAN)
+            apply_filter((), FilterKind.MEAN)
 
     def test_warmup_uses_current_length(self):
         # length-2 queue: weights e^{1/2}, 1 over newest, oldest
         q = filled_queue([0.0, 1.0])
         expected = math.exp(0.5) / (math.exp(0.5) + 1.0)
-        assert apply_filter(q.items, FilterKind.EWA) == pytest.approx(expected, abs=1e-12)
+        assert apply_filter(q, FilterKind.EWA) == pytest.approx(expected, abs=1e-12)
 
     def test_matches_brute_force(self):
         rng = random.Random(21)
@@ -99,9 +100,8 @@ class TestFilters:
             k = rng.randint(1, 8)
             size = rng.randint(1, k)
             items = [rng.random() for _ in range(size)]
-            q = FilterQueue(items=tuple(items), capacity=k)
             for kind in FilterKind:
-                assert apply_filter(q.items, kind) == pytest.approx(
+                assert apply_filter(tuple(items), kind) == pytest.approx(
                     brute_force_filter(items, kind), abs=1e-12
                 )
 
@@ -109,10 +109,21 @@ class TestFilters:
         rng = random.Random(23)
         for _ in range(300):
             items = [rng.random() for _ in range(rng.randint(1, 8))]
-            q = FilterQueue(items=tuple(items), capacity=8)
             for kind in FilterKind:
-                out = apply_filter(q.items, kind)
+                out = apply_filter(tuple(items), kind)
                 assert min(items) - 1e-12 <= out <= max(items) + 1e-12
+
+    @given(
+        kind=st.sampled_from(list(FilterKind)),
+        queues=st.integers(1, 9).flatmap(
+            lambda size: st.lists(st.lists(QUEUE_ITEM, min_size=size, max_size=size), min_size=1, max_size=20)
+        ),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_columns_match_tuples(self, kind, queues):
+        # one queue per column, newest item in row 0; float.hex also tells -0.0 from 0.0
+        got = apply_filter(np.array(queues).T, kind)
+        assert [x.hex() for x in got.tolist()] == [apply_filter(tuple(q), kind).hex() for q in queues]
 
 
 class TestEwaWeights:

@@ -226,9 +226,9 @@ def replay_online(det, cls, cfg):
         act, event = activation_step(act, decision, cls, window, cfg)
         if event is not None:
             events.append(event)
-        j = act.mean.count
+        j = act.count
         if j:
-            label, top1, second = top2(act.mean)
+            label, top1, second = top2(act.values)
             weight = sigmoid_weight(j, t_mid, cfg.sigmoid_slope)
             best = top1 - second if j == 1 else max(best_margins[-1], top1 - second)
         else:
@@ -303,7 +303,7 @@ def pipeline_configs(draw, classes):
         deactivate_count=draw(st.integers(1, 5)),
         tau_early=draw(st.floats(0.0, 1.0)),
         tau_late=draw(st.floats(0.0, 0.5)),
-        sigmoid_slope=draw(st.sampled_from([0.05, 0.2, 1.0])),
+        sigmoid_slope=draw(st.sampled_from([0.05, 0.2, 1.0, 100.0])),  # 100.0 underflows early weights to 0.0
         mean_duration=draw(st.floats(0.5, 160.0)),
     )
 
