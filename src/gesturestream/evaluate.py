@@ -10,7 +10,7 @@ events show up as negative scores rather than zeros.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 from .activation import ActivationEvent, EventKind
@@ -245,21 +245,19 @@ def sweep(corpus: Corpus, cfg: PipelineConfig, taus: Sequence[float]) -> dict[fl
     """run_corpus's aggregate at each early threshold, all else fixed, keyed by threshold.
 
     The gate and the weighted means never read tau_early, so every
-    annotated video is run once, and each threshold scores the events its
-    fold gives at that threshold. Each aggregate equals run_corpus's with
-    that tau_early (grace = the classifier window) in every field; keys come
-    in the given order. Every threshold is checked before any work.
+    annotated video is run once, at the first threshold, and each further
+    threshold scores the events its fold gives at that threshold: events
+    are derived once per video and threshold. Each aggregate equals
+    run_corpus's with that tau_early (grace = the classifier window) in
+    every field; keys come in the given order. Every threshold is checked
+    before any work.
     """
     from .pipeline import RunTrace, run_videos, score_runs, video_events  # local import to avoid a module cycle
 
     check_taus(taus)
     validate_config(cfg)
-    traces = run_videos(corpus, cfg)
-    return {
-        tau: score_runs(
-            {v: RunTrace(video_events(t.folded, tau, cfg.tau_late), t.folded) for v, t in traces.items()},
-            corpus,
-            cfg.classifier_window,
-        ).aggregate
-        for tau in taus
-    }
+    first = run_videos(corpus, replace(cfg, tau_early=taus[0]) if taus else cfg)
+    runs = [first] + [
+        {v: RunTrace(video_events(t.folded, tau, cfg.tau_late), t.folded) for v, t in first.items()} for tau in taus[1:]
+    ]
+    return {tau: score_runs(r, corpus, cfg.classifier_window).aggregate for tau, r in zip(taus, runs)}

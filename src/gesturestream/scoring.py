@@ -7,14 +7,17 @@ when the stream is built. One pair of streams (detector, classifier) covers
 every frame of a video, so a stored corpus replays under any window geometry;
 the gate alone decides which classifier rows are ever consulted.
 
-Loading decodes each stripped line with the C scanner that json.loads runs,
-so a line decodes, or fails with the same message, exactly as under
-json.loads; a line nested too deep to decode is a format error too. Each
-record's fields, arity and frame are checked as it is read, and the vectors
-a block of lines at a time with array operations: range, sum to 1 and
-renormalisation give the same decisions and values as ingest_probs on each
-line. Every error names its "file:line". A video must be scored at every
-frame from 0 up to its last.
+Loading decodes each stripped line with orjson. A line orjson refuses, and
+a line where the two decoders could differ, goes to json.loads instead: an
+object holding a nested object, a list of anything but numbers, a float of
+magnitude 2**62 or more, or a list holding a number that large. So every
+record, and every error, is exactly what json.loads gives; a line nested
+too deep to decode is a format error too. Each record's fields, arity and
+frame are checked as it is read, and the vectors a block of lines at a
+time with array operations: range, sum to 1 and renormalisation give the
+same decisions and values as ingest_probs on each line. Every error names
+its "file:line". A video must be scored at every frame from 0 up to its
+last.
 
 File formats (one JSON object per line, UTF-8, unknown fields ignored):
   score file:      {"video": str, "t": int, "p": [float, ...]}
@@ -31,6 +34,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 from .core import PROB_SUM_TOL, ConfigError, ProbVector, ingest_probs
 
@@ -52,6 +56,9 @@ SUM_SLACK = 1e-9
 # Records a loader holds as parsed Python lists before it validates them into
 # an array; bounds the memory of the lists, which is several times the array's.
 CHUNK_RECORDS = 1024
+# A float of this magnitude or more may be an integer orjson decoded to a
+# float where json.loads keeps an int; a record holding one goes to json.loads.
+ORJSON_EXACT_MAX = 2.0**62
 
 
 class StreamFormatError(ValueError):
@@ -365,19 +372,60 @@ def undecodable_at(path) -> str:
     return str(path)
 
 
+def _orjson_exact(record: dict) -> bool:
+    """Whether an object orjson decoded from a line is certainly what json.loads gives for it.
+
+    Where orjson accepts a line, it differs from json.loads in two known
+    ways: it decodes an integer outside [-2**63, 2**64) to a float of
+    magnitude 2**63 or more, where json keeps an int, and it decodes
+    nesting too deep for json's recursion limit. An object whose values are
+    scalars, with every float below ORJSON_EXACT_MAX in magnitude, or lists
+    of such numbers, shows neither. math.hypot bounds a list's largest
+    magnitude in one C call: ORJSON_EXACT_MAX's margin below 2**63 covers
+    its rounding, and it raises TypeError on an item that is not a number.
+    """
+    for value in record.values():
+        kind = type(value)
+        if kind is float:
+            if not -ORJSON_EXACT_MAX < value < ORJSON_EXACT_MAX:
+                return False
+        elif kind is list:
+            try:
+                if not math.hypot(*value) < ORJSON_EXACT_MAX:
+                    return False
+            except TypeError:
+                return False
+        elif kind is dict:
+            return False
+    return True
+
+
+def _json_record(path, lineno: int, line: str) -> dict:
+    """A stripped line decoded by json.loads, with every failure a StreamFormatError naming "path:line"."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise StreamFormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+    except ValueError as exc:  # an integer past Python's int-string digit limit
+        raise StreamFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from None
+    except RecursionError:
+        raise StreamFormatError(f"{path}:{lineno}: invalid JSON (nesting too deep)") from None
+    if type(record) is not dict:
+        raise StreamFormatError(f"{path}:{lineno}: expected a JSON object")
+    return record
+
+
 def iter_records(path):
     """Yield (line number, record) for each non-blank line of a JSON-lines file.
 
-    Each stripped line is decoded as json.loads would decode it; a line that
-    is not one JSON object, nests too deep to decode, holds an integer too
-    long to convert, or is not UTF-8 raises StreamFormatError naming
-    "path:line".
+    Each stripped line is decoded by orjson; a line orjson refuses, or whose
+    orjson object could differ from json's (see _orjson_exact), is decoded
+    by json.loads instead. Either way the record is the one json.loads
+    gives. A line that is not one JSON object, nests too deep to decode,
+    holds an integer too long to convert, or is not UTF-8 raises
+    StreamFormatError naming "path:line", as json.loads would fail on it.
     """
-    # The C scanner behind json.loads, minus its BOM check and whitespace
-    # skips: str.strip leaves no JSON whitespace at either end, so a scan
-    # that consumes the whole line accepts exactly what json.loads accepts.
-    # Anything else goes to json.loads itself for its error message.
-    scan = json.JSONDecoder().scan_once
+    loads = orjson.loads
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -385,20 +433,11 @@ def iter_records(path):
                 if not line:
                     continue
                 try:
-                    try:
-                        record, end = scan(line, 0)
-                    except (StopIteration, json.JSONDecodeError):
-                        end = -1
-                    if end != len(line):
-                        record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise StreamFormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
-                except ValueError as exc:  # an integer past Python's int-string digit limit
-                    raise StreamFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from None
-                except RecursionError:
-                    raise StreamFormatError(f"{path}:{lineno}: invalid JSON (nesting too deep)") from None
-                if type(record) is not dict:
-                    raise StreamFormatError(f"{path}:{lineno}: expected a JSON object")
+                    record = loads(line)
+                except orjson.JSONDecodeError:
+                    record = None
+                if type(record) is not dict or not _orjson_exact(record):
+                    record = _json_record(path, lineno, line)
                 yield lineno, record
     except UnicodeDecodeError as exc:
         raise StreamFormatError(f"{undecodable_at(path)}: invalid UTF-8 ({exc.reason})") from None

@@ -447,6 +447,20 @@ class TestSweepMatchesReruns:
         sweep(merged, CFG, [k / 8 for k in range(count)])
         assert folded == sorted(corpus.segments)
 
+    @pytest.mark.parametrize("count", [1, 2, 9])
+    def test_events_derived_once_per_video_and_threshold(self, monkeypatch, count):
+        corpus = generate_synthetic(SynthConfig(num_videos=3, gestures_per_video=2, num_classes=10, seed=6))
+        derived, video_events = [], pipeline.video_events
+
+        def counted(folded, tau_early, tau_late):
+            derived.append(tau_early)
+            return video_events(folded, tau_early, tau_late)
+
+        monkeypatch.setattr(pipeline, "video_events", counted)
+        taus = [k / 8 for k in range(count)]
+        sweep(corpus, CFG, taus)
+        assert sorted(derived) == sorted(taus * len(corpus.segments))
+
     def test_unannotated_video_warned_once(self, caplog):
         corpus = single_video_corpus()
         det, cls = constant_streams("extra", 120, gesture_prob=0.05)

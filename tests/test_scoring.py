@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import struct
 from dataclasses import replace
 from unittest import mock
 
@@ -9,7 +10,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gesturestream import scoring
-from gesturestream.core import INGEST_RENORM_TOL, PROB_SUM_TOL, ConfigError, ProbVector, ingest_probs
+from gesturestream.cli import load_events_file, write_events_file
+from gesturestream.core import INGEST_RENORM_TOL, PROB_SUM_TOL, ConfigError, PipelineConfig, ProbVector, ingest_probs
+from gesturestream.pipeline import run_corpus
 from gesturestream.scoring import (
     ScoreStream,
     StreamFormatError,
@@ -253,6 +256,18 @@ JSON_LINES = [
     "{'a': 1}",
     '{"a": "tab\there"}',
     '{"a":\t1 ,\n"b" : 2}',
+    # integers outside [-2**63, 2**64), which orjson decodes to floats
+    '{"t": 18446744073709551616}',
+    '{"t": -9223372036854775809}',
+    '{"p": [0.5, 18446744073709551616]}',
+    '{"p": [-9223372036854775809, 0.5]}',
+    '{"s": "[{"}',
+    # nesting json always rejects and orjson decodes
+    '{"a": ' + "[" * 1_000 + "]" * 1_000 + "}",
+    '{"a": ' + "[" * 1_024 + "]" * 1_024 + "}",
+    '{"a": ' + "[" * 5_000 + "]" * 5_000 + "}",
+    '{"a": ' * 1_024 + "1" + "}" * 1_024,
+    '{"p": [2.4703282292062328e-324, 5e-324, 1e-400, -1e-400]}',
 ]
 ENDINGS = ["\n", "\r\n", "\r", ""]
 
@@ -289,6 +304,67 @@ class TestReaderMatchesJsonLoads:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         assert read_outcome(iter_records, path) == read_outcome(reference_records, path)
+
+    @pytest.mark.parametrize("index", range(len(JSON_LINES)))
+    def test_every_listed_line(self, tmp_path, index):
+        """The property draws from JSON_LINES at random; this checks each line, after a valid one."""
+        path = tmp_path / "records.jsonl"
+        write_lines(path, ["{}", JSON_LINES[index]])
+        assert read_outcome(iter_records, path) == read_outcome(reference_records, path)
+
+
+@st.composite
+def decimal_numbers(draw):
+    """A JSON number of 1-30 digits, with or without a fraction and an exponent in -340..320."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=30))
+    point = draw(st.integers(1, len(digits)))
+    whole, fraction = digits[:point], digits[point:]
+    if len(whole) > 1:
+        whole = whole.lstrip("0") or "0"  # JSON allows no leading zero
+    sign = draw(st.sampled_from(["", "-"]))
+    exponent = draw(st.none() | st.integers(-340, 320))
+    return f"{sign}{whole}{'.' + fraction if fraction else ''}{'' if exponent is None else f'e{exponent}'}"
+
+
+class TestNumbersMatchJsonLoads:
+    """Numbers decode to json.loads' value, compared by repr, as a field and as a list item."""
+
+    def check(self, path, numbers):
+        write_lines(path, [f'{{"x": {n}, "p": [{n}, 0.5]}}' for n in numbers])
+        assert read_outcome(iter_records, path) == read_outcome(reference_records, path)
+
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_float_bit_patterns(self, tmp_path_factory, patterns):
+        values = [struct.unpack("<d", struct.pack("<Q", bits))[0] for bits in patterns]
+        self.check(tmp_path_factory.mktemp("bits") / "records.jsonl", [json.dumps(v) for v in values])
+
+    @given(st.lists(decimal_numbers(), min_size=1, max_size=50))
+    @example(numbers=["2.4703282292062328e-324", "1.7976931348623158e308", "9223372036854775808e0"])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_decimal_strings(self, tmp_path_factory, numbers):
+        self.check(tmp_path_factory.mktemp("decimals") / "records.jsonl", numbers)
+
+
+class TestFastPath:
+    def test_generated_corpus_and_events_decoded_by_orjson_alone(self, tmp_path, monkeypatch):
+        corpus = generate_synthetic(SynthConfig(num_videos=2, gestures_per_video=3, num_classes=12, seed=4))
+        run = run_corpus(corpus, PipelineConfig(num_classes=12, tau_early=0.3))
+        files = [tmp_path / "det.jsonl", tmp_path / "cls.jsonl", tmp_path / "ann.jsonl", tmp_path / "events.jsonl"]
+        lines = write_score_file(files[0], corpus.detector) + write_score_file(files[1], corpus.classifier)
+        lines += write_annotation_file(files[2], corpus.segments) + write_events_file(files[3], run)
+        decoded, fallback = [], []
+        loads = scoring.orjson.loads
+        monkeypatch.setattr(scoring.orjson, "loads", lambda line: decoded.append(line) or loads(line))
+        monkeypatch.setattr(json, "loads", lambda line, **kw: fallback.append(line))
+        loaded = load_corpus(*files[:3])
+        events = load_events_file(files[3])
+        assert (len(decoded), fallback) == (lines, [])
+        assert loaded.segments == corpus.segments
+        for video in corpus.video_ids():
+            assert np.array_equal(loaded.classifier[video].rows, corpus.classifier[video].rows)
+        assert events == {v: list(r.trace.events) for v, r in run.videos.items() if r.trace.events}
+        assert sum(map(len, events.values())) > 0
 
 
 # Values ingest_probs must judge: in and out of range, non-finite, ints, bools,
