@@ -115,11 +115,14 @@ def gate_step(state: GateState, raw_gesture_prob: float, cfg: PipelineConfig) ->
     Pushes the raw probability, filters, then applies the hysteresis rule:
     Idle opens on filtered >= gate_on_threshold; Active closes only once
     deactivate_count consecutive filtered values fall below it. Pure
-    function of (state, input, cfg).
+    function of (state, input, cfg). The state's queue capacity must be
+    cfg.filter_size, the size gate_periods filters over.
     """
     if not (0.0 <= raw_gesture_prob <= 1.0):
         raise ValueError(f"raw gesture probability {raw_gesture_prob!r} outside [0, 1]")
     capacity = state.capacity
+    if capacity != cfg.filter_size:
+        raise ValueError(f"gate state holds a queue of {capacity} but filter_size is {cfg.filter_size}")
     queue = (raw_gesture_prob,) + state.queue[: capacity - 1]
     filtered = apply_filter(queue, cfg.filter_kind)
     on = filtered >= cfg.gate_on_threshold

@@ -19,6 +19,10 @@ same decisions and values as ingest_probs on each line. Every error names
 its "file:line". A video must be scored at every frame from 0 up to its
 last.
 
+Writing serialises a block of rows at a time with orjson, which writes 0.0
+and every value in [1e-4, 1] as float.__repr__ does, and writes the values
+in (0, 1e-4) with repr itself, so each line is the bytes json.dumps gives.
+
 File formats (one JSON object per line, UTF-8, unknown fields ignored):
   score file:      {"video": str, "t": int, "p": [float, ...]}
   annotation file: {"video": str, "class": int, "start": int, "end": int}
@@ -54,11 +58,15 @@ MAX_DRAW_RETRIES = 100
 # is far above the rounding error of either summation order.
 SUM_SLACK = 1e-9
 # Records a loader holds as parsed Python lists before it validates them into
-# an array; bounds the memory of the lists, which is several times the array's.
+# an array, and rows the writer serialises at once; bounds the memory of the
+# lists and the text, each several times the array's.
 CHUNK_RECORDS = 1024
 # A float of this magnitude or more may be an integer orjson decoded to a
 # float where json.loads keeps an int; a record holding one goes to json.loads.
 ORJSON_EXACT_MAX = 2.0**62
+# From here up to 1e16, orjson writes a float as float.__repr__ does; below it,
+# down to the smallest non-zero float, orjson writes 0.00001 where repr writes 1e-05.
+REPR_MIN = 1e-4
 
 
 class StreamFormatError(ValueError):
@@ -590,18 +598,26 @@ def write_score_file(path, streams: dict[str, ScoreStream]) -> int:
     """Write streams as line-delimited records, sorted by video then frame.
 
     Each line is the bytes json.dumps({"video": ..., "t": ..., "p": ...})
-    gives: json writes an int with int.__repr__ and a finite float with
-    float.__repr__, and every stream value is finite.
+    gives. Rows go through orjson a block at a time: for 0.0 and every value
+    in [REPR_MIN, 1], orjson writes the text float.__repr__ (and so json)
+    writes, and each value in (0, REPR_MIN) is written with repr itself.
     """
     count = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         for video in sorted(streams):
-            head = f'{{"video": {json.dumps(video)}, "t": '
-            fh.writelines(
-                f'{head}{t}, "p": [{", ".join(map(repr, row))}]}}\n'
-                for t, row in enumerate(streams[video].rows.tolist())
-            )
-            count += streams[video].length
+            rows = streams[video].rows
+            head = b'{"video": %s, "t": ' % json.dumps(video).encode()
+            for start in range(0, len(rows), CHUNK_RECORDS):
+                block = np.ascontiguousarray(rows[start : start + CHUNK_RECORDS])
+                tiny = (block > 0.0) & (block < REPR_MIN)
+                patched = np.flatnonzero(tiny.any(axis=1)).tolist()
+                marked = np.where(tiny, np.nan, block) if patched else block  # orjson writes each NaN as null
+                text = orjson.dumps(marked, option=orjson.OPT_SERIALIZE_NUMPY)  # [[a,b],[c,d]]
+                texts = text[2:-2].replace(b",", b", ").split(b"], [")
+                for i in patched:  # each null takes the repr of its value: bytes' %a writes ascii(x)
+                    texts[i] = texts[i].replace(b"null", b"%a") % tuple(block[i, tiny[i]].tolist())
+                fh.write(b"".join([b'%s%d, "p": [%s]}\n' % (head, t, row) for t, row in enumerate(texts, start)]))
+            count += len(rows)
     return count
 
 

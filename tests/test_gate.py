@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gesturestream.core import FilterKind, PipelineConfig
 from gesturestream.gate import (
@@ -226,6 +226,14 @@ class TestGateStep:
         with pytest.raises(ValueError, match="outside"):
             gate_step(GateState.idle(4), 1.5, CFG)
 
+    def test_rejects_queue_capacity_other_than_filter_size(self):
+        # a queue of 2 under filter_size 4 would filter [0.9, 0.9, 0.0] to 0.45, where gate_periods gives 0.9
+        state = GateState.idle(2)
+        for x in (0.9, 0.9):
+            state, _, _ = gate_step(state, x, PipelineConfig(num_classes=10, filter_size=2))
+        with pytest.raises(ValueError, match="queue of 2 but filter_size is 4"):
+            gate_step(state, 0.0, PipelineConfig(num_classes=10, filter_size=4))
+
 
 THRESHOLDS = [0.3, 0.5, 0.7]
 # -0.0, the thresholds and their float neighbours on top of uniform draws
@@ -270,3 +278,12 @@ class TestGatePeriods:
         assert periods == want_periods
         assert [x.hex() for x in filtered] == [x.hex() for x in want_filtered]
         assert all(type(x) is float for x in filtered)
+
+    @given(gated_streams(), st.integers(1, 8))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_state_of_other_capacity_refused(self, stream, capacity):
+        # the replay above starts from GateState.idle(cfg.filter_size); a state of any other capacity fails at once
+        raws, cfg = stream
+        assume(raws and capacity != cfg.filter_size)
+        with pytest.raises(ValueError, match=f"queue of {capacity} but filter_size is {cfg.filter_size}"):
+            gate_step(GateState.idle(capacity), raws[0], cfg)

@@ -6,6 +6,7 @@ from dataclasses import replace
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -677,24 +678,59 @@ VIDEO_IDS = st.one_of(
     st.text(st.characters(exclude_categories=()), max_size=6),  # surrogates and control characters included
     st.sampled_from(['"', "\\", 'a"b\\c', "\x00\x1f\x7f", "\n\r\t", "é", "ü€😀", "\u2028", "\ud800"]),
 )
-PROBABILITIES = st.one_of(st.floats(0.0, 1.0), st.sampled_from([5e-324, 1e-07, 0.1 + 0.2, 1.0, 0.0, -0.0]))
+# REPR_MIN and its neighbours, values below it (the ones orjson and repr write
+# differently), a subnormal, and the edges of [0, 1]
+EDGE_PROBABILITIES = [
+    5e-324, 2.5e-310, 1.234e-06, 1e-07, 1e-05, 9.99e-05, float(np.nextafter(1e-4, 0)), 1e-4,
+    float(np.nextafter(1e-4, 1)), 0.1 + 0.2, 1.0, 0.0, -0.0,
+]
+PROBABILITIES = st.one_of(st.floats(0.0, 1.0), st.sampled_from(EDGE_PROBABILITIES))
 
 
 @st.composite
 def stream_sets(draw):
-    """Streams whose rows are [x, 1 - x] padded with zeros, one arity across the set."""
+    """Streams whose rows hold x and 1 - x in two drawn columns and zeros elsewhere, one arity across the set."""
     arity = draw(st.integers(2, 4))
     streams = {}
     for video in draw(st.lists(VIDEO_IDS, min_size=1, max_size=3, unique=True)):
         xs = draw(st.lists(PROBABILITIES, min_size=1, max_size=5))
-        rows = np.array([[x, 1.0 - x] + [0.0] * (arity - 2) for x in xs])
+        rows = np.zeros((len(xs), arity))
+        for row, x in zip(rows, xs):
+            first, second = draw(st.permutations(range(arity)))[:2]
+            row[first], row[second] = x, 1.0 - x
         streams[video] = ScoreStream(video, arity, rows)
     return streams
+
+
+def written_bytes(tmp_path, streams) -> tuple[bytes, bytes]:
+    """The bytes write_score_file writes for streams, and the bytes reference_write writes."""
+    write_score_file(tmp_path / "new.jsonl", streams)
+    reference_write(tmp_path / "old.jsonl", streams)
+    return (tmp_path / "new.jsonl").read_bytes(), (tmp_path / "old.jsonl").read_bytes()
+
+
+def float_bits(x: float) -> int:
+    return struct.unpack("<Q", struct.pack("<d", x))[0]
+
+
+# values write_score_file leaves to orjson: 0.0, -0.0, and [REPR_MIN, 1] drawn both by value and by
+# bit pattern, so that each exponent is drawn as often as the next
+FAST_PATH_FLOATS = st.one_of(
+    st.integers(float_bits(scoring.REPR_MIN), float_bits(1.0)).map(
+        lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]
+    ),
+    st.floats(scoring.REPR_MIN, 1.0),
+    st.sampled_from([x for x in EDGE_PROBABILITIES if x == 0.0 or x >= scoring.REPR_MIN]),
+)
 
 
 class TestWriterMatchesJsonDumps:
     @given(stream_sets())
     @example(streams={"v": ScoreStream("v", 3, np.array([[5e-324, 1.0, 0.0], [1e-07, 1 - 1e-07, 0.0], [0.1 + 0.2, 0.7, 0.0]]))})
+    @example(streams={"v": ScoreStream("v", 4, np.array([
+        [0.5, 1e-05, 0.5 - 1e-05 - 1.234e-06, 1.234e-06],
+        [0.0, 2.5e-310, 9.99e-05, 1 - 9.99e-05],
+    ]))})
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_same_bytes(self, tmp_path_factory, streams):
         base = tmp_path_factory.mktemp("written")
@@ -702,3 +738,32 @@ class TestWriterMatchesJsonDumps:
         reference_write(base / "old.jsonl", streams)
         assert (base / "new.jsonl").read_bytes() == (base / "old.jsonl").read_bytes()
         assert count == sum(stream.length for stream in streams.values())
+
+    @given(FAST_PATH_FLOATS)
+    @settings(max_examples=2000, deadline=None, derandomize=True)
+    def test_orjson_writes_repr_from_repr_min_up(self, x):
+        assert orjson.dumps(x) == repr(x).encode()
+
+    def test_strided_and_fortran_views(self, tmp_path):
+        rng = np.random.default_rng(3)
+        rows = rng.random((2 * scoring.CHUNK_RECORDS + 5, 4))
+        rows[rng.random(rows.shape) < 0.2] = 1e-05
+        rows /= rows.sum(axis=1, keepdims=True)
+        views = {
+            "fortran": np.asfortranarray(rows),
+            "strided": np.repeat(rows, 2, axis=1)[:, ::2],
+            "every-other-row": rows[::2],
+            "reversed": rows[::-1],
+        }
+        assert not any(view.flags.c_contiguous for view in views.values())
+        new, old = written_bytes(tmp_path, {name: ScoreStream(name, 4, view) for name, view in views.items()})
+        assert new == old
+
+    def test_default_corpus_takes_both_paths(self, tmp_path):
+        corpus = generate_synthetic(SynthConfig())
+        tiny_rows = [((s.rows > 0.0) & (s.rows < scoring.REPR_MIN)).any(axis=1) for s in corpus.classifier.values()]
+        assert any(rows.any() for rows in tiny_rows)  # some rows are patched with repr
+        assert not all(rows.all() for rows in tiny_rows)  # and some are orjson's text alone
+        for streams in (corpus.detector, corpus.classifier):
+            new, old = written_bytes(tmp_path, streams)
+            assert new == old
