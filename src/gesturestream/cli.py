@@ -3,7 +3,9 @@
 Every command is a pure function of its input files, flags, and seed, and all
 output files are written atomically (write-then-rename), so repeated
 invocations produce byte-identical artifacts. Reports are machine-readable
-JSON/CSV; a short human summary goes to stderr.
+JSON/CSV; a short human summary goes to stderr. `main(argv)` may be called
+repeatedly in one process: the parser is built once, and each command's
+`cmd_*` function is looked up when it is called.
 
 Exit codes: 0 success, 1 validation error, 2 I/O error, 3 internal error.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import enum
+import functools
 import json
 import os
 import sys
@@ -408,7 +411,9 @@ def _add_config_flags(parser, coercers) -> None:
         parser.add_argument(*names, dest=name, type=coerce, choices=choices)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call; every later call returns it, so callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="gesturestream",
         description="Streaming two-stage gesture recognition over probability-score streams.",
@@ -418,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a seeded synthetic corpus")
     gen.add_argument("--out", required=True, help="output directory")
     _add_config_flags(gen, _SYNTH_COERCERS)
-    gen.set_defaults(func=cmd_gen)
 
     run = sub.add_parser("run", help="run the pipeline over a corpus and evaluate")
     run.add_argument("--data", required=True, help="directory holding a generated/loaded corpus")
@@ -426,14 +430,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(run, _PIPELINE_COERCERS)
     run.add_argument("--grace", type=_grace, default=None, help="event matching grace (frames)")
     run.add_argument("--trace", action="store_true", help="also write per-video trace files")
-    run.set_defaults(func=cmd_run)
 
     ev = sub.add_parser("eval", help="re-score a stored events file against annotations")
     ev.add_argument("--events", required=True)
     ev.add_argument("--annotations", required=True)
     ev.add_argument("--out", required=True)
     ev.add_argument("--grace", type=_grace, default=DEFAULT_GRACE)
-    ev.set_defaults(func=cmd_eval)
 
     sw = sub.add_parser("sweep", help="gate and fold once, then tabulate the tradeoff across early thresholds")
     sw.add_argument("--data", required=True)
@@ -441,18 +443,17 @@ def build_parser() -> argparse.ArgumentParser:
     # each threshold comes from --taus; a tau_early config key is accepted and overridden
     _add_config_flags(sw, {k: v for k, v in _PIPELINE_COERCERS.items() if k != "tau_early"})
     sw.add_argument("--taus", nargs="+", type=float, help="early thresholds to sweep")
-    sw.set_defaults(func=cmd_sweep)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors; remap to validation
         return 0 if exc.code == 0 else 1
     try:
-        return args.func(args)
+        command = {"gen": cmd_gen, "run": cmd_run, "eval": cmd_eval, "sweep": cmd_sweep}[args.command]
+        return command(args)
     except ValueError as exc:
         _say(f"error: {exc}")
         return 1

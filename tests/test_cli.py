@@ -1,7 +1,10 @@
 import argparse
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import fields
@@ -10,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gesturestream
 from gesturestream import cli
 from gesturestream.cli import _atomic_write_text, _atomic_write_with, main
 from gesturestream.core import PipelineConfig
@@ -758,3 +762,123 @@ class TestAtomicWrite:
         _atomic_write_with(tmp_path / "report.json", writer)
         assert names[0] != names[1]
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def tree(base: Path) -> dict:
+    """Every file under base, keyed by its path relative to base; {} when base does not exist."""
+    return {str(p.relative_to(base)): p.read_bytes() for p in sorted(base.rglob("*")) if p.is_file()}
+
+
+def fresh_main(argv) -> subprocess.CompletedProcess:
+    """`python -m gesturestream argv` in a new interpreter that imports this same package."""
+    env = {**os.environ, "PYTHONPATH": str(Path(gesturestream.__file__).resolve().parent.parent), "COLUMNS": "80"}
+    return subprocess.run(
+        [sys.executable, "-m", "gesturestream", *argv], env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+@pytest.fixture(scope="module")
+def small_events(small_corpus, tmp_path_factory):
+    out = tmp_path_factory.mktemp("small_run")
+    assert main(["run", "--data", str(small_corpus), "--out", str(out)]) == 0
+    return out / "events.jsonl"
+
+
+EVAL_ARGS = ["eval", "--events", "{events}", "--annotations", "{annotations}", "--out", "{out}"]
+# Two calls made in one process, in this order: the second must not see the first's flags.
+REUSE_SEQUENCES = {
+    "trace-then-plain-run": [
+        (["run", "--data", "{data}", "--out", "{out}", "--trace"], 0),
+        (["run", "--data", "{data}", "--out", "{out}"], 0),
+    ],
+    "taus-then-default-sweep": [
+        (["sweep", "--data", "{data}", "--out", "{out}", "--taus", "0.3"], 0),
+        (["sweep", "--data", "{data}", "--out", "{out}"], 0),
+    ],
+    "grace-then-default-eval": [(EVAL_ARGS + ["--grace", "0"], 0), (EVAL_ARGS, 0)],
+    "usage-error-then-run": [
+        (["run", "--data", "{data}"], 1),
+        (["run", "--data", "{data}", "--out", "{out}"], 0),
+    ],
+}
+
+
+class TestParserReuse:
+    @pytest.mark.parametrize("sequence", list(REUSE_SEQUENCES))
+    def test_each_call_writes_what_a_fresh_interpreter_writes(self, small_corpus, small_events, tmp_path, sequence):
+        def argv_for(template, out):
+            paths = {"data": small_corpus, "events": small_events,
+                     "annotations": small_corpus / "annotations.jsonl", "out": out}
+            return [arg.format(**paths) for arg in template]
+
+        steps = REUSE_SEQUENCES[sequence]
+        for i, (template, code) in enumerate(steps):
+            assert main(argv_for(template, tmp_path / "in" / str(i))) == code
+        second = tmp_path / "in" / "1"
+        if sequence == "trace-then-plain-run":
+            assert (tmp_path / "in" / "0" / "traces").is_dir() and not (second / "traces").exists()
+        elif sequence == "taus-then-default-sweep":
+            assert len((second / "sweep.csv").read_text().splitlines()) == 1 + 9
+        elif sequence == "grace-then-default-eval":
+            assert json.loads((second / "report.json").read_text())["grace"] == 32
+        for i, (template, code) in enumerate(steps):
+            assert fresh_main(argv_for(template, tmp_path / "fresh" / str(i))).returncode == code
+            assert tree(tmp_path / "in" / str(i)) == tree(tmp_path / "fresh" / str(i))
+
+    def test_later_calls_build_no_parser(self, small_corpus, small_events, tmp_path, capsys, monkeypatch):
+        assert main(["run"]) == 1  # the warm-up call
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        data = ["--data", str(small_corpus)]
+        assert main(GEN_SMALL + ["--out", str(tmp_path / "gen")]) == 0
+        assert main(["run", *data, "--out", str(tmp_path / "run")]) == 0
+        assert main(["eval", "--events", str(small_events), "--annotations", str(small_corpus / "annotations.jsonl"),
+                     "--out", str(tmp_path / "eval")]) == 0
+        assert main(["sweep", *data, "--out", str(tmp_path / "sweep")]) == 0
+        assert main(["sweep", *data]) == 1
+        assert main(["--help"]) == 0
+        assert built == []
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_command_looked_up_when_called(self, tmp_path, monkeypatch):
+        assert main(["run"]) == 1  # the parser exists before the patch
+        seen = []
+        monkeypatch.setattr(cli, "cmd_eval", lambda args: seen.append(args.grace) or 7)
+        argv = ["eval", "--events", "e.jsonl", "--annotations", "a.jsonl", "--out", str(tmp_path), "--grace", "3"]
+        assert main(argv) == 7
+        assert seen == [3]
+
+
+class TestFreshProcess:
+    def test_module_entry_point_matches_in_process_main(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # as fresh_main sets it, so both wrap help text alike
+
+        def commands(base):
+            corpus, run = base / "corpus", base / "run"
+            return [
+                GEN_SMALL + ["--out", str(corpus)],
+                ["run", "--data", str(corpus), "--out", str(run)],
+                ["eval", "--events", str(run / "events.jsonl"), "--annotations", str(corpus / "annotations.jsonl"),
+                 "--out", str(base / "eval")],
+                ["sweep", "--data", str(corpus), "--out", str(base / "sweep")],
+            ]
+
+        for argv in commands(tmp_path / "in"):
+            assert main(argv) == 0
+        for argv in commands(tmp_path / "fresh"):
+            proc = fresh_main(argv)
+            assert proc.returncode == 0, proc.stderr
+        assert tree(tmp_path / "in") == tree(tmp_path / "fresh")
+        assert len(tree(tmp_path / "in")) == len(CORPUS_FILES) + 2 + 1 + 1
+
+        capsys.readouterr()
+        assert main(["--help"]) == 0
+        proc = fresh_main(["--help"])
+        assert proc.returncode == 0
+        assert proc.stdout == capsys.readouterr().out
