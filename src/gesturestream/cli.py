@@ -31,11 +31,11 @@ from .scoring import (
     StreamFormatError,
     SynthConfig,
     _require_field,
+    check_utf8,
     generate_synthetic,
     iter_records,
     load_annotations,
     load_corpus,
-    undecodable_at,
     validate_synth_config,
     write_annotation_file,
     write_score_file,
@@ -78,18 +78,16 @@ _SYNTH_COERCERS = _coercers(SynthConfig)
 def parse_flat_config(path) -> dict[str, str]:
     """Read a flat `key = value` config file; # starts a comment."""
     values: dict[str, str] = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
-                key, _, value = line.partition("=")
-                values[key.strip()] = value.strip()
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{undecodable_at(path)}: invalid UTF-8 ({exc.reason})") from None
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            check_utf8(raw, f"{path}:{lineno}", ConfigError)
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
+            key, _, value = line.partition("=")
+            values[key.strip()] = value.strip()
     return values
 
 
@@ -343,6 +341,10 @@ def cmd_gen(args) -> int:
 
 def cmd_run(args) -> int:
     corpus, cfg = _load_run_inputs(args)
+    if args.trace:  # each trace is traces/<id>.tsv, so an id must not leave that directory
+        for video_id in corpus.video_ids():
+            if any(c in video_id for c in "/\\\0"):
+                raise ValueError(f"video id {video_id!r} cannot name a trace file")
     run = run_corpus(corpus, cfg, grace=args.grace)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

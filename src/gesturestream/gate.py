@@ -1,10 +1,11 @@
 """Detector-side gating: probability smoothing plus Idle/Active hysteresis.
 
-Raw gesture probabilities are pushed into the bounded queue a GateState
-holds and smoothed with a mean, median, or exponentially-weighted average
-filter. The gate opens when the filtered value crosses the on-threshold and
-closes only after a configured run of consecutive sub-threshold values, so
-a single noisy dip never deactivates the classifier. gate_step advances one
+Raw gesture probabilities are pushed into a GateState's queue, which keeps
+the config's filter_size newest, and smoothed with a mean, median, or
+exponentially-weighted average filter. The gate opens when the filtered
+value crosses the on-threshold and closes only after a configured run of
+consecutive sub-threshold values, so a single noisy dip never deactivates
+the classifier. gate_step advances one
 stream by one window, as scores arrive; gate_periods gates a stored video in
 array passes, filtering every window at once and walking only the on/off run
 boundaries, with the same results bit for bit.
@@ -88,19 +89,19 @@ def apply_filter(items: tuple[float, ...] | np.ndarray, kind: FilterKind) -> flo
 class GateState:
     """Hysteresis state threaded through gate_step, one per stream.
 
-    queue holds the last <= capacity raw gesture probabilities, newest first.
+    queue holds the last <= cfg.filter_size raw gesture probabilities, newest first.
     """
 
     mode: GateMode
     queue: tuple[float, ...]
-    capacity: int
     nogesture_run: int = 0
 
     @classmethod
     def idle(cls, filter_size: int) -> GateState:
+        """The state before the first window; filter_size is only checked to be >= 1."""
         if filter_size < 1:
-            raise ValueError("filter queue capacity must be >= 1")
-        return cls(GateMode.IDLE, (), filter_size)
+            raise ValueError("filter_size must be >= 1")
+        return cls(GateMode.IDLE, ())
 
 
 class GateStepResult(NamedTuple):
@@ -115,29 +116,26 @@ def gate_step(state: GateState, raw_gesture_prob: float, cfg: PipelineConfig) ->
     Pushes the raw probability, filters, then applies the hysteresis rule:
     Idle opens on filtered >= gate_on_threshold; Active closes only once
     deactivate_count consecutive filtered values fall below it. Pure
-    function of (state, input, cfg). The state's queue capacity must be
-    cfg.filter_size, the size gate_periods filters over.
+    function of (state, input, cfg); the queue keeps cfg.filter_size raws,
+    the size gate_periods filters over.
     """
     if not (0.0 <= raw_gesture_prob <= 1.0):
         raise ValueError(f"raw gesture probability {raw_gesture_prob!r} outside [0, 1]")
-    capacity = state.capacity
-    if capacity != cfg.filter_size:
-        raise ValueError(f"gate state holds a queue of {capacity} but filter_size is {cfg.filter_size}")
-    queue = (raw_gesture_prob,) + state.queue[: capacity - 1]
+    queue = (raw_gesture_prob,) + state.queue[: cfg.filter_size - 1]
     filtered = apply_filter(queue, cfg.filter_kind)
     on = filtered >= cfg.gate_on_threshold
 
     if state.mode is GateMode.IDLE:
         if on:
-            return GateStepResult(GateState(GateMode.ACTIVE, queue, capacity), GateDecision.ACTIVATE, filtered)
-        return GateStepResult(GateState(GateMode.IDLE, queue, capacity), GateDecision.STAY_IDLE, filtered)
+            return GateStepResult(GateState(GateMode.ACTIVE, queue), GateDecision.ACTIVATE, filtered)
+        return GateStepResult(GateState(GateMode.IDLE, queue), GateDecision.STAY_IDLE, filtered)
 
     if on:
-        return GateStepResult(GateState(GateMode.ACTIVE, queue, capacity), GateDecision.STAY_ACTIVE, filtered)
+        return GateStepResult(GateState(GateMode.ACTIVE, queue), GateDecision.STAY_ACTIVE, filtered)
     run = state.nogesture_run + 1
     if run >= cfg.deactivate_count:
-        return GateStepResult(GateState(GateMode.IDLE, queue, capacity), GateDecision.DEACTIVATE, filtered)
-    return GateStepResult(GateState(GateMode.ACTIVE, queue, capacity, run), GateDecision.STAY_ACTIVE, filtered)
+        return GateStepResult(GateState(GateMode.IDLE, queue), GateDecision.DEACTIVATE, filtered)
+    return GateStepResult(GateState(GateMode.ACTIVE, queue, run), GateDecision.STAY_ACTIVE, filtered)
 
 
 def gate_periods(raws: np.ndarray, cfg: PipelineConfig) -> tuple[list[float], list[tuple[int, int]]]:

@@ -12,12 +12,14 @@ a line where the two decoders could differ, goes to json.loads instead: an
 object holding a nested object, a list of anything but numbers, a float of
 magnitude 2**62 or more, or a list holding a number that large. So every
 record, and every error, is exactly what json.loads gives; a line nested
-too deep to decode is a format error too. Each record's fields, arity and
-frame are checked as it is read, and the vectors a block of lines at a
-time with array operations: range, sum to 1 and renormalisation give the
-same decisions and values as ingest_probs on each line. Every error names
-its "file:line". A video must be scored at every frame from 0 up to its
-last.
+too deep to decode is a format error too. Files are read with
+errors="surrogateescape", so a byte that is not UTF-8 reaches its line,
+which orjson refuses, and one pass names the first line that fails to
+decode either way. Each record's fields, arity and frame are checked as it
+is read, and the vectors a block of lines at a time with array operations:
+range, sum to 1 and renormalisation give the same decisions and values as
+ingest_probs on each line. Every error names its "file:line". A video must
+be scored at every frame from 0 up to its last.
 
 Writing serialises a block of rows at a time with orjson, which writes 0.0
 and every value in [1e-4, 1] as float.__repr__ does, and writes the values
@@ -124,15 +126,14 @@ class ScoreStream:
     """
 
     video_id: str
-    arity: int
     rows: np.ndarray
 
     def __post_init__(self) -> None:
         rows = self.rows
-        if self.arity < 2 or rows.dtype != np.float64 or rows.ndim != 2 or rows.shape[1] != self.arity:
+        if rows.dtype != np.float64 or rows.ndim != 2 or rows.shape[1] < 2:
             raise ValueError(
                 f"{self.video_id}: {rows.dtype} rows of shape {rows.shape}, "
-                f"expected float64 (frames, {self.arity}) with at least 2 classes"
+                f"expected float64 (frames, classes) with at least 2 classes"
             )
         for t in np.flatnonzero(~_bulk_valid(rows)).tolist():
             try:
@@ -140,6 +141,11 @@ class ScoreStream:
             except ValueError as exc:
                 raise ValueError(f"{self.video_id}@{t}: {exc}") from None
         rows.flags.writeable = False
+
+    @property
+    def arity(self) -> int:
+        """The class count, one per column."""
+        return self.rows.shape[1]
 
     @property
     def length(self) -> int:
@@ -353,31 +359,22 @@ def generate_synthetic(cfg: SynthConfig) -> Corpus:
             det = np.clip(det + rng.normal(0.0, cfg.noise_sigma, length), 0.0, 1.0)
             cls = _add_vector_noise(cls, cfg.noise_sigma, rng)
 
-        detector[video_id] = ScoreStream(video_id, 2, np.column_stack((1.0 - det, det)))
-        classifier[video_id] = ScoreStream(video_id, cfg.num_classes, cls)
+        detector[video_id] = ScoreStream(video_id, np.column_stack((1.0 - det, det)))
+        classifier[video_id] = ScoreStream(video_id, cls)
         annotations[video_id] = segments
     return Corpus(detector=detector, classifier=classifier, segments=annotations)
 
 
-def undecodable_at(path) -> str:
-    """"path:line" of the first byte of a file that is not UTF-8, or just "path" when none is.
+def check_utf8(raw: str, where: str, error=StreamFormatError) -> None:
+    """Raise error naming where if a line read with errors="surrogateescape" held a byte that is not UTF-8.
 
-    Text mode decodes a block at a time, so its error comes before the bad
-    line is read and names no line. This reads the file again as bytes, a
-    line at a time, on the error path only, and numbers lines as universal
-    newlines do: a lone CR ends a line, as LF and CR LF do.
+    The line's own bytes are decoded again, strictly, so the reason is the
+    one text mode gives for them.
     """
-    lineno = 1
-    with open(path, "rb") as fh:
-        for raw in fh:  # no UTF-8 character holds an LF byte, so no line splits one
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                head = raw[: exc.start]
-                lineno += head.count(b"\r") - head.count(b"\r\n")
-                return f"{path}:{lineno}"
-            lineno += 1 + raw.count(b"\r") - raw.count(b"\r\n")
-    return str(path)
+    try:
+        raw.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{where}: invalid UTF-8 ({exc.reason})") from None
 
 
 def _orjson_exact(record: dict) -> bool:
@@ -431,24 +428,23 @@ def iter_records(path):
     by json.loads instead. Either way the record is the one json.loads
     gives. A line that is not one JSON object, nests too deep to decode,
     holds an integer too long to convert, or is not UTF-8 raises
-    StreamFormatError naming "path:line", as json.loads would fail on it.
+    StreamFormatError naming "path:line", as json.loads would fail on it;
+    the first bad line is the one named.
     """
     loads = orjson.loads
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = loads(line)
-                except orjson.JSONDecodeError:
-                    record = None
-                if type(record) is not dict or not _orjson_exact(record):
-                    record = _json_record(path, lineno, line)
-                yield lineno, record
-    except UnicodeDecodeError as exc:
-        raise StreamFormatError(f"{undecodable_at(path)}: invalid UTF-8 ({exc.reason})") from None
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                record = loads(line)
+            except orjson.JSONDecodeError:
+                check_utf8(raw, f"{path}:{lineno}")
+                record = None
+            if type(record) is not dict or not _orjson_exact(record):
+                record = _json_record(path, lineno, line)
+            yield lineno, record
 
 
 def _require_field(record: dict, name: str, kinds, where: str):
@@ -544,7 +540,7 @@ def load_score_stream(path, expected_arity: int | None = None) -> dict[str, Scor
             raise StreamFormatError(f"{path}: no score for {video}@{gap}")
         order = np.empty(len(frames), dtype=np.intp)
         order[list(frames)] = list(frames.values())
-        streams[video] = ScoreStream(video, arity, rows[order])
+        streams[video] = ScoreStream(video, rows[order])
     log.info("loaded %d score entries for %d videos from %s", count, len(streams), path)
     return streams
 

@@ -175,6 +175,21 @@ class TestRun:
             assert windows == report["aggregate"]["windows_processed"]
             assert active == report["aggregate"]["classifier_invocations"]
 
+    @pytest.mark.parametrize("video_id", ["../x", "../../x", "ABSOLUTE", "a\\b", "a\0b"],
+                             ids=["parent", "grandparent", "absolute", "backslash", "nul"])
+    def test_trace_refuses_video_id_that_names_no_trace_file(self, corpus_dir, tmp_path, capsys, video_id):
+        # an absolute id under tmp_path, so that a trace written to it would show in the tree compared below
+        video_id = str(tmp_path / "x") if video_id == "ABSOLUTE" else video_id
+        for name in ("detector_scores.jsonl", "classifier_scores.jsonl", "annotations.jsonl"):
+            path = corpus_dir / name
+            path.write_text(path.read_text().replace('"v001"', json.dumps(video_id)))
+        before = sorted(tmp_path.rglob("*"))
+        argv = ["run", "--data", str(corpus_dir), "--out", str(tmp_path / "out" / "run")]
+        assert main(argv + ["--trace"]) == 1
+        assert f"error: video id {video_id!r} cannot name a trace file" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before  # no events.jsonl, no report, no directory
+        assert main(argv) == 0  # the id is refused only as a trace file name
+
     def test_rerun_byte_identical(self, corpus_dir, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -440,6 +455,16 @@ class TestExitCodes:
         path.write_bytes((b"\r\n" if crlf else b"\n").join(lines))
         assert main(argv + ["--out", str(tmp_path / "o")]) == 1
         assert f"{path}:{line}: invalid UTF-8 (invalid start byte)" in capsys.readouterr().err
+
+    def test_config_bad_byte_names_its_line_in_line_order(self, corpus_dir, tmp_path, capsys):
+        path = tmp_path / "pipeline.cfg"
+        argv = ["run", "--data", str(corpus_dir), "--config", str(path), "--out", str(tmp_path / "o")]
+        path.write_bytes(b"stride = 2\r\n\n# note\nfilter_size = 4\xe2\x82\nstride\n")
+        assert main(argv) == 1
+        assert f"{path}:4: invalid UTF-8 (invalid continuation byte)" in capsys.readouterr().err
+        path.write_bytes(b"stride = 2\nstride\nfilter_size = 4\xff\n")
+        assert main(argv) == 1
+        assert f"{path}:2: expected key = value, got 'stride'" in capsys.readouterr().err
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

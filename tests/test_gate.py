@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gesturestream.core import FilterKind, PipelineConfig
 from gesturestream.gate import (
@@ -19,9 +19,9 @@ from gesturestream.gate import (
 CFG = PipelineConfig(num_classes=10)  # median filter, k=4, threshold 0.5, c=4
 
 
-def filled_queue(values, capacity=4):
+def filled_queue(values):
     """The queue gate_step leaves in a GateState after pushing values, oldest first."""
-    state = GateState.idle(capacity)
+    state = GateState.idle(CFG.filter_size)
     for x in values:
         state, _, _ = gate_step(state, x, CFG)
     return state.queue
@@ -46,7 +46,7 @@ QUEUE_ITEM = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 0.25, 0.
 
 class TestFilterQueue:
     def test_evicts_oldest(self):
-        assert filled_queue([0.1, 0.2, 0.3, 0.4, 0.5], capacity=4) == (0.5, 0.4, 0.3, 0.2)
+        assert filled_queue([0.1, 0.2, 0.3, 0.4, 0.5]) == (0.5, 0.4, 0.3, 0.2)
 
     def test_newest_first_ordering(self):
         assert filled_queue([0.1, 0.9]) == (0.9, 0.1)
@@ -226,14 +226,6 @@ class TestGateStep:
         with pytest.raises(ValueError, match="outside"):
             gate_step(GateState.idle(4), 1.5, CFG)
 
-    def test_rejects_queue_capacity_other_than_filter_size(self):
-        # a queue of 2 under filter_size 4 would filter [0.9, 0.9, 0.0] to 0.45, where gate_periods gives 0.9
-        state = GateState.idle(2)
-        for x in (0.9, 0.9):
-            state, _, _ = gate_step(state, x, PipelineConfig(num_classes=10, filter_size=2))
-        with pytest.raises(ValueError, match="queue of 2 but filter_size is 4"):
-            gate_step(state, 0.0, PipelineConfig(num_classes=10, filter_size=4))
-
 
 THRESHOLDS = [0.3, 0.5, 0.7]
 # -0.0, the thresholds and their float neighbours on top of uniform draws
@@ -253,9 +245,10 @@ def gated_streams(draw):
     return draw(st.lists(raw, max_size=cfg.filter_size + 10)), cfg
 
 
-def replay_periods(raws, cfg):
-    """Filtered values and (first, stop) periods of a gate_step replay."""
-    state, filtered, periods, first = GateState.idle(cfg.filter_size), [], [], -1
+def replay_periods(raws, cfg, state=None):
+    """Filtered values and (first, stop) periods of a gate_step replay, from an idle state by default."""
+    state = GateState.idle(cfg.filter_size) if state is None else state
+    filtered, periods, first = [], [], -1
     for k, raw in enumerate(raws):
         state, decision, value = gate_step(state, raw, cfg)
         filtered.append(value)
@@ -281,9 +274,10 @@ class TestGatePeriods:
 
     @given(gated_streams(), st.integers(1, 8))
     @settings(max_examples=200, deadline=None, derandomize=True)
-    def test_state_of_other_capacity_refused(self, stream, capacity):
-        # the replay above starts from GateState.idle(cfg.filter_size); a state of any other capacity fails at once
+    def test_idle_state_of_any_size_replays_as_gate_periods(self, stream, size):
+        # the queue keeps cfg.filter_size raws, whatever size the idle state was made with
         raws, cfg = stream
-        assume(raws and capacity != cfg.filter_size)
-        with pytest.raises(ValueError, match=f"queue of {capacity} but filter_size is {cfg.filter_size}"):
-            gate_step(GateState.idle(capacity), raws[0], cfg)
+        filtered, periods = gate_periods(np.array(raws, dtype=float), cfg)
+        got_filtered, got_periods = replay_periods(raws, cfg, GateState.idle(size))
+        assert got_periods == periods
+        assert [x.hex() for x in got_filtered] == [x.hex() for x in filtered]

@@ -28,8 +28,8 @@ def single_video_corpus():
 
 
 def constant_streams(video_id, length, gesture_prob, num_classes=10):
-    det = ScoreStream(video_id, 2, np.tile([1.0 - gesture_prob, gesture_prob], (length, 1)))
-    cls = ScoreStream(video_id, num_classes, np.full((length, num_classes), 1.0 / num_classes))
+    det = ScoreStream(video_id, np.tile([1.0 - gesture_prob, gesture_prob], (length, 1)))
+    cls = ScoreStream(video_id, np.full((length, num_classes), 1.0 / num_classes))
     return det, cls
 
 
@@ -55,7 +55,7 @@ class TestRunVideo:
     def test_all_background_never_invokes_classifier(self):
         det, _ = constant_streams("bg", 200, gesture_prob=0.05)
         # an empty classifier stream proves the gate never consults it
-        empty_cls = ScoreStream("bg", 10, np.empty((0, 10)))
+        empty_cls = ScoreStream("bg", np.empty((0, 10)))
         trace = run_video(det, empty_cls, CFG)
         assert trace.events == ()
         assert trace.classifier_invocations == 0
@@ -73,11 +73,11 @@ class TestRunVideo:
         rows = np.tile([0.95, 0.05], (100, 1))
         rows[40] = np.nan
         with pytest.raises(ValueError, match="v@40"):
-            ScoreStream("v", 2, rows)
+            ScoreStream("v", rows)
 
     def test_arity_mismatch_reported_before_missing_frame(self):
-        det = ScoreStream("v", 2, np.tile([0.0, 1.0], (100, 1)))
-        cls = ScoreStream("v", 3, np.full((50, 3), 1.0 / 3))
+        det = ScoreStream("v", np.tile([0.0, 1.0], (100, 1)))
+        cls = ScoreStream("v", np.full((50, 3), 1.0 / 3))
         cfg = PipelineConfig(num_classes=4)
         message = "arity mismatch: mean has 4 classes, scores have 3"
         assert outcome(replay_online, det, cls, cfg) == f"ValueError: {message}"
@@ -86,8 +86,8 @@ class TestRunVideo:
 
     def test_gate_closing_at_last_window_is_not_open_at_end(self):
         gesture = np.array([0.9] * 40 + [0.0])
-        det = ScoreStream("v", 2, np.column_stack([1.0 - gesture, gesture]))
-        cls = ScoreStream("v", 3, np.full((41, 3), 1.0 / 3))
+        det = ScoreStream("v", np.column_stack([1.0 - gesture, gesture]))
+        cls = ScoreStream("v", np.full((41, 3), 1.0 / 3))
         cfg = PipelineConfig(num_classes=3, classifier_window=1, filter_size=1, deactivate_count=1)
         trace = run_video(det, cls, cfg)
         assert trace.folded.periods == [(0, 40)]
@@ -316,7 +316,7 @@ def video_streams(draw):
     classes = draw(st.integers(2, 6))
     det, cls = stream_arrays(draw, classes)
     det, cls, cfg = inject_fault(draw, det, cls, pipeline_configs(draw, classes), draw(st.sampled_from(FAULTS)))
-    return ScoreStream("v", 2, det), ScoreStream("v", classes, cls), cfg
+    return ScoreStream("v", det), ScoreStream("v", cls), cfg
 
 
 class TestKernelMatchesOnlineReplay:
@@ -368,9 +368,9 @@ def corpora(draw):
         det, cls = stream_arrays(draw, classes)
         if k == 0:
             det, cls, cfg = inject_fault(draw, det, cls, cfg, fault)
-        detector[video] = ScoreStream(video, 2, det)
+        detector[video] = ScoreStream(video, det)
         if not (k == 0 and fault == "no-classifier-stream"):
-            classifier[video] = ScoreStream(video, classes, cls)
+            classifier[video] = ScoreStream(video, cls)
         if draw(st.sampled_from([True, True, True, False])):
             starts = draw(st.lists(st.integers(0, max(len(det) - 1, 0)), min_size=1, max_size=4))
             segments[video] = [
@@ -411,10 +411,10 @@ class TestSweepMatchesReruns:
 
     def test_period_open_at_end_fires_only_early(self):
         gesture = np.array([0.05] * 60 + [0.9] * 60)
-        det = ScoreStream("v", 2, np.column_stack([1.0 - gesture, gesture]))
+        det = ScoreStream("v", np.column_stack([1.0 - gesture, gesture]))
         probs = np.full((120, 10), 0.05)
         probs[:, 3] = 0.55
-        cls = ScoreStream("v", 10, probs)
+        cls = ScoreStream("v", probs)
         corpus = Corpus({"v": det}, {"v": cls}, {"v": [GroundTruthSegment("v", 3, 60, 119)]})
         trace = run_video(det, cls, CFG)
         assert trace.open_at_end == 1 and trace.events == ()
@@ -427,8 +427,8 @@ class TestSweepMatchesReruns:
         assert swept == sweep_by_reruns(corpus, CFG, taus)
         # had the gate closed, the high threshold would have given a late event;
         # uniform scores after the gesture only shrink the margin
-        closed = ScoreStream("v", 2, np.vstack([det.rows, np.tile([0.95, 0.05], (20, 1))]))
-        closed_cls = ScoreStream("v", 10, np.vstack([probs, np.full((20, 10), 0.1)]))
+        closed = ScoreStream("v", np.vstack([det.rows, np.tile([0.95, 0.05], (20, 1))]))
+        closed_cls = ScoreStream("v", np.vstack([probs, np.full((20, 10), 0.1)]))
         late = run_video(closed, closed_cls, replace(CFG, tau_early=taus[1]))
         assert late.open_at_end == 0 and [e.kind for e in late.events] == [EventKind.LATE]
 

@@ -38,7 +38,7 @@ def dense_stream():
     """Frames 0..30 at (0.5, 0.5), frame 31 at (0.1, 0.9)."""
     rows = np.full((32, 2), 0.5)
     rows[31] = (0.1, 0.9)
-    return ScoreStream("v01", 2, rows)
+    return ScoreStream("v01", rows)
 
 
 class TestScoreStream:
@@ -62,17 +62,21 @@ class TestScoreStream:
         rows = np.full((10, 3), 1.0 / 3.0)
         rows[5] = (5.0, -4.0, 0.0)  # sums to 1
         with pytest.raises(ValueError, match=r"^c@5: probability 5.0 outside \[0, 1\]$"):
-            ScoreStream("c", 3, rows)
+            ScoreStream("c", rows)
 
-    @pytest.mark.parametrize("arity,rows", [
-        (2, np.full((4, 3), 1.0 / 3.0)),
-        (2, np.full(4, 0.5)),
-        (1, np.ones((4, 1))),
-        (2, np.array([[0, 1], [1, 0]])),
-    ], ids=["arity", "1-d", "one-class", "int"])
-    def test_bad_shape_rejected(self, arity, rows):
+    @pytest.mark.parametrize("rows", [
+        np.full(4, 0.5),
+        np.ones((4, 1)),
+        np.array([[0, 1], [1, 0]]),
+    ], ids=["1-d", "one-class", "int"])
+    def test_bad_shape_rejected(self, rows):
         with pytest.raises(ValueError, match="^v: .* rows of shape"):
-            ScoreStream("v", arity, rows)
+            ScoreStream("v", rows)
+
+    @pytest.mark.parametrize("shape", [(0, 2), (4, 3), (1, 83)])
+    def test_arity_is_the_column_count(self, shape):
+        rows = np.full(shape, 1.0 / shape[1])
+        assert ScoreStream("v", rows).arity == rows.shape[1]
 
 
 class TestLoadScoreStream:
@@ -314,6 +318,72 @@ class TestReaderMatchesJsonLoads:
         assert read_outcome(iter_records, path) == read_outcome(reference_records, path)
 
 
+def utf8_error(data: bytes, path) -> str | None:
+    """The error a strict whole-file decode finds in data, named as "path:line" with lines counted as text mode counts them."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].decode("utf-8")
+        lineno = head.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
+        return f"{path}:{lineno}: invalid UTF-8 ({exc.reason})"
+    return None
+
+
+@st.composite
+def undecodable_files(draw):
+    """Score lines with bytes of 0x80-0xff spliced into some video ids, ended by LF, CR LF or a lone CR, the last maybe by none."""
+    high = st.binary(min_size=1, max_size=4).map(lambda b: bytes(x | 0x80 for x in b))
+    parts = []
+    for t in range(draw(st.integers(1, 8))):
+        video = b"v" + (draw(high) if draw(st.booleans()) else b"")
+        parts.append(b'{"video": "%s", "t": %d, "p": [0.5, 0.5]}' % (video, t))
+        parts.append(draw(st.sampled_from([b"\n", b"\r\n", b"\r"])))
+    if draw(st.booleans()):
+        parts.pop()
+    return b"".join(parts)
+
+
+class TestUndecodableBytes:
+    """A byte that is not UTF-8 is named by its line, in line order, with the reason text mode gives."""
+
+    @given(undecodable_files())
+    @example(data=b'{"video": "v", "t": 0}\n{"video": "v\xff"}\n')  # invalid start byte
+    @example(data=b'{"video": "v", "t": 0}\n{"video": "v\xc3("}\n')  # invalid continuation byte
+    @example(data=b'{"video": "v", "t": 0}\n{"video": "v\xe2\x82\r\n')  # the same: the line's CR breaks the sequence
+    @example(data=b'{"video": "v", "t": 0}\r{"video": "v\xe2\x82')  # unexpected end of data
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_line_and_reason_as_a_strict_decode_gives(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("utf8") / "records.jsonl"
+        path.write_bytes(data)
+        want = utf8_error(data, path)
+        if want is None:
+            list(iter_records(path))
+        else:
+            with pytest.raises(StreamFormatError) as got:
+                list(iter_records(path))
+            assert str(got.value) == want
+
+    def test_earlier_bad_line_in_the_same_block_reported_first(self, tmp_path):
+        # both lines lie in the first 8 KB decode block, where a bad byte used to be found before line 5 was read
+        path = tmp_path / "det.jsonl"
+        lines = [b'{"video": "a", "t": %d, "p": [0.5, 0.5]}' % t for t in range(8)]
+        lines[4] = b'{"video": "a", "t": 4, "p": [0.5, 0.5]'
+        lines[6] = lines[6].replace(b'"a"', b'"a\xff"')
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(StreamFormatError, match=r"det\.jsonl:5: invalid JSON \("):
+            load_score_stream(path)
+
+    def test_file_opened_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "det.jsonl"
+        path.write_bytes(b"".join(b'{"video": "a", "t": %d, "p": [0.5, 0.5]}\n' % t for t in range(300)) + b'{"video": "\xff"}\n')
+        opened = []
+        real_open = open
+        monkeypatch.setattr("builtins.open", lambda *args, **kw: opened.append(args[0]) or real_open(*args, **kw))
+        with pytest.raises(StreamFormatError, match=r"det\.jsonl:301: invalid UTF-8 \(invalid start byte\)"):
+            load_score_stream(path)
+        assert opened == [path]
+
+
 @st.composite
 def decimal_numbers(draw):
     """A JSON number of 1-30 digits, with or without a fraction and an exponent in -340..320."""
@@ -452,11 +522,11 @@ class TestScoreStreamMatchesProbVector:
                 want = f"v@{t}: {exc}"
                 break
         if want is None:
-            stream = ScoreStream("v", rows.shape[1], rows)
+            stream = ScoreStream("v", rows)
             assert [stream.score(t).values for t in range(stream.length)] == [tuple(r) for r in rows.tolist()]
         else:
             with pytest.raises(ValueError) as got:
-                ScoreStream("v", rows.shape[1], rows)
+                ScoreStream("v", rows)
             assert str(got.value) == want
 
 
@@ -698,7 +768,7 @@ def stream_sets(draw):
         for row, x in zip(rows, xs):
             first, second = draw(st.permutations(range(arity)))[:2]
             row[first], row[second] = x, 1.0 - x
-        streams[video] = ScoreStream(video, arity, rows)
+        streams[video] = ScoreStream(video, rows)
     return streams
 
 
@@ -726,8 +796,8 @@ FAST_PATH_FLOATS = st.one_of(
 
 class TestWriterMatchesJsonDumps:
     @given(stream_sets())
-    @example(streams={"v": ScoreStream("v", 3, np.array([[5e-324, 1.0, 0.0], [1e-07, 1 - 1e-07, 0.0], [0.1 + 0.2, 0.7, 0.0]]))})
-    @example(streams={"v": ScoreStream("v", 4, np.array([
+    @example(streams={"v": ScoreStream("v", np.array([[5e-324, 1.0, 0.0], [1e-07, 1 - 1e-07, 0.0], [0.1 + 0.2, 0.7, 0.0]]))})
+    @example(streams={"v": ScoreStream("v", np.array([
         [0.5, 1e-05, 0.5 - 1e-05 - 1.234e-06, 1.234e-06],
         [0.0, 2.5e-310, 9.99e-05, 1 - 9.99e-05],
     ]))})
@@ -756,7 +826,7 @@ class TestWriterMatchesJsonDumps:
             "reversed": rows[::-1],
         }
         assert not any(view.flags.c_contiguous for view in views.values())
-        new, old = written_bytes(tmp_path, {name: ScoreStream(name, 4, view) for name, view in views.items()})
+        new, old = written_bytes(tmp_path, {name: ScoreStream(name, view) for name, view in views.items()})
         assert new == old
 
     def test_default_corpus_takes_both_paths(self, tmp_path):
