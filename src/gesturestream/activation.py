@@ -6,7 +6,9 @@ weights sit below 0.5 before the midpoint and above it after, which discounts
 the ambiguous opening phase of a gesture. An early event fires as soon as the
 top-2 margin of the mean reaches tau_early; otherwise a late event fires at
 gate deactivation when the maximum clears tau_late. Each active period emits
-at most one event.
+at most one event. activation_step advances one stream by one window and
+applies both rules; fold_periods folds many stored periods at once with
+update_mean's arithmetic.
 """
 
 from __future__ import annotations
@@ -136,45 +138,6 @@ def fold_periods(scores: np.ndarray, lengths: list[int], weights: list[float]) -
     scores[rows] = laid
 
 
-def try_early(
-    state: ActivationState, tau_early: float, emit_frame: int
-) -> tuple[ActivationState, Optional[ActivationEvent]]:
-    """Emit an early event if the top-2 margin of the mean reaches tau_early.
-
-    Fires at most once per active period; afterwards the state keeps
-    accumulating but emits nothing further.
-    """
-    if state.early_fired:
-        return state, None
-    label, max1, max2 = top2(state.values)
-    margin = max1 - max2
-    if margin >= tau_early:
-        event = ActivationEvent(
-            label=label, emit_frame=emit_frame, kind=EventKind.EARLY, margin_or_score=margin
-        )
-        return ActivationState(state.values, state.count, True), event
-    return state, None
-
-
-def finalize_late(
-    state: ActivationState, tau_late: float, emit_frame: int
-) -> tuple[ActivationState, Optional[ActivationEvent]]:
-    """Close an active period at gate deactivation.
-
-    Emits a late event when no early event fired and the mean's maximum
-    clears tau_late (anything lower is dismissed as noise). Always resets
-    the accumulator to inactive.
-    """
-    event: Optional[ActivationEvent] = None
-    if not state.early_fired:
-        label, max1, _ = top2(state.values)
-        if max1 >= tau_late:
-            event = ActivationEvent(
-                label=label, emit_frame=emit_frame, kind=EventKind.LATE, margin_or_score=max1
-            )
-    return ActivationState.inactive(len(state.values)), event
-
-
 def activation_step(
     state: ActivationState,
     decision: GateDecision,
@@ -187,14 +150,23 @@ def activation_step(
     The classifier scorer is consulted only on Activate/StayActive windows;
     while the gate is idle it is never touched. Activate restarts the
     iteration index at 1, so gestures separated by an idle period are
-    independent activations.
+    independent activations. After each fold an early event fires once the
+    top-2 margin of the mean reaches tau_early, at most once per period; the
+    state keeps accumulating afterwards. Deactivate emits a late event when
+    no early event fired and the mean's maximum clears tau_late (anything
+    lower is dismissed as noise), and always resets the accumulator.
     """
     if decision is GateDecision.STAY_IDLE:
         return state, None
     if decision is GateDecision.DEACTIVATE:
         if not state.active:
             raise RuntimeError("deactivate without a preceding active period")
-        return finalize_late(state, cfg.tau_late, window.end)
+        event: Optional[ActivationEvent] = None
+        if not state.early_fired:
+            label, max1, _ = top2(state.values)
+            if max1 >= cfg.tau_late:
+                event = ActivationEvent(label, window.end, EventKind.LATE, max1)
+        return ActivationState.inactive(len(state.values)), event
     if decision is GateDecision.ACTIVATE:
         state = ActivationState.inactive(cfg.num_classes)
     elif not state.active:
@@ -203,4 +175,11 @@ def activation_step(
     t_mid = midpoint(cfg.mean_duration, cfg.stride)
     weight = sigmoid_weight(state.count + 1, t_mid, cfg.sigmoid_slope)
     state = update_mean(state, probs, weight)
-    return try_early(state, cfg.tau_early, window.end)
+    if state.early_fired:
+        return state, None
+    label, max1, max2 = top2(state.values)
+    margin = max1 - max2
+    if margin >= cfg.tau_early:  # a NaN threshold never fires
+        event = ActivationEvent(label, window.end, EventKind.EARLY, margin)
+        return ActivationState(state.values, state.count, True), event
+    return state, None

@@ -32,6 +32,7 @@ from .scoring import (
     SynthConfig,
     _require_field,
     check_utf8,
+    check_video_id,
     generate_synthetic,
     iter_records,
     load_annotations,
@@ -78,7 +79,7 @@ _SYNTH_COERCERS = _coercers(SynthConfig)
 def parse_flat_config(path) -> dict[str, str]:
     """Read a flat `key = value` config file; # starts a comment."""
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:  # a leading BOM is skipped
         for lineno, raw in enumerate(fh, 1):
             check_utf8(raw, f"{path}:{lineno}", ConfigError)
             line = raw.split("#", 1)[0].strip()
@@ -175,6 +176,7 @@ def load_events_file(path) -> dict[str, list[ActivationEvent]]:
         frame = _require_field(record, "frame", int, where)
         kind = _require_field(record, "kind", str, where)
         score = _require_field(record, "score", (int, float), where)
+        check_video_id(video, where)
         if label < 0 or frame < 0:
             raise StreamFormatError(f"{where}: class and frame must be >= 0")
         try:
@@ -341,10 +343,6 @@ def cmd_gen(args) -> int:
 
 def cmd_run(args) -> int:
     corpus, cfg = _load_run_inputs(args)
-    if args.trace:  # each trace is traces/<id>.tsv, so an id must not leave that directory
-        for video_id in corpus.video_ids():
-            if any(c in video_id for c in "/\\\0"):
-                raise ValueError(f"video id {video_id!r} cannot name a trace file")
     run = run_corpus(corpus, cfg, grace=args.grace)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -159,13 +159,11 @@ def ingest_probs(raw) -> ProbVector:
     raise ValueError(f"probabilities sum to {total!r}, expected 1 within {INGEST_RENORM_TOL}")
 
 
-def top2(v) -> tuple[int, float, float]:
-    """Return (argmax class, largest value, second largest value).
+def top2(vals) -> tuple[int, float, float]:
+    """Return (argmax class, largest value, second largest value) of a sequence of length >= 2.
 
-    Accepts a ProbVector, an ActivationState, or any sequence of length >= 2.
     Ties are broken toward the lowest class index.
     """
-    vals = getattr(v, "values", v)
     if len(vals) < 2:
         raise ValueError(f"top2 needs >= 2 classes, got {len(vals)}")
     if vals[0] >= vals[1]:

@@ -233,7 +233,9 @@ def evaluate_corpus(
 
 
 def check_taus(taus: Sequence[float]) -> None:
-    """Reject sweep thresholds outside [0, 1], naming each one, and repeated thresholds."""
+    """Reject no sweep thresholds at all, thresholds outside [0, 1], naming each one, and repeated thresholds."""
+    if not taus:
+        raise ValueError("sweep needs at least one threshold")
     bad = [tau for tau in taus if not 0.0 <= tau <= 1.0]
     if bad:
         raise ValueError(f"tau_early must be in [0, 1], got {', '.join(f'{tau:g}' for tau in bad)}")
@@ -256,7 +258,7 @@ def sweep(corpus: Corpus, cfg: PipelineConfig, taus: Sequence[float]) -> dict[fl
 
     check_taus(taus)
     validate_config(cfg)
-    first = run_videos(corpus, replace(cfg, tau_early=taus[0]) if taus else cfg)
+    first = run_videos(corpus, replace(cfg, tau_early=taus[0]))
     runs = [first] + [
         {v: RunTrace(video_events(t.folded, tau, cfg.tau_late), t.folded) for v, t in first.items()} for tau in taus[1:]
     ]

@@ -5,10 +5,10 @@ the config's filter_size newest, and smoothed with a mean, median, or
 exponentially-weighted average filter. The gate opens when the filtered
 value crosses the on-threshold and closes only after a configured run of
 consecutive sub-threshold values, so a single noisy dip never deactivates
-the classifier. gate_step advances one
-stream by one window, as scores arrive; gate_periods gates a stored video in
-array passes, filtering every window at once and walking only the on/off run
-boundaries, with the same results bit for bit.
+the classifier. gate_step advances one stream by one window, as scores
+arrive, and returns a plain (state, decision, filtered) tuple; gate_periods
+gates a stored video in array passes, filtering every window at once and
+walking only the on/off run boundaries, with the same results bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -104,14 +103,8 @@ class GateState:
         return cls(GateMode.IDLE, ())
 
 
-class GateStepResult(NamedTuple):
-    state: GateState
-    decision: GateDecision
-    filtered: float
-
-
-def gate_step(state: GateState, raw_gesture_prob: float, cfg: PipelineConfig) -> GateStepResult:
-    """Advance the gate by one window.
+def gate_step(state: GateState, raw_gesture_prob: float, cfg: PipelineConfig) -> tuple[GateState, GateDecision, float]:
+    """Advance the gate by one window, returning (state, decision, filtered).
 
     Pushes the raw probability, filters, then applies the hysteresis rule:
     Idle opens on filtered >= gate_on_threshold; Active closes only once
@@ -127,15 +120,15 @@ def gate_step(state: GateState, raw_gesture_prob: float, cfg: PipelineConfig) ->
 
     if state.mode is GateMode.IDLE:
         if on:
-            return GateStepResult(GateState(GateMode.ACTIVE, queue), GateDecision.ACTIVATE, filtered)
-        return GateStepResult(GateState(GateMode.IDLE, queue), GateDecision.STAY_IDLE, filtered)
+            return GateState(GateMode.ACTIVE, queue), GateDecision.ACTIVATE, filtered
+        return GateState(GateMode.IDLE, queue), GateDecision.STAY_IDLE, filtered
 
     if on:
-        return GateStepResult(GateState(GateMode.ACTIVE, queue), GateDecision.STAY_ACTIVE, filtered)
+        return GateState(GateMode.ACTIVE, queue), GateDecision.STAY_ACTIVE, filtered
     run = state.nogesture_run + 1
     if run >= cfg.deactivate_count:
-        return GateStepResult(GateState(GateMode.IDLE, queue), GateDecision.DEACTIVATE, filtered)
-    return GateStepResult(GateState(GateMode.ACTIVE, queue, run), GateDecision.STAY_ACTIVE, filtered)
+        return GateState(GateMode.IDLE, queue), GateDecision.DEACTIVATE, filtered
+    return GateState(GateMode.ACTIVE, queue, run), GateDecision.STAY_ACTIVE, filtered
 
 
 def gate_periods(raws: np.ndarray, cfg: PipelineConfig) -> tuple[list[float], list[tuple[int, int]]]:

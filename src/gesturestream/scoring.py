@@ -19,7 +19,8 @@ decode either way. Each record's fields, arity and frame are checked as it
 is read, and the vectors a block of lines at a time with array operations:
 range, sum to 1 and renormalisation give the same decisions and values as
 ingest_probs on each line. Every error names its "file:line". A video must
-be scored at every frame from 0 up to its last.
+be scored at every frame from 0 up to its last, and its id must be usable
+as a file name (see check_video_id), whichever file names it.
 
 Writing serialises a block of rows at a time with orjson, which writes 0.0
 and every value in [1e-4, 1] as float.__repr__ does, and writes the values
@@ -377,6 +378,20 @@ def check_utf8(raw: str, where: str, error=StreamFormatError) -> None:
         raise error(f"{where}: invalid UTF-8 ({exc.reason})") from None
 
 
+def check_video_id(video: str, where: str) -> None:
+    """Raise StreamFormatError naming where unless video can name a file of its own in a directory.
+
+    The id must be non-empty, must not start with "." (no hidden file, no
+    "." or ".."), and must not hold "/", "\\" or NUL, so that traces/<id>.tsv
+    stays inside traces/ on every platform.
+    """
+    if not video or video[0] == "." or "/" in video or "\\" in video or "\0" in video:
+        raise StreamFormatError(
+            f"{where}: video id {video!r} must be non-empty, must not start with '.' "
+            f"and must not hold '/', '\\' or NUL"
+        )
+
+
 def _orjson_exact(record: dict) -> bool:
     """Whether an object orjson decoded from a line is certainly what json.loads gives for it.
 
@@ -516,7 +531,10 @@ def load_score_stream(path, expected_arity: int | None = None) -> dict[str, Scor
             raise StreamFormatError(f"{path}:{lineno}: expected {arity} probabilities, got {len(p)}")
         if arity < 2:
             raise StreamFormatError(f"{path}:{lineno}: probability vector needs >= 2 classes, got {arity}")
-        frames = per_video.setdefault(video, {})
+        frames = per_video.get(video)
+        if frames is None:  # the first record of this video
+            check_video_id(video, f"{path}:{lineno}")
+            frames = per_video[video] = {}
         if t in frames:
             raise StreamFormatError(f"{path}:{lineno}: duplicate entry for {video}@{t}")
         frames[t] = count
@@ -554,6 +572,7 @@ def load_annotations(path, num_classes: int | None = None) -> dict[str, list[Gro
         label = _require_field(record, "class", int, where)
         start = _require_field(record, "start", int, where)
         end = _require_field(record, "end", int, where)
+        check_video_id(video, where)
         if num_classes is not None and not (0 <= label < num_classes):
             raise StreamFormatError(f"{where}: class {label} outside [0, {num_classes})")
         try:

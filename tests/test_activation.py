@@ -9,11 +9,9 @@ from gesturestream.activation import (
     ActivationState,
     EventKind,
     activation_step,
-    finalize_late,
     fold_periods,
     midpoint,
     sigmoid_weight,
-    try_early,
     update_mean,
 )
 from gesturestream.core import PipelineConfig, ProbVector, normalize
@@ -171,55 +169,6 @@ class TestFoldPeriods:
         assert [x.hex() for x in scores[:, 0].tolist()] == [(0.0).hex(), (0.1875).hex(), (0.0).hex()]
 
 
-class TestTryEarly:
-    def test_emits_on_margin(self):
-        state = ActivationState((0.6, 0.1, 0.05), count=3)
-        state, event = try_early(state, 0.4, emit_frame=77)
-        assert event is not None
-        assert event.kind is EventKind.EARLY
-        assert event.label == 0
-        assert event.margin_or_score == pytest.approx(0.5)
-        assert event.emit_frame == 77
-        assert state.early_fired
-
-    def test_never_fires_above_one(self):
-        rng = random.Random(17)
-        for _ in range(100):
-            vals = normalize([rng.random() + 1e-9 for _ in range(5)])
-            state = ActivationState(tuple(0.9 * x for x in vals.values), count=2)
-            _, event = try_early(state, 1.000001, emit_frame=0)
-            assert event is None
-
-    def test_single_emission_contract(self):
-        state = ActivationState((0.9, 0.0), count=1, early_fired=True)
-        same, event = try_early(state, 0.1, emit_frame=5)
-        assert event is None
-        assert same is state
-
-
-class TestFinalizeLate:
-    def test_fires_above_tau_late(self):
-        state = ActivationState((0.4, 0.1), count=5)
-        reset, event = finalize_late(state, 0.15, emit_frame=90)
-        assert event is not None
-        assert event.kind is EventKind.LATE
-        assert event.label == 0
-        assert event.margin_or_score == pytest.approx(0.4)
-        assert reset.count == 0
-        assert not reset.active and not reset.early_fired
-
-    def test_suppressed_after_early(self):
-        state = ActivationState((0.9, 0.0), count=5, early_fired=True)
-        reset, event = finalize_late(state, 0.15, emit_frame=90)
-        assert event is None
-        assert reset.count == 0
-
-    def test_noise_floor_rejected(self):
-        state = ActivationState((0.10, 0.02), count=5)
-        _, event = finalize_late(state, 0.15, emit_frame=90)
-        assert event is None
-
-
 class StubScorer:
     """Classifier stand-in that counts lookups."""
 
@@ -253,7 +202,25 @@ class TestActivationStep:
         state, event = activation_step(state, GateDecision.ACTIVATE, scorer, self.window(31), cfg)
         assert event is not None and event.kind is EventKind.EARLY
         assert event.emit_frame == 31
+        # the first fold's weight scales every class alike, so the margin is (0.5 - 0.3) * weight
+        weight = sigmoid_weight(1, midpoint(cfg.mean_duration, cfg.stride), cfg.sigmoid_slope)
+        assert event.label == 0
+        assert event.margin_or_score == pytest.approx(0.2 * weight)
+        assert state.early_fired and state.count == 1
         assert scorer.lookups == 1
+
+    def test_never_fires_above_one(self):
+        rng = random.Random(17)
+        for tau in (1.000001, math.nan):  # a margin never exceeds 1, and no margin reaches NaN
+            cfg = PipelineConfig(num_classes=5, tau_early=tau, mean_duration=4.0)
+            for _ in range(100):
+                state = ActivationState.inactive(5)
+                decision = GateDecision.ACTIVATE
+                for t in range(31, 31 + rng.randint(1, 40)):
+                    scorer = StubScorer(normalize([rng.random() + 1e-9 for _ in range(5)]))
+                    state, event = activation_step(state, decision, scorer, self.window(t), cfg)
+                    assert event is None
+                    decision = GateDecision.STAY_ACTIVE
 
     def test_deactivate_emits_late_and_resets(self):
         cfg = PipelineConfig(num_classes=3, tau_early=1.0, mean_duration=2.0)
@@ -264,11 +231,32 @@ class TestActivationStep:
         for t in range(32, 40):
             state, event = activation_step(state, GateDecision.STAY_ACTIVE, scorer, self.window(t), cfg)
             assert event is None
+        before = state
         state, event = activation_step(state, GateDecision.DEACTIVATE, scorer, self.window(40), cfg)
         assert event is not None and event.kind is EventKind.LATE
         assert event.label == 1
-        assert state.count == 0 and not state.active
+        assert event.emit_frame == 40
+        assert event.margin_or_score == pytest.approx(before.values[1])  # the closing mean's maximum
+        assert state.count == 0 and not state.active and not state.early_fired
         assert scorer.lookups == 9  # activate + 8 stay-active; none on deactivate
+
+    def test_late_suppressed_after_early(self):
+        scorer = StubScorer(ProbVector((0.5, 0.3, 0.2)))
+        state = ActivationState((0.9, 0.0, 0.0), count=5, early_fired=True)
+        reset, event = activation_step(state, GateDecision.DEACTIVATE, scorer, self.window(90), self.CFG)
+        assert event is None
+        assert reset.count == 0 and not reset.early_fired
+        assert scorer.lookups == 0
+
+    def test_noise_floor_rejected(self):
+        scorer = StubScorer(ProbVector((0.5, 0.3, 0.2)))
+        state = ActivationState((0.10, 0.02, 0.01), count=5)
+        reset, event = activation_step(state, GateDecision.DEACTIVATE, scorer, self.window(90), self.CFG)
+        assert event is None  # the maximum 0.10 is below tau_late 0.15
+        assert not reset.active
+        at_floor = ActivationState((0.15, 0.02, 0.01), count=5)  # tau_late itself is not noise
+        _, event = activation_step(at_floor, GateDecision.DEACTIVATE, scorer, self.window(90), self.CFG)
+        assert event is not None and event.kind is EventKind.LATE and event.margin_or_score == 0.15
 
     def test_deactivate_without_active_period_is_error(self):
         scorer = StubScorer(ProbVector((0.5, 0.3, 0.2)))
@@ -289,7 +277,7 @@ class TestActivationStep:
             events.append(event)
         assert all(e is None for e in events)  # single-time contract
         assert scorer.lookups == 19  # state kept current for diagnostics
-        assert state.count == 19
+        assert state.count == 19 and state.early_fired
 
 
 def emission_index(margins, tau):

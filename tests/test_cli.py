@@ -175,20 +175,23 @@ class TestRun:
             assert windows == report["aggregate"]["windows_processed"]
             assert active == report["aggregate"]["classifier_invocations"]
 
-    @pytest.mark.parametrize("video_id", ["../x", "../../x", "ABSOLUTE", "a\\b", "a\0b"],
-                             ids=["parent", "grandparent", "absolute", "backslash", "nul"])
+    @pytest.mark.parametrize("video_id", ["../x", "../../x", "ABSOLUTE", "a\\b", "a\0b", "", ".x"],
+                             ids=["parent", "grandparent", "absolute", "backslash", "nul", "empty", "hidden"])
     def test_trace_refuses_video_id_that_names_no_trace_file(self, corpus_dir, tmp_path, capsys, video_id):
         # an absolute id under tmp_path, so that a trace written to it would show in the tree compared below
         video_id = str(tmp_path / "x") if video_id == "ABSOLUTE" else video_id
         for name in ("detector_scores.jsonl", "classifier_scores.jsonl", "annotations.jsonl"):
             path = corpus_dir / name
             path.write_text(path.read_text().replace('"v001"', json.dumps(video_id)))
+        detector = corpus_dir / "detector_scores.jsonl"
+        lines = detector.read_text().splitlines()
+        lineno = next(i for i, line in enumerate(lines, 1) if json.loads(line)["video"] == video_id)
         before = sorted(tmp_path.rglob("*"))
         argv = ["run", "--data", str(corpus_dir), "--out", str(tmp_path / "out" / "run")]
-        assert main(argv + ["--trace"]) == 1
-        assert f"error: video id {video_id!r} cannot name a trace file" in capsys.readouterr().err
-        assert sorted(tmp_path.rglob("*")) == before  # no events.jsonl, no report, no directory
-        assert main(argv) == 0  # the id is refused only as a trace file name
+        for flags in (["--trace"], []):  # the loader refuses the id, whatever the flags
+            assert main(argv + flags) == 1
+            assert f"error: {detector}:{lineno}: video id {video_id!r} must be non-empty" in capsys.readouterr().err
+            assert sorted(tmp_path.rglob("*")) == before  # no events.jsonl, no report, no directory
 
     def test_rerun_byte_identical(self, corpus_dir, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -465,6 +468,45 @@ class TestExitCodes:
         path.write_bytes(b"stride = 2\nstride\nfilter_size = 4\xff\n")
         assert main(argv) == 1
         assert f"{path}:2: expected key = value, got 'stride'" in capsys.readouterr().err
+
+    def test_config_byte_order_mark_is_skipped(self, corpus_dir, tmp_path, capsys):
+        plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_bytes(b"stride = 2\n")
+        bom.write_bytes(b"\xef\xbb\xbfstride = 2\n")
+        for path in (plain, bom):
+            assert main(["run", "--data", str(corpus_dir), "--config", str(path), "--out", str(tmp_path / path.stem)]) == 0
+        names = ["events.jsonl", "report.json"]
+        assert read_tree(tmp_path / "bom", names) == read_tree(tmp_path / "plain", names)
+        assert json.loads((tmp_path / "bom" / "report.json").read_text())["config"]["stride"] == 2
+        bom.write_bytes(b"\xef\xbb\xbfstride = 2\nfilter_size = 4\xff\n")  # a bad byte after the mark still fails
+        assert main(["run", "--data", str(corpus_dir), "--config", str(bom), "--out", str(tmp_path / "o")]) == 1
+        assert f"{bom}:2: invalid UTF-8 (invalid start byte)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("video_id", ["", ".x", "a/b", "a\\b", "a\0b"],
+                             ids=["empty", "hidden", "slash", "backslash", "nul"])
+    def test_video_id_rule_names_file_and_line_for_every_command(self, corpus_dir, tmp_path, capsys, video_id):
+        events = tmp_path / "run" / "events.jsonl"
+        assert main(["run", "--data", str(corpus_dir), "--out", str(events.parent)]) == 0
+        annotations = corpus_dir / "annotations.jsonl"
+        sweep_argv = ["sweep", "--data", str(corpus_dir), "--out", str(tmp_path / "sweep")]
+        eval_argv = ["eval", "--events", str(events), "--annotations", str(annotations), "--out", str(tmp_path / "eval")]
+        for path, argv in [
+            (corpus_dir / "classifier_scores.jsonl", sweep_argv),
+            (annotations, sweep_argv),
+            (annotations, eval_argv),
+            (events, eval_argv),
+        ]:
+            original = path.read_text()
+            lines = original.splitlines(keepends=True)
+            k = next(i for i, line in enumerate(lines) if json.loads(line)["video"] == "v001")
+            lines[k] = lines[k].replace('"v001"', json.dumps(video_id))  # one record of a new video
+            path.write_text("".join(lines))
+            before = sorted(tmp_path.rglob("*"))
+            assert main(argv) == 1
+            assert f"error: {path}:{k + 1}: video id {video_id!r} must be non-empty" in capsys.readouterr().err
+            assert sorted(tmp_path.rglob("*")) == before
+            path.write_text(original)
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gesturestream.activation import ActivationState
 from gesturestream.core import (
     ConfigError,
     PipelineConfig,
@@ -136,10 +135,6 @@ class TestTop2:
     def test_rejects_short_input(self):
         with pytest.raises(ValueError, match=">= 2"):
             top2([1.0])
-
-    def test_accepts_wrapped_types(self):
-        assert top2(ProbVector((0.2, 0.8))) == (1, 0.8, 0.2)
-        assert top2(ActivationState((0.3, 0.1), count=2)) == (0, 0.3, 0.1)
 
     def test_agrees_with_sort_on_random_vectors(self):
         rng = random.Random(42)

@@ -474,6 +474,7 @@ class TestSweepMatchesReruns:
         ([0.3, 1.5, -0.2], "tau_early must be in [0, 1], got 1.5, -0.2"),
         ([0.3, float("nan")], "got nan"),
         ([0.3, 0.3], "must be distinct"),
+        ([], "at least one threshold"),
     ])
     def test_bad_thresholds_rejected_before_any_work(self, monkeypatch, taus, message):
         monkeypatch.setattr(pipeline, "fold_video", None)  # any video work would fail differently
