@@ -280,6 +280,51 @@ class TestActivationStep:
         assert state.count == 19 and state.early_fired
 
 
+class TestTryEarly:
+    """The early rule as activation_step applies it after each fold."""
+
+    def test_emits_on_margin(self):
+        # midpoint(16, 1) == 4, so the fourth fold carries weight exactly 0.5
+        cfg = PipelineConfig(num_classes=3, tau_early=0.4, mean_duration=16.0)
+        scorer = StubScorer(ProbVector((1.0, 0.0, 0.0)))
+        state = ActivationState((0.6, 0.1, 0.05), count=3)
+        state, event = activation_step(state, GateDecision.STAY_ACTIVE, scorer, Window(77), cfg)
+        # the mean becomes ((1.8 + 0.5) / 4, 0.3 / 4, 0.15 / 4) = (0.575, 0.075, 0.0375)
+        assert event is not None
+        assert event.kind is EventKind.EARLY
+        assert event.label == 0
+        assert event.margin_or_score == pytest.approx(0.5)
+        assert event.emit_frame == 77
+        assert state.early_fired
+
+    def test_single_emission_contract(self):
+        cfg = PipelineConfig(num_classes=2, tau_early=0.1)
+        scorer = StubScorer(ProbVector((1.0, 0.0)))
+        state = ActivationState((0.9, 0.0), count=1, early_fired=True)
+        after, event = activation_step(state, GateDecision.STAY_ACTIVE, scorer, Window(5), cfg)
+        assert event is None  # the margin clears 0.1, but this period already fired
+        assert after.early_fired and after.count == 2
+        assert scorer.lookups == 1
+
+
+class TestFinalizeLate:
+    """The late rule as activation_step applies it on deactivation."""
+
+    def test_fires_above_tau_late(self):
+        cfg = PipelineConfig(num_classes=2, tau_late=0.15)
+        scorer = StubScorer(ProbVector((0.5, 0.5)))
+        state = ActivationState((0.4, 0.1), count=5)
+        reset, event = activation_step(state, GateDecision.DEACTIVATE, scorer, Window(90), cfg)
+        assert event is not None
+        assert event.kind is EventKind.LATE
+        assert event.label == 0
+        assert event.margin_or_score == pytest.approx(0.4)
+        assert event.emit_frame == 90
+        assert reset.count == 0
+        assert not reset.active and not reset.early_fired
+        assert scorer.lookups == 0
+
+
 def emission_index(margins, tau):
     """First iteration whose top-2 margin reaches tau, or None (late)."""
     for i, margin in enumerate(margins):
