@@ -15,7 +15,7 @@ from .activation import ActivationState, activation_step
 from .core import PipelineConfig
 from .evaluate import sweep
 from .gate import GateState, gate_step
-from .pipeline import run_corpus, run_video
+from .pipeline import fold_video, run_corpus, run_video
 from .scoring import ScoreStream
 
 __version__ = "0.1.0"

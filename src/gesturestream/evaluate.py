@@ -246,20 +246,21 @@ def check_taus(taus: Sequence[float]) -> None:
 def sweep(corpus: Corpus, cfg: PipelineConfig, taus: Sequence[float]) -> dict[float, AggregateStats]:
     """run_corpus's aggregate at each early threshold, all else fixed, keyed by threshold.
 
-    The gate and the weighted means never read tau_early, so every
-    annotated video is run once, at the first threshold, and each further
-    threshold scores the events its fold gives at that threshold: events
-    are derived once per video and threshold. Each aggregate equals
-    run_corpus's with that tau_early (grace = the classifier window) in
-    every field; keys come in the given order. Every threshold is checked
-    before any work.
+    The gate and the weighted means never read tau_early, so the corpus is
+    folded once, in one fold_corpus call, and run_video derives each
+    threshold's events from each video's fold: once per video and
+    threshold. Each aggregate equals run_corpus's with that tau_early
+    (grace = the classifier window) in every field; keys come in the given
+    order. Every threshold is checked before any work.
     """
-    from .pipeline import RunTrace, run_videos, score_runs, video_events  # local import to avoid a module cycle
+    from .pipeline import fold_corpus, run_video, score_runs  # local import to avoid a module cycle
 
     check_taus(taus)
     validate_config(cfg)
-    first = run_videos(corpus, replace(cfg, tau_early=taus[0]))
-    runs = [first] + [
-        {v: RunTrace(video_events(t.folded, tau, cfg.tau_late), t.folded) for v, t in first.items()} for tau in taus[1:]
-    ]
-    return {tau: score_runs(r, corpus, cfg.classifier_window).aggregate for tau, r in zip(taus, runs)}
+    folds = fold_corpus(corpus, cfg)
+    aggregates = {}
+    for tau in taus:
+        at_tau = replace(cfg, tau_early=tau)
+        runs = {v: run_video(folded, at_tau) for v, folded in folds.items()}
+        aggregates[tau] = score_runs(runs, corpus, cfg.classifier_window).aggregate
+    return aggregates

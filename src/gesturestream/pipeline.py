@@ -2,9 +2,10 @@
 
 The events are those of a causal real-time system that processes each video
 strictly in stride order with no lookahead, over logical frame time; the
-batch kernel reaches them in whole-video passes. The classifier stream is
-consulted only while the gate holds the classifier active, which is the
-pipeline's whole economy: idle stretches cost one detector lookup per window.
+batch kernel reaches them in array passes that gate each video whole and
+fold the whole corpus at once. The classifier stream is consulted only
+while the gate holds the classifier active, which is the pipeline's whole
+economy: idle stretches cost one detector lookup per window.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import logging
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -58,10 +58,10 @@ class FoldedVideo:
     """One video gated and folded: everything a run computes before any threshold.
 
     Neither the gate nor the weighted means read tau_early or tau_late, so
-    one pass serves every threshold and video_events derives each
-    threshold's events from it. All but periods and weights are per window:
-    an active window holds its mean's top-2 and its period's best margin so
-    far, an idle one -1, 0.0, 0.0 and 0.0.
+    the corpus is folded once for every threshold and run_video derives
+    each threshold's events from the fold. All but periods and weights are
+    per window: an active window holds its mean's top-2 and its period's
+    best margin so far, an idle one -1, 0.0, 0.0 and 0.0.
     """
 
     ends: range
@@ -75,83 +75,93 @@ class FoldedVideo:
     best_margins: list[float]
 
 
-def fold_video(detector: ScoreStream, classifier: ScoreStream, cfg: PipelineConfig) -> FoldedVideo:
-    """Gate one video's windows and fold the classifier rows of its active periods.
+def fold_videos(streams: list[tuple[ScoreStream, ScoreStream]], cfg: PipelineConfig) -> list[FoldedVideo]:
+    """Gate each video's windows, then fold the classifier rows of every video's active periods at once.
 
-    gate_periods filters the detector's gesture column in one array pass
-    and finds the active periods from its on/off boundaries. fold_periods
-    then folds the classifier rows of all of them together, one contiguous
-    block per fold index, top2_rows reads every mean's top-2 at once, and
-    each fold lands at its window. The schedule spans the detector stream.
-    A classifier arity other than cfg.num_classes, or a classifier stream
-    that ends before a fold window, aborts with a replay's first error.
+    Per video, in the given order, gate_periods filters the detector's
+    gesture column in one array pass and finds the active periods from its
+    on/off boundaries; the schedule spans the detector stream. A classifier
+    arity other than cfg.num_classes, or a classifier stream that ends
+    before a fold window, aborts with a replay's first error before anything
+    is folded. fold_periods then folds the rows of every period of every
+    video in one call, top2_rows reads every mean's top-2 at once, and each
+    fold lands at its video's window. Each video's fold is what folding it
+    alone gives, field for field.
     """
     validate_config(cfg)
-    ends = cursor_for(detector.length, cfg)
-    if not ends:
-        log.warning(
-            "stream of %d frames is shorter than the classifier window (%d); no windows scheduled",
-            detector.length,
-            cfg.classifier_window,
-        )
-    raws = detector.rows[ends.start :: ends.step, GESTURE_INDEX]
-    filtered, periods = gate_periods(raws, cfg)
+    gated, views = [], []
+    for detector, classifier in streams:
+        ends = cursor_for(detector.length, cfg)
+        if not ends:
+            log.warning(
+                "stream of %d frames is shorter than the classifier window (%d); no windows scheduled",
+                detector.length,
+                cfg.classifier_window,
+            )
+        raws = detector.rows[ends.start :: ends.step, GESTURE_INDEX]
+        filtered, periods = gate_periods(raws, cfg)
+        gated.append((ends, raws, filtered, periods))
+        frames = [ends[first:stop] for first, stop in periods]
+        # the replay meets the arity at the first fold, so a frame missing later comes second
+        if frames and frames[0][0] < classifier.length and classifier.arity != cfg.num_classes:
+            raise ValueError(f"arity mismatch: mean has {cfg.num_classes} classes, scores have {classifier.arity}")
+        if frames and frames[-1][-1] >= classifier.length:
+            missing = next(r[bisect_left(r, classifier.length)] for r in frames if r[-1] >= classifier.length)
+            raise ValueError(f"no score for {classifier.video_id}@{missing}")
+        views += [classifier.rows[r.start : r.stop : r.step] for r in frames]
 
-    lengths = [stop - first for first, stop in periods]
-    fold_windows = np.concatenate([np.arange(first, stop) for first, stop in periods]) if periods else np.arange(0)
-    fold_frames = ends.start + ends.step * fold_windows
-    # the replay meets the arity at the first fold, so a frame missing later comes second
-    if lengths and fold_frames[0] < classifier.length and classifier.arity != cfg.num_classes:
-        raise ValueError(f"arity mismatch: mean has {cfg.num_classes} classes, scores have {classifier.arity}")
-    missing = fold_frames >= classifier.length
-    if missing.any():
-        raise ValueError(f"no score for {classifier.video_id}@{fold_frames[missing.argmax()]}")
-
+    lengths = [stop - first for *_, periods in gated for first, stop in periods]
     t_mid = midpoint(cfg.mean_duration, cfg.stride)
     weights = [0.0] + [sigmoid_weight(j, t_mid, cfg.sigmoid_slope) for j in range(1, max(lengths, default=0) + 1)]
-    means = classifier.rows[fold_frames]
+    means = np.concatenate(views) if views else np.empty((0, cfg.num_classes))
     fold_periods(means, lengths, weights)
     label_arr, top1_arr, top2_arr = top2_rows(means)
-    # idle windows share one sentinel object per column, so each costs a list slot and no float
-    labels, top1s, top2s, best_margins = [-1] * len(ends), [0.0] * len(ends), [0.0] * len(ends), [0.0] * len(ends)
-    for (first, stop), fold in zip(periods, accumulate(lengths, initial=0)):
-        folds = slice(fold, fold + stop - first)
-        labels[first:stop] = label_arr[folds].tolist()
-        top1s[first:stop] = top1_arr[folds].tolist()
-        top2s[first:stop] = top2_arr[folds].tolist()
-        best_margins[first:stop] = np.maximum.accumulate(top1_arr[folds] - top2_arr[folds]).tolist()
-    return FoldedVideo(ends, raws.tolist(), filtered, periods, weights, labels, top1s, top2s, best_margins)
+    margins = top1_arr - top2_arr
+    all_labels, all_top1s, all_top2s = label_arr.tolist(), top1_arr.tolist(), top2_arr.tolist()
+    folded, fold = [], 0
+    for ends, raws, filtered, periods in gated:
+        # idle windows share one sentinel object per column, so each costs a list slot and no float
+        labels, top1s, top2s, best_margins = [-1] * len(ends), [0.0] * len(ends), [0.0] * len(ends), [0.0] * len(ends)
+        for first, stop in periods:
+            folds = slice(fold, fold + stop - first)
+            labels[first:stop] = all_labels[folds]
+            top1s[first:stop] = all_top1s[folds]
+            top2s[first:stop] = all_top2s[folds]
+            best_margins[first:stop] = np.maximum.accumulate(margins[folds]).tolist()
+            fold = folds.stop
+        longest = max((stop - first for first, stop in periods), default=0)
+        folded.append(
+            FoldedVideo(ends, raws.tolist(), filtered, periods, weights[: longest + 1], labels, top1s, top2s, best_margins)
+        )
+    return folded
 
 
-def video_events(folded: FoldedVideo, tau_early: float, tau_late: float) -> tuple[ActivationEvent, ...]:
-    """The events of a folded video at the given thresholds, at most one per active period.
+def fold_video(detector: ScoreStream, classifier: ScoreStream, cfg: PipelineConfig) -> FoldedVideo:
+    """Gate one video's windows and fold the classifier rows of its active periods: fold_videos of one video."""
+    return fold_videos([(detector, classifier)], cfg)[0]
+
+
+def run_video(folded: FoldedVideo, cfg: PipelineConfig) -> RunTrace:
+    """The events of a folded video at cfg's thresholds, at most one per active period.
 
     The first window of a period whose margin reaches tau_early gives an
     early event; failing that, a period the gate closed gives a late event
     at its deactivation window when its last mean's maximum reaches
-    tau_late. A period still open at the end of the stream gives no late event.
+    tau_late. A period still open at the end of the stream gives no late
+    event. run_video(fold_video(detector, classifier, cfg), cfg) gives what
+    a window-by-window replay through gate_step and activation_step gives,
+    bit for bit.
     """
     ends, labels, top1s, best = folded.ends, folded.labels, folded.top1s, folded.best_margins
     events: list[ActivationEvent] = []
     for first, stop in folded.periods:
         # the first window whose margin reaches tau_early, where the running best is that margin
-        hit = bisect_left(best, tau_early, first, stop)
+        hit = bisect_left(best, cfg.tau_early, first, stop)
         if hit < stop:
             events.append(ActivationEvent(labels[hit], ends[hit], EventKind.EARLY, best[hit]))
-        elif stop < len(ends) and top1s[stop - 1] >= tau_late:
+        elif stop < len(ends) and top1s[stop - 1] >= cfg.tau_late:
             events.append(ActivationEvent(labels[stop - 1], ends[stop], EventKind.LATE, top1s[stop - 1]))
-    return tuple(events)
-
-
-def run_video(detector: ScoreStream, classifier: ScoreStream, cfg: PipelineConfig) -> RunTrace:
-    """Run the full pipeline over one video's score streams.
-
-    Gives what a window-by-window replay through gate_step and
-    activation_step gives, bit for bit: fold_video gates and folds the
-    whole video, then video_events applies the configured thresholds.
-    """
-    folded = fold_video(detector, classifier, cfg)
-    return RunTrace(video_events(folded, cfg.tau_early, cfg.tau_late), folded)
+    return RunTrace(tuple(events), folded)
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,13 +180,13 @@ class CorpusRun:
     aggregate: AggregateStats
 
 
-def run_videos(corpus: Corpus, cfg: PipelineConfig) -> dict[str, RunTrace]:
-    """run_video over every annotated video, in id order: the one pass run_corpus and sweep score.
+def fold_corpus(corpus: Corpus, cfg: PipelineConfig) -> dict[str, FoldedVideo]:
+    """Every annotated video's fold, in id order, from one fold_videos call: the pass run_corpus and sweep score.
 
     Videos without annotations are skipped with a warning each. A corpus
     with no videos, an annotated video without a detector or a classifier
     stream, and a corpus with no annotated video are errors, raised before
-    any video is run.
+    any video is gated.
     """
     video_ids = corpus.video_ids()
     if not video_ids:
@@ -192,7 +202,7 @@ def run_videos(corpus: Corpus, cfg: PipelineConfig) -> dict[str, RunTrace]:
             log.warning("skipping %s: no annotations", video_id)
     if not annotated:
         raise ValueError("no videos with annotations to evaluate")
-    return {v: run_video(corpus.detector[v], corpus.classifier[v], cfg) for v in annotated}
+    return dict(zip(annotated, fold_videos([(corpus.detector[v], corpus.classifier[v]) for v in annotated], cfg)))
 
 
 def score_runs(traces: dict[str, RunTrace], corpus: Corpus, grace: int) -> CorpusRun:
@@ -231,4 +241,4 @@ def run_corpus(
     """
     validate_config(cfg)
     grace = check_grace(cfg.classifier_window if grace is None else grace)
-    return score_runs(run_videos(corpus, cfg), corpus, grace)
+    return score_runs({v: run_video(folded, cfg) for v, folded in fold_corpus(corpus, cfg).items()}, corpus, grace)

@@ -10,7 +10,7 @@ from gesturestream import cli, pipeline
 from gesturestream.activation import ActivationState, EventKind, activation_step, midpoint, sigmoid_weight
 from gesturestream.core import GESTURE_INDEX, FilterKind, PipelineConfig, top2
 from gesturestream.gate import GateDecision, GateMode, GateState, gate_step
-from gesturestream.pipeline import FoldedVideo, RunTrace, run_corpus, run_video
+from gesturestream.pipeline import FoldedVideo, RunTrace, fold_video, run_corpus, run_video
 from gesturestream.evaluate import sweep
 from gesturestream.scoring import Corpus, GroundTruthSegment, ScoreStream, SynthConfig, generate_synthetic
 from gesturestream.windows import advance, cursor_for
@@ -40,11 +40,16 @@ def mode_transitions(folded):
     return activations, deactivations
 
 
+def batch_run(det, cls, cfg):
+    """The one-video batch run: fold the whole video, then apply cfg's thresholds."""
+    return run_video(fold_video(det, cls, cfg), cfg)
+
+
 class TestRunVideo:
     def test_single_gesture_one_activation_cycle(self):
         corpus = single_video_corpus()
         vid = corpus.video_ids()[0]
-        trace = run_video(corpus.detector[vid], corpus.classifier[vid], CFG)
+        trace = batch_run(corpus.detector[vid], corpus.classifier[vid], CFG)
         activations, deactivations = mode_transitions(trace.folded)
         assert activations == 1
         assert deactivations == 1
@@ -56,7 +61,7 @@ class TestRunVideo:
         det, _ = constant_streams("bg", 200, gesture_prob=0.05)
         # an empty classifier stream proves the gate never consults it
         empty_cls = ScoreStream("bg", np.empty((0, 10)))
-        trace = run_video(det, empty_cls, CFG)
+        trace = batch_run(det, empty_cls, CFG)
         assert trace.events == ()
         assert trace.classifier_invocations == 0
         assert trace.windows_processed == 200 - 32 + 1
@@ -65,8 +70,8 @@ class TestRunVideo:
         corpus = single_video_corpus()
         vid = corpus.video_ids()[0]
         det, cls = corpus.detector[vid], corpus.classifier[vid]
-        one = run_video(det, cls, CFG)
-        two = run_video(det, cls, PipelineConfig(num_classes=10, stride=2))
+        one = batch_run(det, cls, CFG)
+        two = batch_run(det, cls, PipelineConfig(num_classes=10, stride=2))
         assert abs(one.windows_processed - 2 * two.windows_processed) <= 1
 
     def test_missing_score_aborts_with_frame(self):
@@ -82,14 +87,14 @@ class TestRunVideo:
         message = "arity mismatch: mean has 4 classes, scores have 3"
         assert outcome(replay_online, det, cls, cfg) == f"ValueError: {message}"
         with pytest.raises(ValueError, match=re.escape(message)):
-            run_video(det, cls, cfg)
+            batch_run(det, cls, cfg)
 
     def test_gate_closing_at_last_window_is_not_open_at_end(self):
         gesture = np.array([0.9] * 40 + [0.0])
         det = ScoreStream("v", np.column_stack([1.0 - gesture, gesture]))
         cls = ScoreStream("v", np.full((41, 3), 1.0 / 3))
         cfg = PipelineConfig(num_classes=3, classifier_window=1, filter_size=1, deactivate_count=1)
-        trace = run_video(det, cls, cfg)
+        trace = batch_run(det, cls, cfg)
         assert trace.folded.periods == [(0, 40)]
         assert (trace.windows_processed, trace.classifier_invocations, trace.open_at_end) == (41, 40, 0)
         assert replay_online(det, cls, cfg)[1] == (41, 40, 0)
@@ -98,25 +103,25 @@ class TestRunVideo:
         corpus = single_video_corpus()
         vid = corpus.video_ids()[0]
         det, cls = corpus.detector[vid], corpus.classifier[vid]
-        folded = run_video(det, cls, CFG).folded
+        folded = batch_run(det, cls, CFG).folded
         # the top-1 of the last fold of the first period the gate closes
         stop = next(stop for _, stop in folded.periods if stop < len(folded.ends))
         last_top1 = folded.top1s[stop - 1]
-        at = run_video(det, cls, replace(CFG, tau_late=last_top1))
+        at = batch_run(det, cls, replace(CFG, tau_late=last_top1))
         assert [(e.kind, e.margin_or_score) for e in at.events] == [(EventKind.LATE, last_top1)]
-        assert run_video(det, cls, replace(CFG, tau_late=math.nextafter(last_top1, 1.0))).events == ()
+        assert batch_run(det, cls, replace(CFG, tau_late=math.nextafter(last_top1, 1.0))).events == ()
 
     def test_replay_is_identical(self):
         corpus = single_video_corpus()
         vid = corpus.video_ids()[0]
-        a = run_video(corpus.detector[vid], corpus.classifier[vid], CFG)
-        b = run_video(corpus.detector[vid], corpus.classifier[vid], CFG)
+        a = batch_run(corpus.detector[vid], corpus.classifier[vid], CFG)
+        b = batch_run(corpus.detector[vid], corpus.classifier[vid], CFG)
         assert a == b
 
     def test_trace_kept_and_increasing(self):
         corpus = single_video_corpus()
         vid = corpus.video_ids()[0]
-        traced = run_video(corpus.detector[vid], corpus.classifier[vid], CFG)
+        traced = batch_run(corpus.detector[vid], corpus.classifier[vid], CFG)
         ts = list(traced.folded.ends)
         assert ts == sorted(ts)
         assert len(set(ts)) == len(ts)
@@ -125,7 +130,7 @@ class TestRunVideo:
     def test_invocations_below_windows_when_idle_exists(self):
         corpus = single_video_corpus()
         vid = corpus.video_ids()[0]
-        trace = run_video(corpus.detector[vid], corpus.classifier[vid], CFG)
+        trace = batch_run(corpus.detector[vid], corpus.classifier[vid], CFG)
         assert sum(stop - first for first, stop in trace.folded.periods) < len(trace.folded.ends)
         assert trace.classifier_invocations < trace.windows_processed
 
@@ -135,7 +140,7 @@ class TestRunVideo:
         corpus = generate_synthetic(cfg)
         pcfg = PipelineConfig(num_classes=8, tau_early=0.2)
         for vid in corpus.video_ids():
-            trace = run_video(corpus.detector[vid], corpus.classifier[vid], pcfg)
+            trace = batch_run(corpus.detector[vid], corpus.classifier[vid], pcfg)
             # period boundaries: windows where the mode flips idle->active
             period_starts = [trace.folded.ends[first] for first, _ in trace.folded.periods]
             for lo, hi in zip(period_starts, period_starts[1:] + [float("inf")]):
@@ -172,7 +177,7 @@ class TestRunCorpus:
         corpus = single_video_corpus()
         ghost = [GroundTruthSegment("ghost", 1, 40, 70)]
         merged = Corpus(corpus.detector, corpus.classifier, {**corpus.segments, "ghost": ghost})
-        for name in ("run_video", "fold_video"):
+        for name in ("run_video", "fold_video", "fold_videos"):
             monkeypatch.setattr(pipeline, name, None)  # any video work would fail differently
         with pytest.raises(ValueError, match="no detector stream for ghost"):
             run_corpus(merged, CFG)
@@ -194,13 +199,14 @@ class TestRunCorpus:
         assert run.aggregate.grace == CFG.classifier_window
 
     def test_negative_grace_rejected_before_any_run(self, monkeypatch):
-        monkeypatch.setattr(pipeline, "run_video", None)  # any video work would fail differently
+        for name in ("run_video", "fold_videos"):
+            monkeypatch.setattr(pipeline, name, None)  # any video work would fail differently
         with pytest.raises(ValueError, match="grace must be >= 0, got -1"):
             run_corpus(single_video_corpus(), CFG, grace=-1)
 
 
 def replay_online(det, cls, cfg):
-    """Reference for run_video: the window-by-window replay through the online API.
+    """Reference for batch_run: the window-by-window replay through the online API.
 
     Gives the RunTrace; the run counters (windows, classifier invocations,
     open at end), counted window by window; and one tuple per window holding
@@ -326,9 +332,9 @@ class TestKernelMatchesOnlineReplay:
         det, cls, cfg = streams
         replayed = outcome(replay_online, det, cls, cfg)
         if isinstance(replayed, str):
-            assert outcome(run_video, det, cls, cfg) == replayed
+            assert outcome(batch_run, det, cls, cfg) == replayed
             return
-        assert_matches_replay(run_video(det, cls, cfg), *replayed)
+        assert_matches_replay(batch_run(det, cls, cfg), *replayed)
 
     def test_eighty_three_classes_and_long_gestures(self):
         synth = SynthConfig(num_videos=2, gestures_per_video=4, num_classes=83, duration_mean=90.0, seed=5)
@@ -336,13 +342,13 @@ class TestKernelMatchesOnlineReplay:
         cfg = PipelineConfig(num_classes=83, tau_early=0.3, mean_duration=90.0)
         for video in corpus.video_ids():
             det, cls = corpus.detector[video], corpus.classifier[video]
-            traced = run_video(det, cls, cfg)
+            traced = batch_run(det, cls, cfg)
             assert max(stop - first for first, stop in traced.folded.periods) >= 80
             assert_matches_replay(traced, *replay_online(det, cls, cfg))
 
 
 def assert_matches_replay(traced, want, counters, rows):
-    """A run_video trace equals replay_online's, and so do its counters and its --trace TSV."""
+    """A batch_run trace equals replay_online's, and so do its counters and its --trace TSV."""
     assert traced == want
     assert (traced.windows_processed, traced.classifier_invocations, traced.open_at_end) == counters
     # repr text also tells -0.0 from 0.0
@@ -357,13 +363,13 @@ def sweep_by_reruns(corpus, cfg, taus):
 
 
 @st.composite
-def corpora(draw):
-    """Up to four videos under one config, some unannotated, one fault draw at most."""
+def corpora(draw, max_videos=4, faults=FAULTS + ["no-classifier-stream"]):
+    """Up to max_videos videos under one config, some unannotated, one fault draw at most, in the first video."""
     classes = draw(st.integers(2, 6))
     cfg = pipeline_configs(draw, classes)
     detector, classifier, segments = {}, {}, {}
-    fault = draw(st.sampled_from(FAULTS + ["no-classifier-stream"]))
-    for k in range(draw(st.integers(1, 4))):
+    fault = draw(st.sampled_from(faults))
+    for k in range(draw(st.integers(1, max_videos))):
         video = f"v{k}"
         det, cls = stream_arrays(draw, classes)
         if k == 0:
@@ -416,7 +422,7 @@ class TestSweepMatchesReruns:
         probs[:, 3] = 0.55
         cls = ScoreStream("v", probs)
         corpus = Corpus({"v": det}, {"v": cls}, {"v": [GroundTruthSegment("v", 3, 60, 119)]})
-        trace = run_video(det, cls, CFG)
+        trace = batch_run(det, cls, CFG)
         assert trace.open_at_end == 1 and trace.events == ()
         reached = max(top1 - second for top1, second in zip(trace.folded.top1s, trace.folded.top2s))
         taus = [reached, math.nextafter(reached, 1.0)]
@@ -429,7 +435,7 @@ class TestSweepMatchesReruns:
         # uniform scores after the gesture only shrink the margin
         closed = ScoreStream("v", np.vstack([det.rows, np.tile([0.95, 0.05], (20, 1))]))
         closed_cls = ScoreStream("v", np.vstack([probs, np.full((20, 10), 0.1)]))
-        late = run_video(closed, closed_cls, replace(CFG, tau_early=taus[1]))
+        late = batch_run(closed, closed_cls, replace(CFG, tau_early=taus[1]))
         assert late.open_at_end == 0 and [e.kind for e in late.events] == [EventKind.LATE]
 
     @pytest.mark.parametrize("count", [1, 9])
@@ -437,26 +443,26 @@ class TestSweepMatchesReruns:
         corpus = generate_synthetic(SynthConfig(num_videos=3, gestures_per_video=2, num_classes=10, seed=6))
         det, cls = constant_streams("extra", 120, gesture_prob=0.9)
         merged = Corpus({**corpus.detector, "extra": det}, {**corpus.classifier, "extra": cls}, corpus.segments)
-        folded, fold_video = [], pipeline.fold_video
+        calls, fold_videos = [], pipeline.fold_videos
 
-        def counted(det, *rest):
-            folded.append(det.video_id)
-            return fold_video(det, *rest)
+        def counted(streams, cfg):
+            calls.append([det.video_id for det, _ in streams])
+            return fold_videos(streams, cfg)
 
-        monkeypatch.setattr(pipeline, "fold_video", counted)
+        monkeypatch.setattr(pipeline, "fold_videos", counted)
         sweep(merged, CFG, [k / 8 for k in range(count)])
-        assert folded == sorted(corpus.segments)
+        assert calls == [sorted(corpus.segments)]
 
     @pytest.mark.parametrize("count", [1, 2, 9])
     def test_events_derived_once_per_video_and_threshold(self, monkeypatch, count):
         corpus = generate_synthetic(SynthConfig(num_videos=3, gestures_per_video=2, num_classes=10, seed=6))
-        derived, video_events = [], pipeline.video_events
+        derived, run_video = [], pipeline.run_video
 
-        def counted(folded, tau_early, tau_late):
-            derived.append(tau_early)
-            return video_events(folded, tau_early, tau_late)
+        def counted(folded, cfg):
+            derived.append(cfg.tau_early)
+            return run_video(folded, cfg)
 
-        monkeypatch.setattr(pipeline, "video_events", counted)
+        monkeypatch.setattr(pipeline, "run_video", counted)
         taus = [k / 8 for k in range(count)]
         sweep(corpus, CFG, taus)
         assert sorted(derived) == sorted(taus * len(corpus.segments))
@@ -477,6 +483,74 @@ class TestSweepMatchesReruns:
         ([], "at least one threshold"),
     ])
     def test_bad_thresholds_rejected_before_any_work(self, monkeypatch, taus, message):
-        monkeypatch.setattr(pipeline, "fold_video", None)  # any video work would fail differently
+        for name in ("fold_video", "fold_videos"):
+            monkeypatch.setattr(pipeline, name, None)  # any video work would fail differently
         with pytest.raises(ValueError, match=re.escape(message)):
             sweep(single_video_corpus(), CFG, taus)
+
+
+def kernel_runs(corpus, cfg):
+    """Every video's run from one fold_videos call over the whole corpus, in id order."""
+    videos = corpus.video_ids()
+    folds = pipeline.fold_videos([(corpus.detector[v], corpus.classifier[v]) for v in videos], cfg)
+    return {v: run_video(folded, cfg) for v, folded in zip(videos, folds)}
+
+
+def per_video_runs(corpus, cfg):
+    """Reference for kernel_runs: each video folded alone, in id order."""
+    return {v: batch_run(corpus.detector[v], corpus.classifier[v], cfg) for v in corpus.video_ids()}
+
+
+def assert_kernel_matches_per_video(corpus, cfg):
+    together, alone = outcome(kernel_runs, corpus, cfg), outcome(per_video_runs, corpus, cfg)
+    assert together == alone
+    assert repr(together) == repr(alone)  # repr also tells -0.0 from 0.0
+    return together
+
+
+def three_videos(middle_det, middle_cls):
+    """Two fully active 100-frame videos, v0 and v2, around the given middle one."""
+    streams = {v: constant_streams(v, 100, gesture_prob=0.9) for v in ("v0", "v2")}
+    streams["v1"] = (middle_det, middle_cls)
+    return Corpus({v: d for v, (d, _) in streams.items()}, {v: c for v, (_, c) in streams.items()}, {})
+
+
+class TestCorpusFoldMatchesPerVideoFolds:
+    @given(corpora(max_videos=6, faults=FAULTS))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_traces_identical(self, drawn):
+        assert_kernel_matches_per_video(*drawn)
+
+    @pytest.mark.parametrize("fault,message", [
+        ("short-classifier", "no score for v2@60"),
+        ("arity", "arity mismatch: mean has 10 classes, scores have 3"),
+    ])
+    def test_fault_only_in_last_video(self, caplog, fault, message):
+        det, cls = constant_streams("v1", 20, gesture_prob=0.9)  # shorter than the classifier window
+        corpus = three_videos(det, cls)
+        cls = corpus.classifier["v2"]
+        rows = cls.rows[:60] if fault == "short-classifier" else np.full((100, 3), 1.0 / 3)
+        corpus.classifier["v2"] = ScoreStream("v2", rows)
+        with caplog.at_level("WARNING"):
+            assert assert_kernel_matches_per_video(corpus, CFG) == f"ValueError: {message}"
+        # the short stream before the fault is warned of, once per run
+        assert [r.getMessage() for r in caplog.records].count(
+            "stream of 20 frames is shorter than the classifier window (32); no windows scheduled"
+        ) == 2
+
+    def test_video_without_windows(self, caplog):
+        corpus = three_videos(*constant_streams("v1", 20, gesture_prob=0.9))
+        with caplog.at_level("WARNING"):
+            runs = assert_kernel_matches_per_video(corpus, CFG)
+        assert len(runs["v1"].folded.ends) == 0 and runs["v1"].folded.weights == [0.0]
+        assert [len(runs[v].folded.periods) for v in ("v0", "v2")] == [1, 1]
+        assert "stream of 20 frames is shorter" in caplog.text
+
+    def test_video_without_periods(self):
+        det, _ = constant_streams("v1", 200, gesture_prob=0.05)
+        # an empty classifier stream proves the kernel never consults an idle video's rows
+        runs = assert_kernel_matches_per_video(three_videos(det, ScoreStream("v1", np.empty((0, 10)))), CFG)
+        idle = runs["v1"].folded
+        assert idle.periods == [] and idle.weights == [0.0] and set(idle.labels) == {-1}
+        assert runs["v0"].folded.weights == runs["v2"].folded.weights
+        assert len(runs["v0"].folded.weights) == runs["v0"].classifier_invocations + 1
