@@ -533,7 +533,7 @@ class TestCorpusFoldMatchesPerVideoFolds:
         corpus.classifier["v2"] = ScoreStream("v2", rows)
         with caplog.at_level("WARNING"):
             assert assert_kernel_matches_per_video(corpus, CFG) == f"ValueError: {message}"
-        # the short stream before the fault is warned of, once per run
+        # the short stream ahead of the fault is warned of, once by each of the two runs
         assert [r.getMessage() for r in caplog.records].count(
             "stream of 20 frames is shorter than the classifier window (32); no windows scheduled"
         ) == 2
