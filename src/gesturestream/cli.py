@@ -265,10 +265,11 @@ def trace_tsv(folded: FoldedVideo) -> str:
     for first, stop in folded.periods:
         js[first:stop] = range(1, stop - first + 1)
     weights = folded.weights
-    columns = zip(folded.ends, folded.raws, folded.filtered, js, folded.labels, folded.top1s, folded.top2s)
+    arrays = (folded.raws, folded.filtered, folded.labels, folded.top1s, folded.top2s)
+    columns = zip(folded.ends, js, *(a.tolist() for a in arrays))  # Python numbers, whose repr is plain text
     return "t\traw_prob\tfiltered_prob\tmode\tj\tweight\ttop_label\ttop1\ttop2\n" + "".join(
         f"{t}\t{raw!r}\t{filtered!r}\t{'active' if j else 'idle'}\t{j}\t{weights[j]!r}\t{label}\t{top1!r}\t{top2!r}\n"
-        for t, raw, filtered, j, label, top1, top2 in columns
+        for t, j, raw, filtered, label, top1, top2 in columns
     )
 
 

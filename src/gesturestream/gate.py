@@ -131,7 +131,7 @@ def gate_step(state: GateState, raw_gesture_prob: float, cfg: PipelineConfig) ->
     return GateState(GateMode.ACTIVE, queue, run), GateDecision.STAY_ACTIVE, filtered
 
 
-def gate_periods(raws: np.ndarray, cfg: PipelineConfig) -> tuple[list[float], list[tuple[int, int]]]:
+def gate_periods(raws: np.ndarray, cfg: PipelineConfig) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Run the gate over a whole video's raw gesture probabilities at once.
 
     The batch form of gate_step for values already known to lie in [0, 1],
@@ -142,8 +142,8 @@ def gate_periods(raws: np.ndarray, cfg: PipelineConfig) -> tuple[list[float], li
     hysteresis then walks only the run boundaries of filtered >=
     gate_on_threshold: an on-run opens a period while idle, and the first
     off-run of deactivate_count windows or more closes it at its
-    deactivate_count-th window. Returns the filtered value
-    of every window and the active periods as (first, stop) window indices:
+    deactivate_count-th window. Returns the float64 array of every window's
+    filtered value and the active periods as (first, stop) window indices:
     first is the ACTIVATE window and stop the DEACTIVATE window, or
     len(raws) when the gate is still open at the end.
     """
@@ -164,4 +164,4 @@ def gate_periods(raws: np.ndarray, cfg: PipelineConfig) -> tuple[list[float], li
             first = -1
     if first >= 0:
         periods.append((first, count))
-    return values.tolist(), periods
+    return values, periods

@@ -3,9 +3,10 @@
 The events are those of a causal real-time system that processes each video
 strictly in stride order with no lookahead, over logical frame time; the
 batch kernel reaches them in array passes that gate each video whole and
-fold the whole corpus at once. The classifier stream is consulted only
-while the gate holds the classifier active, which is the pipeline's whole
-economy: idle stretches cost one detector lookup per window.
+fold the whole corpus at once into read-only numpy columns. The classifier
+stream is consulted only while the gate holds the classifier active, which
+is the pipeline's whole economy: idle stretches cost one detector lookup
+per window.
 """
 
 from __future__ import annotations
@@ -53,26 +54,25 @@ class RunTrace:
         return int(bool(periods) and periods[-1][1] == len(self.folded.ends))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class FoldedVideo:
     """One video gated and folded: everything a run computes before any threshold.
 
     Neither the gate nor the weighted means read tau_early or tau_late, so
     the corpus is folded once for every threshold and run_video derives
-    each threshold's events from the fold. All but periods and weights are
-    per window: an active window holds its mean's top-2 and its period's
-    best margin so far, an idle one -1, 0.0, 0.0 and 0.0.
+    each threshold's events from the fold. All but ends, periods and weights
+    are read-only numpy arrays, one entry per window: an active window holds
+    its mean's top-2, an idle one -1, 0.0 and 0.0. Folds compare by identity.
     """
 
     ends: range
-    raws: list[float]
-    filtered: list[float]
+    raws: np.ndarray
+    filtered: np.ndarray
     periods: list[tuple[int, int]]
     weights: list[float]
-    labels: list[int]
-    top1s: list[float]
-    top2s: list[float]
-    best_margins: list[float]
+    labels: np.ndarray
+    top1s: np.ndarray
+    top2s: np.ndarray
 
 
 def fold_videos(streams: list[tuple[ScoreStream, ScoreStream]], cfg: PipelineConfig) -> list[FoldedVideo]:
@@ -85,8 +85,8 @@ def fold_videos(streams: list[tuple[ScoreStream, ScoreStream]], cfg: PipelineCon
     before a fold window, aborts with a replay's first error before anything
     is folded. fold_periods then folds the rows of every period of every
     video in one call, top2_rows reads every mean's top-2 at once, and each
-    fold lands at its video's window. Each video's fold is what folding it
-    alone gives, field for field.
+    fold lands at its window of corpus-wide columns that the videos slice.
+    Each video's fold is what folding it alone gives, field for field.
     """
     validate_config(cfg)
     gated, views = [], []
@@ -100,6 +100,7 @@ def fold_videos(streams: list[tuple[ScoreStream, ScoreStream]], cfg: PipelineCon
             )
         raws = detector.rows[ends.start :: ends.step, GESTURE_INDEX]
         filtered, periods = gate_periods(raws, cfg)
+        filtered.flags.writeable = False
         gated.append((ends, raws, filtered, periods))
         frames = [ends[first:stop] for first, stop in periods]
         # the replay meets the arity at the first fold, so a frame missing later comes second
@@ -115,24 +116,18 @@ def fold_videos(streams: list[tuple[ScoreStream, ScoreStream]], cfg: PipelineCon
     weights = [0.0] + [sigmoid_weight(j, t_mid, cfg.sigmoid_slope) for j in range(1, max(lengths, default=0) + 1)]
     means = np.concatenate(views) if views else np.empty((0, cfg.num_classes))
     fold_periods(means, lengths, weights)
-    label_arr, top1_arr, top2_arr = top2_rows(means)
-    margins = top1_arr - top2_arr
-    all_labels, all_top1s, all_top2s = label_arr.tolist(), top1_arr.tolist(), top2_arr.tolist()
-    folded, fold = [], 0
-    for ends, raws, filtered, periods in gated:
-        # idle windows share one sentinel object per column, so each costs a list slot and no float
-        labels, top1s, top2s, best_margins = [-1] * len(ends), [0.0] * len(ends), [0.0] * len(ends), [0.0] * len(ends)
-        for first, stop in periods:
-            folds = slice(fold, fold + stop - first)
-            labels[first:stop] = all_labels[folds]
-            top1s[first:stop] = all_top1s[folds]
-            top2s[first:stop] = all_top2s[folds]
-            best_margins[first:stop] = np.maximum.accumulate(margins[folds]).tolist()
-            fold = folds.stop
+    offsets = np.cumsum([0] + [len(ends) for ends, *_ in gated]).tolist()  # each video's first window
+    firsts = np.array([o + first for o, (*_, periods) in zip(offsets, gated) for first, _ in periods], np.intp)
+    # each fold's window: its period's first window plus its fold index, as fold_periods counts folds
+    windows = np.repeat(firsts - np.cumsum([0] + lengths)[:-1], lengths) + np.arange(len(means))
+    columns = np.full(offsets[-1], -1, np.int64), np.zeros(offsets[-1]), np.zeros(offsets[-1])  # labels, top1s, top2s
+    for column, values in zip(columns, top2_rows(means)):
+        column[windows] = values
+        column.flags.writeable = False
+    folded = []
+    for (ends, raws, filtered, periods), *own in zip(gated, *(np.split(c, offsets[1:-1]) for c in columns)):
         longest = max((stop - first for first, stop in periods), default=0)
-        folded.append(
-            FoldedVideo(ends, raws.tolist(), filtered, periods, weights[: longest + 1], labels, top1s, top2s, best_margins)
-        )
+        folded.append(FoldedVideo(ends, raws, filtered, periods, weights[: longest + 1], *own))
     return folded
 
 
@@ -148,19 +143,21 @@ def run_video(folded: FoldedVideo, cfg: PipelineConfig) -> RunTrace:
     early event; failing that, a period the gate closed gives a late event
     at its deactivation window when its last mean's maximum reaches
     tau_late. A period still open at the end of the stream gives no late
-    event. run_video(fold_video(detector, classifier, cfg), cfg) gives what
-    a window-by-window replay through gate_step and activation_step gives,
-    bit for bit.
+    event, and a NaN threshold never fires. run_video(fold_video(detector,
+    classifier, cfg), cfg) gives what a window-by-window replay through
+    gate_step and activation_step gives, bit for bit, in Python numbers.
     """
-    ends, labels, top1s, best = folded.ends, folded.labels, folded.top1s, folded.best_margins
+    ends, periods = folded.ends, folded.periods
+    reached = np.flatnonzero(folded.top1s - folded.top2s >= cfg.tau_early)
+    hits = np.append(reached, len(ends))[np.searchsorted(reached, [first for first, _ in periods])].tolist()
+    at = [min(hit, stop - 1) for hit, (_, stop) in zip(hits, periods)]  # the window each period's event reads
+    labels, top1s, top2s = (column[at].tolist() for column in (folded.labels, folded.top1s, folded.top2s))
     events: list[ActivationEvent] = []
-    for first, stop in folded.periods:
-        # the first window whose margin reaches tau_early, where the running best is that margin
-        hit = bisect_left(best, cfg.tau_early, first, stop)
+    for hit, (_, stop), label, top1, top2 in zip(hits, periods, labels, top1s, top2s):
         if hit < stop:
-            events.append(ActivationEvent(labels[hit], ends[hit], EventKind.EARLY, best[hit]))
-        elif stop < len(ends) and top1s[stop - 1] >= cfg.tau_late:
-            events.append(ActivationEvent(labels[stop - 1], ends[stop], EventKind.LATE, top1s[stop - 1]))
+            events.append(ActivationEvent(label, ends[hit], EventKind.EARLY, top1 - top2))
+        elif stop < len(ends) and top1 >= cfg.tau_late:
+            events.append(ActivationEvent(label, ends[stop], EventKind.LATE, top1))
     return RunTrace(tuple(events), folded)
 
 

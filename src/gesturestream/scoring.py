@@ -502,8 +502,8 @@ def load_score_stream(path, expected_arity: int | None = None) -> dict[str, Scor
     """Load one score file into per-video streams.
 
     Enforces a single arity across all records (the expected one when given)
-    and rejects duplicate (video, t) keys and invalid vectors, reporting
-    offending line numbers. A video without a record for some frame below
+    and rejects duplicate (video, t) keys and invalid vectors, naming the
+    first offending line. A video without a record for some frame below
     its last is rejected, naming the first such frame; videos are visited
     in id order.
     """
@@ -513,37 +513,42 @@ def load_score_stream(path, expected_arity: int | None = None) -> dict[str, Scor
     count = 0
     per_video: dict[str, dict[int, int]] = {}  # video -> {frame: record index}
     arity = expected_arity
-    for lineno, record in iter_records(path):
-        video = record.get("video")
-        t = record.get("t")
-        p = record.get("p")
-        # JSON decodes to exact types, so these match _require_field's checks
-        if type(video) is not str or type(t) is not int or type(p) is not list:
-            where = f"{path}:{lineno}"
-            _require_field(record, "video", str, where)
-            _require_field(record, "t", int, where)
-            _require_field(record, "p", list, where)
-        if t < 0:
-            raise StreamFormatError(f"{path}:{lineno}: negative frame index {t}")
-        if arity is None:
-            arity = len(p)
-        if len(p) != arity:
-            raise StreamFormatError(f"{path}:{lineno}: expected {arity} probabilities, got {len(p)}")
-        if arity < 2:
-            raise StreamFormatError(f"{path}:{lineno}: probability vector needs >= 2 classes, got {arity}")
-        frames = per_video.get(video)
-        if frames is None:  # the first record of this video
-            check_video_id(video, f"{path}:{lineno}")
-            frames = per_video[video] = {}
-        if t in frames:
-            raise StreamFormatError(f"{path}:{lineno}: duplicate entry for {video}@{t}")
-        frames[t] = count
-        count += 1
-        pending.append(p)
-        pending_lines.append(lineno)
-        if len(pending) == CHUNK_RECORDS:
-            chunks.append(_validated_rows(path, pending, pending_lines))
-            pending, pending_lines = [], []
+    try:
+        for lineno, record in iter_records(path):
+            video = record.get("video")
+            t = record.get("t")
+            p = record.get("p")
+            # JSON decodes to exact types, so these match _require_field's checks
+            if type(video) is not str or type(t) is not int or type(p) is not list:
+                where = f"{path}:{lineno}"
+                _require_field(record, "video", str, where)
+                _require_field(record, "t", int, where)
+                _require_field(record, "p", list, where)
+            if t < 0:
+                raise StreamFormatError(f"{path}:{lineno}: negative frame index {t}")
+            if arity is None:
+                arity = len(p)
+            if len(p) != arity:
+                raise StreamFormatError(f"{path}:{lineno}: expected {arity} probabilities, got {len(p)}")
+            if arity < 2:
+                raise StreamFormatError(f"{path}:{lineno}: probability vector needs >= 2 classes, got {arity}")
+            frames = per_video.get(video)
+            if frames is None:  # the first record of this video
+                check_video_id(video, f"{path}:{lineno}")
+                frames = per_video[video] = {}
+            if t in frames:
+                raise StreamFormatError(f"{path}:{lineno}: duplicate entry for {video}@{t}")
+            frames[t] = count
+            count += 1
+            pending.append(p)
+            pending_lines.append(lineno)
+            if len(pending) == CHUNK_RECORDS:
+                chunks.append(_validated_rows(path, pending, pending_lines))
+                pending, pending_lines = [], []
+    except StreamFormatError:
+        if pending:  # rows not yet checked lie on earlier lines
+            _validated_rows(path, pending, pending_lines)
+        raise
     if pending:
         chunks.append(_validated_rows(path, pending, pending_lines))
     if not chunks:

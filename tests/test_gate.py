@@ -269,8 +269,8 @@ class TestGatePeriods:
         filtered, periods = gate_periods(np.array(raws, dtype=float), cfg)
         want_filtered, want_periods = replay_periods(raws, cfg)
         assert periods == want_periods
-        assert [x.hex() for x in filtered] == [x.hex() for x in want_filtered]
-        assert all(type(x) is float for x in filtered)
+        assert filtered.dtype == np.float64
+        assert [x.hex() for x in filtered.tolist()] == [x.hex() for x in want_filtered]
 
     @given(gated_streams(), st.integers(1, 8))
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -280,4 +280,4 @@ class TestGatePeriods:
         filtered, periods = gate_periods(np.array(raws, dtype=float), cfg)
         got_filtered, got_periods = replay_periods(raws, cfg, GateState.idle(size))
         assert got_periods == periods
-        assert [x.hex() for x in got_filtered] == [x.hex() for x in filtered]
+        assert [x.hex() for x in got_filtered] == [x.hex() for x in filtered.tolist()]

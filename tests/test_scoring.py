@@ -191,6 +191,19 @@ class TestLoadScoreStream:
             with pytest.raises(StreamFormatError, match=r":9: probabilities sum to 1\.1, "):
                 load_score_stream(path)
 
+    @pytest.mark.parametrize("lineno,line", [
+        (901, json.dumps({"video": "v", "t": 0, "p": [0.5, 0.5]})),  # a duplicate, in line 5's block of 1,024
+        (901, '{"video": "v", "t": 900'),  # a line that fails to decode, in the same block
+        (1101, json.dumps({"video": "v", "t": -1, "p": [0.5, 0.5]})),  # a negative frame, in the next block
+    ], ids=["duplicate", "undecodable", "negative-frame"])
+    def test_first_bad_line_named_wherever_the_block_ends(self, tmp_path, lineno, line):
+        path = tmp_path / "s.jsonl"
+        lines = [json.dumps({"video": "v", "t": t, "p": [0.5, 0.6] if t == 4 else [0.5, 0.5]}) for t in range(1500)]
+        lines[lineno - 1] = line
+        write_lines(path, lines)
+        with pytest.raises(StreamFormatError, match=r"s\.jsonl:5: probabilities sum to 1\.1, "):
+            load_score_stream(path)
+
     def test_deep_nesting_is_format_error(self, tmp_path):
         path = tmp_path / "det.jsonl"
         for line in ["[" * 200_000, "[" * 5_000 + "]" * 5_000, '{"p": ' + "[" * 5_000 + "]" * 5_000 + "}"]:
