@@ -2,17 +2,15 @@
 
 The events are those of a causal real-time system that processes each video
 strictly in stride order with no lookahead, over logical frame time; the
-batch kernel reaches them in array passes that gate each video whole and
-fold the whole corpus at once into read-only numpy columns. The classifier
-stream is consulted only while the gate holds the classifier active, which
-is the pipeline's whole economy: idle stretches cost one detector lookup
-per window.
+batch kernel reaches them in array passes that check and gate each video
+whole and fold the whole corpus at once into read-only numpy columns. The
+classifier rows of active windows alone are read, which is the pipeline's
+whole economy, yet a classifier stream must score every frame, as on disk.
 """
 
 from __future__ import annotations
 
 import logging
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -76,21 +74,26 @@ class FoldedVideo:
 
 
 def fold_videos(streams: list[tuple[ScoreStream, ScoreStream]], cfg: PipelineConfig) -> list[FoldedVideo]:
-    """Gate each video's windows, then fold the classifier rows of every video's active periods at once.
+    """Check and gate each video's pair of streams, then fold the classifier rows of every active period at once.
 
-    Per video, in the given order, gate_periods filters the detector's
-    gesture column in one array pass and finds the active periods from its
-    on/off boundaries; the schedule spans the detector stream. A classifier
-    arity other than cfg.num_classes, or a classifier stream that ends
-    before a fold window, aborts with a replay's first error before anything
-    is folded. fold_periods then folds the rows of every period of every
+    Per video, in the given order, the pair must meet load_corpus's rule
+    before it is gated, whatever the gate reads: a detector of arity 2, a
+    classifier of arity cfg.num_classes at least as long as it. Then
+    gate_periods finds the active periods from the filtered gesture column
+    in one array pass, fold_periods folds the rows of every period of every
     video in one call, top2_rows reads every mean's top-2 at once, and each
     fold lands at its window of corpus-wide columns that the videos slice.
-    Each video's fold is what folding it alone gives, field for field.
+    Each video's fold, error and warning is what folding it alone gives.
     """
     validate_config(cfg)
     gated, views = [], []
     for detector, classifier in streams:
+        if detector.arity != 2:
+            raise ValueError(f"arity mismatch: detector of {detector.video_id} has {detector.arity} classes, expected 2")
+        if classifier.arity != cfg.num_classes:
+            raise ValueError(f"arity mismatch: mean has {cfg.num_classes} classes, scores have {classifier.arity}")
+        if classifier.length < detector.length:
+            raise ValueError(f"no score for {classifier.video_id}@{classifier.length}")
         ends = cursor_for(detector.length, cfg)
         if not ends:
             log.warning(
@@ -102,14 +105,7 @@ def fold_videos(streams: list[tuple[ScoreStream, ScoreStream]], cfg: PipelineCon
         filtered, periods = gate_periods(raws, cfg)
         filtered.flags.writeable = False
         gated.append((ends, raws, filtered, periods))
-        frames = [ends[first:stop] for first, stop in periods]
-        # the replay meets the arity at the first fold, so a frame missing later comes second
-        if frames and frames[0][0] < classifier.length and classifier.arity != cfg.num_classes:
-            raise ValueError(f"arity mismatch: mean has {cfg.num_classes} classes, scores have {classifier.arity}")
-        if frames and frames[-1][-1] >= classifier.length:
-            missing = next(r[bisect_left(r, classifier.length)] for r in frames if r[-1] >= classifier.length)
-            raise ValueError(f"no score for {classifier.video_id}@{missing}")
-        views += [classifier.rows[r.start : r.stop : r.step] for r in frames]
+        views += [classifier.rows[ends.start :: ends.step][first:stop] for first, stop in periods]
 
     lengths = [stop - first for *_, periods in gated for first, stop in periods]
     t_mid = midpoint(cfg.mean_duration, cfg.stride)
@@ -180,10 +176,10 @@ class CorpusRun:
 def fold_corpus(corpus: Corpus, cfg: PipelineConfig) -> dict[str, FoldedVideo]:
     """Every annotated video's fold, in id order, from one fold_videos call: the pass run_corpus and sweep score.
 
-    Videos without annotations are skipped with a warning each. A corpus
-    with no videos, an annotated video without a detector or a classifier
-    stream, and a corpus with no annotated video are errors, raised before
-    any video is gated.
+    Videos without annotations are skipped with a warning each. No videos,
+    no annotated video, and an annotated video that lacks a stream or has a
+    class outside [0, cfg.num_classes) are errors, raised before any video
+    is gated.
     """
     video_ids = corpus.video_ids()
     if not video_ids:
@@ -194,6 +190,9 @@ def fold_corpus(corpus: Corpus, cfg: PipelineConfig) -> dict[str, FoldedVideo]:
             raise ValueError(f"no detector stream for {video_id}")
         if video_id not in corpus.classifier:
             raise ValueError(f"no classifier stream for {video_id}")
+        for segment in corpus.segments[video_id]:
+            if not 0 <= segment.label < cfg.num_classes:
+                raise ValueError(f"{video_id}: class {segment.label} outside [0, {cfg.num_classes})")
     for video_id in video_ids:
         if not corpus.segments.get(video_id):
             log.warning("skipping %s: no annotations", video_id)

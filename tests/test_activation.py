@@ -195,6 +195,12 @@ class TestActivationStep:
             assert event is None
         assert scorer.lookups == 0
 
+    def test_stay_active_while_inactive_rejected(self):
+        scorer = StubScorer(ProbVector((0.5, 0.3, 0.2)))
+        with pytest.raises(RuntimeError, match="stay-active decision while the activation state is inactive"):
+            activation_step(ActivationState.inactive(3), GateDecision.STAY_ACTIVE, scorer, self.window(31), self.CFG)
+        assert scorer.lookups == 0
+
     def test_zero_tau_fires_on_first_active_window(self):
         cfg = PipelineConfig(num_classes=3, tau_early=0.0)
         scorer = StubScorer(ProbVector((0.5, 0.3, 0.2)))

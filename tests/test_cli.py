@@ -511,6 +511,14 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 
+    def test_unexpected_exception_is_internal_error(self, tmp_path, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("broken invariant")
+
+        monkeypatch.setattr(cli, "cmd_run", broken)
+        assert main(["run", "--data", str(tmp_path), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == "internal error: RuntimeError('broken invariant')\n"
+
     @pytest.mark.parametrize("grace,code", [("-1", 1), ("0", 0)])
     def test_grace_must_be_non_negative(self, corpus_dir, tmp_path, grace, code):
         events = tmp_path / "events.jsonl"

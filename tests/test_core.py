@@ -45,6 +45,7 @@ class TestValidateConfig:
         ("deactivate_count", 0),
         ("sigmoid_slope", 0.0),
         ("sigmoid_slope", math.nan),
+        ("filter_kind", "median"),  # the string, not the FilterKind
     ])
     def test_single_field_violations(self, field, value):
         cfg = PipelineConfig(**{"num_classes": 10, field: value})
@@ -101,6 +102,10 @@ class TestIngestProbs:
     def test_small_slack_renormalized(self):
         vec = ingest_probs([0.4995, 0.5])  # sums to 0.9995
         assert abs(math.fsum(vec.values) - 1.0) <= 1e-9
+
+    def test_single_value_rejected(self):
+        with pytest.raises(ValueError, match="probability vector needs >= 2 classes, got 1"):
+            ingest_probs([1.0])
 
     def test_large_deviation_rejected(self):
         with pytest.raises(ValueError, match="sum"):

@@ -88,6 +88,10 @@ class TestFilters:
         with pytest.raises(ValueError, match="empty"):
             apply_filter((), FilterKind.MEAN)
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown filter kind 'median'"):
+            apply_filter((0.5,), "median")
+
     def test_warmup_uses_current_length(self):
         # length-2 queue: weights e^{1/2}, 1 over newest, oldest
         q = filled_queue([0.0, 1.0])
@@ -135,6 +139,10 @@ class TestEwaWeights:
     def test_oldest_weight_exactly_one(self):
         for length in range(1, 9):
             assert ewa_weights(length)[-1] == 1.0
+
+    def test_empty_length_rejected(self):
+        with pytest.raises(ValueError, match="weights need a length >= 1"):
+            ewa_weights(0)
 
     def test_k4_ratio(self):
         w = ewa_weights(4)

@@ -33,6 +33,11 @@ def constant_streams(video_id, length, gesture_prob, num_classes=10):
     return det, cls
 
 
+def one_hot_stream(video_id, length, num_classes=10):
+    """Classifier rows all certain of class 3."""
+    return ScoreStream(video_id, np.tile(np.eye(num_classes)[3], (length, 1)))
+
+
 def mode_transitions(folded):
     """Idle-to-active and active-to-idle flips of the gate over a video's windows."""
     activations = len(folded.periods)
@@ -75,12 +80,17 @@ class TestRunVideo:
 
     def test_all_background_never_invokes_classifier(self):
         det, _ = constant_streams("bg", 200, gesture_prob=0.05)
-        # an empty classifier stream proves the gate never consults it
-        empty_cls = ScoreStream("bg", np.empty((0, 10)))
-        trace = batch_run(det, empty_cls, CFG)
+        cfg = replace(CFG, tau_early=0.0)
+        # at tau_early 0 any window that read these rows would give an early event
+        trace = batch_run(det, one_hot_stream("bg", 200), cfg)
         assert trace.events == ()
         assert trace.classifier_invocations == 0
         assert trace.windows_processed == 200 - 32 + 1
+        active, _ = constant_streams("bg", 200, gesture_prob=0.95)
+        assert [e.kind for e in batch_run(active, one_hot_stream("bg", 200), cfg).events] == [EventKind.EARLY]
+        # rows that are never read must still cover the detector's frames
+        with pytest.raises(ValueError, match="no score for bg@0"):
+            batch_run(det, ScoreStream("bg", np.empty((0, 10))), cfg)
 
     def test_stride_two_halves_window_count(self):
         corpus = single_video_corpus()
@@ -209,6 +219,16 @@ class TestRunCorpus:
         with pytest.raises(ValueError, match="no detector stream for ghost"):
             sweep(merged, CFG, [0.5])
 
+    def test_out_of_range_class_rejected_before_any_video_is_gated(self, monkeypatch):
+        corpus = generate_synthetic(SynthConfig(num_videos=2, gestures_per_video=3, num_classes=5, seed=1))
+        corpus.segments["v001"][1] = replace(corpus.segments["v001"][1], label=9)
+        monkeypatch.setattr(pipeline, "fold_videos", None)  # any video work would fail differently
+        cfg = PipelineConfig(num_classes=5)
+        with pytest.raises(ValueError, match=re.escape("v001: class 9 outside [0, 5)")):
+            run_corpus(corpus, cfg)
+        with pytest.raises(ValueError, match=re.escape("v001: class 9 outside [0, 5)")):
+            sweep(corpus, cfg, [0.5])
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="no videos"):
             run_corpus(Corpus(detector={}, classifier={}, segments={}), CFG)
@@ -318,8 +338,22 @@ def stream_arrays(draw, classes):
     return det, cls
 
 
+def rule_error(det, cls, cfg):
+    """The error of a pair of streams that breaks the rule load_corpus holds files to, or None."""
+    if det.arity != 2:
+        return f"ValueError: arity mismatch: detector of {det.video_id} has {det.arity} classes, expected 2"
+    if cls.arity != cfg.num_classes:
+        return f"ValueError: arity mismatch: mean has {cfg.num_classes} classes, scores have {cls.arity}"
+    if cls.length < det.length:
+        return f"ValueError: no score for {cls.video_id}@{cls.length}"
+    return None
+
+
 def inject_fault(draw, det, cls, cfg, fault):
-    """Cut the classifier stream short, configure a class count it does not have, or both."""
+    """Break the pair as the fault names: cut the classifier short, configure another class count, or split the
+    detector's no-gesture column in two."""
+    if fault == "3-column-detector":
+        det = np.column_stack([det[:, 0] / 2, det[:, GESTURE_INDEX], det[:, 0] / 2])
     if "short-classifier" in fault and len(det):
         cls = cls[: draw(st.integers(0, len(det) - 1))]
     if "num-classes" in fault:
@@ -343,7 +377,7 @@ def pipeline_configs(draw, classes):
     )
 
 
-FAULTS = ["none"] * 6 + ["short-classifier", "num-classes", "num-classes+short-classifier"]
+FAULTS = ["none"] * 6 + ["short-classifier", "num-classes", "num-classes+short-classifier", "3-column-detector"]
 
 
 @st.composite
@@ -359,11 +393,11 @@ class TestKernelMatchesOnlineReplay:
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_events_trace_and_counts_identical(self, streams):
         det, cls, cfg = streams
-        replayed = outcome(replay_online, det, cls, cfg)
-        if isinstance(replayed, str):
-            assert outcome(batch_run, det, cls, cfg) == replayed
+        broken = rule_error(det, cls, cfg)
+        if broken:  # whatever the replay, which reads rows lazily, would do
+            assert outcome(batch_run, det, cls, cfg) == broken
             return
-        assert_matches_replay(batch_run(det, cls, cfg), *replayed)
+        assert_matches_replay(batch_run(det, cls, cfg), *replay_online(det, cls, cfg))
 
     def test_eighty_three_classes_and_long_gestures(self):
         synth = SynthConfig(num_videos=2, gestures_per_video=4, num_classes=83, duration_mean=90.0, seed=5)
@@ -594,9 +628,59 @@ class TestCorpusFoldMatchesPerVideoFolds:
 
     def test_video_without_periods(self):
         det, _ = constant_streams("v1", 200, gesture_prob=0.05)
-        # an empty classifier stream proves the kernel never consults an idle video's rows
-        runs = assert_kernel_matches_per_video(three_videos(det, ScoreStream("v1", np.empty((0, 10)))), CFG)
+        cfg = replace(CFG, tau_early=0.0)
+        # at tau_early 0 any window that read the idle video's rows would give an early event
+        runs = assert_kernel_matches_per_video(three_videos(det, one_hot_stream("v1", 200)), cfg)
+        assert runs["v1"].events == () and runs["v1"].classifier_invocations == 0
         idle = runs["v1"].folded
         assert idle.periods == [] and idle.weights == [0.0] and set(idle.labels) == {-1}
+        # rows that are never read must still cover the detector's frames
+        empty = three_videos(det, ScoreStream("v1", np.empty((0, 10))))
+        assert assert_kernel_matches_per_video(empty, cfg) == "ValueError: no score for v1@0"
         assert runs["v0"].folded.weights == runs["v2"].folded.weights
         assert len(runs["v0"].folded.weights) == runs["v0"].classifier_invocations + 1
+
+
+RULE_FAULTS = ["none", "short-classifier", "num-classes", "3-column-detector", "out-of-range-class"]
+
+
+@st.composite
+def rule_corpora(draw):
+    """Up to three annotated videos, the first broken by the fault drawn; no gesture probability reaches 1."""
+    classes = draw(st.integers(2, 6))
+    cfg = pipeline_configs(draw, classes)
+    fault = draw(st.sampled_from(RULE_FAULTS))
+    detector, classifier, segments = {}, {}, {}
+    for k in range(draw(st.integers(1, 3))):
+        video = f"v{k}"
+        det, cls = stream_arrays(draw, classes)
+        gesture = det[:, GESTURE_INDEX] / 2  # so a gate that opens at 1.0 never opens
+        det = np.column_stack([1.0 - gesture, gesture])
+        labels = [draw(st.integers(0, classes - 1))]
+        if k == 0:
+            if fault == "short-classifier" and not len(det):
+                det = np.array([[0.5, 0.5]])
+            det, cls, cfg = inject_fault(draw, det, cls, cfg, fault)
+            if fault == "out-of-range-class":
+                labels.append(cfg.num_classes + draw(st.integers(0, 3)))
+        detector[video], classifier[video] = ScoreStream(video, det), ScoreStream(video, cls)
+        segments[video] = [GroundTruthSegment(video, label, 40 * i, 40 * i + 30) for i, label in enumerate(labels)]
+    return Corpus(detector, classifier, segments), cfg, fault
+
+
+class TestValidityIndependentOfConfig:
+    @given(rule_corpora())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_gate_never_open_and_gate_open_throughout_agree(self, drawn):
+        corpus, cfg, fault = drawn
+        never, always = replace(cfg, gate_on_threshold=1.0), replace(cfg, gate_on_threshold=0.0)
+        for fn in (run_corpus, lambda corpus, cfg: sweep(corpus, cfg, [0.0, 1.0])):
+            closed, opened = outcome(fn, corpus, never), outcome(fn, corpus, always)
+            if fault == "none":
+                assert not isinstance(closed, str) and not isinstance(opened, str)
+            else:
+                assert isinstance(closed, str) and closed == opened
+        if fault == "none":  # the two gates are the extremes they are named for
+            closed, opened = run_corpus(corpus, never).aggregate, run_corpus(corpus, always).aggregate
+            assert closed.classifier_invocations == 0
+            assert opened.classifier_invocations == opened.windows_processed

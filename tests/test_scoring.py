@@ -176,6 +176,12 @@ class TestLoadScoreStream:
         write_lines(path, [json.dumps({"video": "a", "t": -1, "p": [0.1, 0.9]})])
         with pytest.raises(StreamFormatError, match=":1: negative frame index -1$"):
             load_score_stream(path)
+        write_lines(path, [
+            json.dumps({"video": "a", "t": 0, "p": [0.1, 0.9]}),
+            json.dumps({"video": "a", "t": 1, "p": 0.9}),
+        ])
+        with pytest.raises(StreamFormatError, match=":2: missing or invalid field 'p'$"):
+            load_score_stream(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "det.jsonl"
@@ -634,7 +640,22 @@ NOISELESS = SynthConfig(
 )
 
 
+class FixedNoise:
+    """Stands in for a generator's rng: every normal draw is the given array."""
+
+    def __init__(self, noise):
+        self.noise = noise
+
+    def normal(self, loc, scale, size):
+        return self.noise
+
+
 class TestGenerateSynthetic:
+    def test_noise_that_zeroes_a_row_gives_a_uniform_row(self):
+        rows = np.array([[0.2, 0.3, 0.5], [0.2, 0.3, 0.5]])
+        noisy = scoring._add_vector_noise(rows, 0.05, FixedNoise(np.array([[-1.0, -1.0, -1.0], [0.0, 0.0, 0.0]])))
+        assert noisy.tolist() == [[1 / 3, 1 / 3, 1 / 3], [0.2, 0.3, 0.5]]
+
     def test_deterministic_given_seed(self, tmp_path):
         a = generate_synthetic(NOISELESS)
         b = generate_synthetic(NOISELESS)
