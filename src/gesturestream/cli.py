@@ -436,7 +436,13 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--events", required=True)
     ev.add_argument("--annotations", required=True)
     ev.add_argument("--out", required=True)
-    ev.add_argument("--grace", type=_grace, default=DEFAULT_GRACE)
+    ev.add_argument(
+        "--grace",
+        type=_grace,
+        default=DEFAULT_GRACE,
+        help="event matching grace in frames (default %(default)s, run's default classifier window); to "
+        "re-score a run made with another --classifier-window or --grace, pass its report.json's \"grace\"",
+    )
 
     sw = sub.add_parser("sweep", help="gate and fold once, then tabulate the tradeoff across early thresholds")
     sw.add_argument("--data", required=True)

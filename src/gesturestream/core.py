@@ -34,26 +34,31 @@ class FilterKind(str, enum.Enum):
     EWA = "ewa"
 
 
+def _checked_sum(values, high: float, tol: float) -> float:
+    """The exact sum (math.fsum) of at least 2 values in [0, high] when it is within tol of 1; else ValueError."""
+    if len(values) < 2:
+        raise ValueError(f"probability vector needs >= 2 classes, got {len(values)}")
+    for x in values:
+        if not 0.0 <= x <= high:
+            raise ValueError(f"probability {x!r} outside [0, 1]")
+    total = math.fsum(values)
+    if abs(total - 1.0) > tol:
+        raise ValueError(f"probabilities sum to {total!r}, expected 1 within {tol}")
+    return total
+
+
 @dataclass(frozen=True, slots=True)
 class ProbVector:
     """A normalized probability distribution over classes.
 
     Detector vectors have length 2, classifier vectors length C >= 2.
-    Elements must lie in [0, 1] and sum to 1 within PROB_SUM_TOL.
+    Elements must lie in [0, 1] and their exact sum within PROB_SUM_TOL of 1.
     """
 
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.values) < 2:
-            raise ValueError(f"probability vector needs >= 2 classes, got {len(self.values)}")
-        total = 0.0
-        for x in self.values:
-            if not (0.0 <= x <= 1.0):
-                raise ValueError(f"probability {x!r} outside [0, 1]")
-            total += x
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, expected 1 within {PROB_SUM_TOL}")
+        _checked_sum(self.values, 1.0, PROB_SUM_TOL)
 
     @classmethod
     def trusted(cls, values: tuple[float, ...]) -> ProbVector:
@@ -138,25 +143,18 @@ def ingest_probs(raw) -> ProbVector:
     """Validate a probability vector arriving from an external source.
 
     raw is a sequence of ints and floats; a bool or any other value is an
-    error, not converted. Vectors whose sum misses 1 by at most
-    INGEST_RENORM_TOL are renormalized silently (float serialization loss);
-    anything worse is an error.
+    error, not converted. Values up to 1 + INGEST_RENORM_TOL whose exact sum is
+    within INGEST_RENORM_TOL of 1 (float serialization loss) are kept when they
+    make a ProbVector and divided by that sum otherwise; anything worse is an error.
     """
     for x in raw:
         if isinstance(x, bool) or not isinstance(x, (int, float)):
             raise ValueError(f"probability {x!r} is not a number")
     values = tuple(float(x) for x in raw)
-    if len(values) < 2:
-        raise ValueError(f"probability vector needs >= 2 classes, got {len(values)}")
-    for x in values:
-        if x < 0.0 or x > 1.0 + INGEST_RENORM_TOL:
-            raise ValueError(f"probability {x!r} outside [0, 1]")
-    total = math.fsum(values)
-    if abs(total - 1.0) <= PROB_SUM_TOL:
-        return ProbVector(values)
-    if abs(total - 1.0) <= INGEST_RENORM_TOL:
-        return normalize(values)
-    raise ValueError(f"probabilities sum to {total!r}, expected 1 within {INGEST_RENORM_TOL}")
+    total = _checked_sum(values, 1.0 + INGEST_RENORM_TOL, INGEST_RENORM_TOL)
+    if max(values) <= 1.0 and abs(total - 1.0) <= PROB_SUM_TOL:  # ProbVector's own rule, just proven
+        return ProbVector.trusted(values)
+    return normalize(values)
 
 
 def top2(vals) -> tuple[int, float, float]:

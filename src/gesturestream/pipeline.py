@@ -21,7 +21,7 @@ from .core import GESTURE_INDEX, PipelineConfig, top2_rows, validate_config
 from .evaluate import AggregateStats, VideoScore, check_grace, evaluate_corpus
 from .gate import gate_periods
 from .scoring import Corpus, ScoreStream
-from .windows import cursor_for
+from .windows import cursor_for, warn_if_empty
 
 log = logging.getLogger(__name__)
 
@@ -95,12 +95,7 @@ def fold_videos(streams: list[tuple[ScoreStream, ScoreStream]], cfg: PipelineCon
         if classifier.length < detector.length:
             raise ValueError(f"no score for {classifier.video_id}@{classifier.length}")
         ends = cursor_for(detector.length, cfg)
-        if not ends:
-            log.warning(
-                "stream of %d frames is shorter than the classifier window (%d); no windows scheduled",
-                detector.length,
-                cfg.classifier_window,
-            )
+        warn_if_empty(ends, cfg)
         raws = detector.rows[ends.start :: ends.step, GESTURE_INDEX]
         filtered, periods = gate_periods(raws, cfg)
         filtered.flags.writeable = False

@@ -57,9 +57,12 @@ PREP_LEAK = 0.1
 NUCLEUS_PEAK = 0.9
 MAX_DRAW_RETRIES = 100
 # Rows summing to within PROB_SUM_TOL - SUM_SLACK of 1 by numpy's summation
-# are accepted without the exact math.fsum that ingest_probs takes; the slack
-# is far above the rounding error of either summation order.
+# are accepted without ProbVector's exact sum (math.fsum); the slack is far
+# above numpy's rounding error, so their exact sum is within PROB_SUM_TOL.
 SUM_SLACK = 1e-9
+# The longest video id in UTF-8 bytes: the temp name a trace is written under
+# adds about 34 bytes to "<id>.tsv", which must stay within NAME_MAX (255).
+VIDEO_ID_MAX_BYTES = 200
 # Records a loader holds as parsed Python lists before it validates them into
 # an array, and rows the writer serialises at once; bounds the memory of the
 # lists and the text, each several times the array's.
@@ -106,8 +109,9 @@ def _bulk_valid(rows: np.ndarray) -> np.ndarray:
     """Mask of the rows of a 2-D float64 array that are valid ProbVectors by array operations alone.
 
     A row is in when every value lies in [0, 1] and numpy's sum is within
-    PROB_SUM_TOL - SUM_SLACK of 1. A row left out may still be valid; only
-    the scalar check can tell.
+    PROB_SUM_TOL - SUM_SLACK of 1, which puts ProbVector's exact sum within
+    PROB_SUM_TOL: a strict subset of its rule. A row left out may still be
+    valid; only the scalar check can tell.
     """
     clean = ((rows >= 0.0) & (rows <= 1.0)).all(axis=1)
     # Rows holding inf or values near the float maximum overflow the sum; the
@@ -383,12 +387,18 @@ def check_video_id(video: str, where: str) -> None:
 
     The id must be non-empty, must not start with "." (no hidden file, no
     "." or ".."), and must not hold "/", "\\" or NUL, so that traces/<id>.tsv
-    stays inside traces/ on every platform.
+    stays inside traces/ on every platform. It must encode to UTF-8 (no lone
+    surrogate) in at most VIDEO_ID_MAX_BYTES bytes, so that the name of the
+    trace's temp file fits a file system's 255-byte name limit.
     """
-    if not video or video[0] == "." or "/" in video or "\\" in video or "\0" in video:
+    try:
+        size = len(video.encode("utf-8"))
+    except UnicodeEncodeError:  # a lone surrogate, which json.loads decodes from a \ud800 escape
+        size = 0
+    if not 0 < size <= VIDEO_ID_MAX_BYTES or video[0] == "." or "/" in video or "\\" in video or "\0" in video:
         raise StreamFormatError(
-            f"{where}: video id {video!r} must be non-empty, must not start with '.' "
-            f"and must not hold '/', '\\' or NUL"
+            f"{where}: video id {video!r} must be non-empty UTF-8 of at most {VIDEO_ID_MAX_BYTES} bytes, "
+            f"must not start with '.' and must not hold '/', '\\' or NUL"
         )
 
 

@@ -26,18 +26,22 @@ def cursor_for(length: int, cfg: PipelineConfig) -> range:
     return range(cfg.classifier_window - 1, length, cfg.stride)
 
 
-def advance(cursor: range, cfg: PipelineConfig) -> Iterator[Window]:
-    """Yield one Window per end frame of the cursor.
-
-    A stream shorter than the classifier window yields nothing (warm-up only).
-    """
+def warn_if_empty(cursor: range, cfg: PipelineConfig) -> None:
+    """Warn that a stream shorter than the classifier window schedules no windows, if the cursor is empty."""
     if not cursor:
         log.warning(
             "stream of %d frames is shorter than the classifier window (%d); no windows scheduled",
             cursor.stop,
             cfg.classifier_window,
         )
-        return
+
+
+def advance(cursor: range, cfg: PipelineConfig) -> Iterator[Window]:
+    """Yield one Window per end frame of the cursor.
+
+    A stream shorter than the classifier window yields nothing (warm-up only).
+    """
+    warn_if_empty(cursor, cfg)
     for t in cursor:
         yield Window(t)
 

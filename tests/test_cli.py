@@ -17,7 +17,7 @@ import gesturestream
 from gesturestream import cli
 from gesturestream.cli import _atomic_write_text, _atomic_write_with, main
 from gesturestream.core import PipelineConfig
-from gesturestream.scoring import SynthConfig
+from gesturestream.scoring import SynthConfig, load_score_stream
 
 GEN_SMALL = [
     "gen", "--seed", "42", "--videos", "4", "--gestures-per-video", "3",
@@ -175,8 +175,11 @@ class TestRun:
             assert windows == report["aggregate"]["windows_processed"]
             assert active == report["aggregate"]["classifier_invocations"]
 
-    @pytest.mark.parametrize("video_id", ["../x", "../../x", "ABSOLUTE", "a\\b", "a\0b", "", ".x"],
-                             ids=["parent", "grandparent", "absolute", "backslash", "nul", "empty", "hidden"])
+    @pytest.mark.parametrize(
+        "video_id",
+        ["../x", "../../x", "ABSOLUTE", "a\\b", "a\0b", "", ".x", "a" * 300, "\ud800x"],
+        ids=["parent", "grandparent", "absolute", "backslash", "nul", "empty", "hidden", "too-long", "lone-surrogate"],
+    )
     def test_trace_refuses_video_id_that_names_no_trace_file(self, corpus_dir, tmp_path, capsys, video_id):
         # an absolute id under tmp_path, so that a trace written to it would show in the tree compared below
         video_id = str(tmp_path / "x") if video_id == "ABSOLUTE" else video_id
@@ -192,6 +195,20 @@ class TestRun:
             assert main(argv + flags) == 1
             assert f"error: {detector}:{lineno}: video id {video_id!r} must be non-empty" in capsys.readouterr().err
             assert sorted(tmp_path.rglob("*")) == before  # no events.jsonl, no report, no directory
+
+    def test_video_id_bound_counts_utf8_bytes(self, corpus_dir, tmp_path, capsys):
+        longest = "\u00e9" * 100  # 100 characters, 200 bytes of UTF-8
+        for name in ("detector_scores.jsonl", "classifier_scores.jsonl", "annotations.jsonl"):
+            path = corpus_dir / name
+            path.write_text(path.read_text().replace('"v001"', json.dumps(longest)))
+        out = tmp_path / "run"
+        assert main(["run", "--data", str(corpus_dir), "--out", str(out), "--trace"]) == 0
+        assert (out / "traces" / f"{longest}.tsv").is_file()  # its temp file's name fit too
+        annotations = corpus_dir / "annotations.jsonl"
+        annotations.write_text(annotations.read_text().replace(json.dumps(longest), json.dumps(longest + "a")))
+        assert main(["run", "--data", str(corpus_dir), "--out", str(tmp_path / "o"), "--trace"]) == 1
+        assert f"video id {longest + 'a'!r} must be non-empty UTF-8 of at most 200 bytes" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_rerun_byte_identical(self, corpus_dir, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -272,6 +289,29 @@ class TestEval:
         assert eval_agg == {key: run_agg[key] for key in eval_agg}
         assert eval_report["videos"] == run_report["videos"]
         assert eval_report["grace"] == run_report["grace"] == 20
+
+    def test_default_grace_is_runs_default_window_not_the_runs_grace(self, tmp_path):
+        corpus, run_out = tmp_path / "corpus", tmp_path / "run"
+        assert main(["gen", "--out", str(corpus), "--videos", "2", "--gestures-per-video", "3",
+                     "--num-classes", "6", "--seed", "1"]) == 0
+        assert main(["run", "--data", str(corpus), "--out", str(run_out), "--classifier-window", "8"]) == 0
+        run_report = json.loads((run_out / "report.json").read_text())
+        keys = ["mean_levenshtein_accuracy", "matched", "duplicates", "unmatched_events", "missed_segments",
+                "events", "early_frames"]
+
+        def rescore(*flags):
+            out = tmp_path / f"eval{len(flags)}"
+            assert main(["eval", "--events", str(run_out / "events.jsonl"),
+                         "--annotations", str(corpus / "annotations.jsonl"), "--out", str(out), *flags]) == 0
+            report = json.loads((out / "report.json").read_text())
+            return report["grace"], {key: report["aggregate"][key] for key in keys}
+
+        run_agg = {key: run_report["aggregate"][key] for key in keys}
+        assert (run_report["grace"], run_agg["matched"], run_agg["unmatched_events"]) == (8, 0, 6)
+        # the default grace, 32, is run's default classifier window, not this run's grace
+        grace, default_agg = rescore()
+        assert grace == 32 and default_agg["matched"] == 6 and default_agg != run_agg
+        assert rescore("--grace", str(run_report["grace"])) == (8, run_agg)
 
     @pytest.mark.parametrize("field,value", [
         ("class", 1.7), ("frame", "40"), ("score", True), ("class", -3), ("kind", "soon"),
@@ -483,16 +523,20 @@ class TestExitCodes:
         assert f"{bom}:2: invalid UTF-8 (invalid start byte)" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("video_id", ["", ".x", "a/b", "a\\b", "a\0b"],
-                             ids=["empty", "hidden", "slash", "backslash", "nul"])
+    @pytest.mark.parametrize("video_id", ["", ".x", "a/b", "a\\b", "a\0b", "a" * 300, "\ud800x"],
+                             ids=["empty", "hidden", "slash", "backslash", "nul", "too-long", "lone-surrogate"])
     def test_video_id_rule_names_file_and_line_for_every_command(self, corpus_dir, tmp_path, capsys, video_id):
         events = tmp_path / "run" / "events.jsonl"
         assert main(["run", "--data", str(corpus_dir), "--out", str(events.parent)]) == 0
-        annotations = corpus_dir / "annotations.jsonl"
+        annotations, classifier = corpus_dir / "annotations.jsonl", corpus_dir / "classifier_scores.jsonl"
+        run_argv = ["run", "--data", str(corpus_dir), "--out", str(tmp_path / "rerun")]
         sweep_argv = ["sweep", "--data", str(corpus_dir), "--out", str(tmp_path / "sweep")]
         eval_argv = ["eval", "--events", str(events), "--annotations", str(annotations), "--out", str(tmp_path / "eval")]
         for path, argv in [
-            (corpus_dir / "classifier_scores.jsonl", sweep_argv),
+            (classifier, run_argv),
+            (classifier, run_argv + ["--trace"]),
+            (classifier, sweep_argv),
+            (annotations, run_argv + ["--trace"]),
             (annotations, sweep_argv),
             (annotations, eval_argv),
             (events, eval_argv),
@@ -600,6 +644,27 @@ class TestExitCodes:
         path.write_text("\n".join(lines) + "\n")
         assert main(["run", "--data", str(corpus_dir), "--out", str(tmp_path / "o")]) == 1
         assert f"{path}:3: " in capsys.readouterr().err
+
+    def test_rows_inside_the_renormalisation_tolerance_run(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        assert main(["gen", "--out", str(corpus), "--videos", "1", "--gestures-per-video", "2",
+                     "--num-classes", "3", "--seed", "1"]) == 0
+        # a value above 1 within the tolerance, and a row whose exact sum is within 1e-6 of 1
+        # though its left-to-right sum is not
+        edge = {
+            "detector_scores.jsonl": [0.0, 1.0000005],
+            "classifier_scores.jsonl": [0.369955, 0.630045, 1.0000000000287557e-06],
+        }
+        for name, p in edge.items():
+            path = corpus / name
+            lines = path.read_text().splitlines(keepends=True)
+            lines[0] = json.dumps({"video": "v000", "t": 0, "p": p}) + "\n"
+            path.write_text("".join(lines))
+        assert main(["run", "--data", str(corpus), "--out", str(tmp_path / "run")]) == 0
+        detector = load_score_stream(corpus / "detector_scores.jsonl")["v000"].rows
+        classifier = load_score_stream(corpus / "classifier_scores.jsonl")["v000"].rows
+        assert detector[0].tolist() == [0.0, 1.0]
+        assert [x.hex() for x in classifier[0].tolist()] == [x.hex() for x in edge["classifier_scores.jsonl"]]
 
     @pytest.mark.parametrize("p", ["[1e308, 1e308]", "[Infinity, -Infinity]"], ids=["overflow", "inf"])
     def test_overflowing_row_fails_without_numpy_warning(self, corpus_dir, tmp_path, capsys, p):

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gesturestream.core import (
     ConfigError,
@@ -111,10 +111,60 @@ class TestIngestProbs:
         with pytest.raises(ValueError, match="sum"):
             ingest_probs([0.4, 0.5])
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_fails_the_range_test(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"probability {value!r} outside [0, 1]")):
+            ingest_probs([0.5, value])
+
     @pytest.mark.parametrize("value", [True, False, "0.5", None, [0.5]])
     def test_non_number_rejected(self, value):
         with pytest.raises(ValueError, match=re.escape(f"probability {value!r} is not a number")):
             ingest_probs([0.5, value])
+
+
+def near(x: float):
+    """x and the floats a few of its ulps either side."""
+    return st.integers(-3, 3).map(lambda k: x + k * math.ulp(x))
+
+
+@st.composite
+def edge_rows(draw):
+    """Rows of 2-6 values in [0, 1 + 2e-3] at the edges of the row rule.
+
+    One value lies at 1, 1 + 1e-6 or 1 + 1e-3, give or take a few ulps, or
+    anywhere in [0, 1]. The rest bring the sum to within a few ulps of 1,
+    1 +- 1e-6 or 1 +- 1e-3, or anywhere in 1 +- 2e-3, where that value allows.
+    """
+    big = draw(st.one_of(near(1.0), near(1.0 + 1e-6), near(1.0 + 1e-3), st.floats(0.0, 1.0)))
+    target = draw(st.one_of(*(near(1.0 + d) for d in (0.0, -1e-6, 1e-6, -1e-3, 1e-3)), st.floats(1 - 2e-3, 1 + 2e-3)))
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
+    rest, scale = max(target - big, 0.0), math.fsum(weights) or 1.0
+    others = [rest * w / scale for w in weights[:-1]]
+    others.append(max(rest - math.fsum(others), 0.0))  # the sum lands within a few ulps of the target
+    others.insert(draw(st.integers(0, len(others))), big)
+    return others
+
+
+class TestOneRowRule:
+    @given(edge_rows())
+    @example([0.369955, 0.630045, 1.0000000000287557e-06])  # exact sum within 1e-6 of 1, left-to-right sum not
+    @example([1.0000005, 0.0])  # sum within 1e-6 of 1, a value above 1
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    def test_ingest_accepts_exactly_the_documented_rows(self, row):
+        total = math.fsum(row)
+        if not (all(0.0 <= x <= 1.0 + 1e-3 for x in row) and abs(total - 1.0) <= 1e-3):
+            with pytest.raises(ValueError):
+                ingest_probs(row)
+            return
+        kept = max(row) <= 1.0 and abs(total - 1.0) <= 1e-6
+        want = row if kept else normalize(row).values
+        assert [x.hex() for x in ingest_probs(row).values] == [x.hex() for x in want]
+        # ProbVector takes exactly the rows ingest_probs keeps as they stand
+        if kept:
+            assert ProbVector(tuple(row)).values == tuple(row)
+        else:
+            with pytest.raises(ValueError):
+                ProbVector(tuple(row))
 
 
 class TestProbVector:

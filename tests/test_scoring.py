@@ -487,6 +487,7 @@ def score_files(draw):
 class TestLoaderMatchesIngestProbs:
     @given(score_files())
     @example(rows=[[0.5, 0.5], [1.0000005, 0.0]])  # sum within tolerance, a value above 1
+    @example(rows=[[0.2, 0.3, 0.5], [0.369955, 0.630045, 1.0000000000287557e-06]])  # exact sum within 1e-6, numpy's not
     @example(rows=[[0.5, 0.5], [0.5, 10**400]])
     @example(rows=[[0.5, 0.5], [0.5, [0.5]]])
     @example(rows=[[[0.5], [0.5]]])  # lists of equal shape stack into a 3-D array
