@@ -179,7 +179,7 @@ def activation_step(
         return state, None
     label, max1, max2 = top2(state.values)
     margin = max1 - max2
-    if margin >= cfg.tau_early:  # a NaN threshold never fires
+    if margin >= cfg.tau_early:
         event = ActivationEvent(label, window.end, EventKind.EARLY, margin)
         return ActivationState(state.values, state.count, True), event
     return state, None

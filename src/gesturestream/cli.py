@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence, get_type_hints
 
 from .activation import ActivationEvent, EventKind
-from .core import ConfigError, PipelineConfig, validate_config
+from .core import ConfigError, PipelineConfig
 from .evaluate import AggregateStats, EarlyStats, VideoScore, check_grace, check_taus, evaluate_corpus, sweep
 from .pipeline import CorpusRun, FoldedVideo, run_corpus
 from .scoring import (
@@ -37,7 +37,6 @@ from .scoring import (
     iter_records,
     load_annotations,
     load_corpus,
-    validate_synth_config,
     write_annotation_file,
     write_score_file,
 )
@@ -108,11 +107,6 @@ def _coerced_overrides(args, coercers, config_path) -> dict:
         if flag is not None:
             overrides[key] = flag
     return overrides
-
-
-def _build_synth_config(args) -> SynthConfig:
-    overrides = _coerced_overrides(args, _SYNTH_COERCERS, args.config)
-    return validate_synth_config(SynthConfig(**overrides))
 
 
 def _grace(text: str) -> int:
@@ -303,18 +297,18 @@ def _load_run_inputs(args) -> tuple[Corpus, PipelineConfig]:
     """The corpus in --data and the run/sweep config, every flag and key checked before any data file is read.
 
     The class count is not an option but the classifier's arity, one across the
-    corpus. It is checked as 2, the least arity the loader admits, so a
-    config that passes the check passes it at the loaded arity too.
+    corpus. The config is built at 2, the least arity the loader admits, so a
+    config valid there is valid at the loaded arity too.
     """
     overrides = _coerced_overrides(args, _PIPELINE_COERCERS, args.config)
-    cfg = validate_config(PipelineConfig(num_classes=2, **overrides))
+    cfg = PipelineConfig(num_classes=2, **overrides)
     base = Path(args.data)
     corpus = load_corpus(base / DETECTOR_FILE, base / CLASSIFIER_FILE, base / ANNOTATION_FILE)
     return corpus, replace(cfg, num_classes=next(iter(corpus.classifier.values())).arity)
 
 
 def cmd_gen(args) -> int:
-    cfg = _build_synth_config(args)
+    cfg = SynthConfig(**_coerced_overrides(args, _SYNTH_COERCERS, args.config))
     corpus = generate_synthetic(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

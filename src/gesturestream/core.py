@@ -40,7 +40,7 @@ def _checked_sum(values, high: float, tol: float) -> float:
         raise ValueError(f"probability vector needs >= 2 classes, got {len(values)}")
     for x in values:
         if not 0.0 <= x <= high:
-            raise ValueError(f"probability {x!r} outside [0, 1]")
+            raise ValueError(f"probability {x!r} outside [0, {high:g}]")
     total = math.fsum(values)
     if abs(total - 1.0) > tol:
         raise ValueError(f"probabilities sum to {total!r}, expected 1 within {tol}")
@@ -75,6 +75,8 @@ class PipelineConfig:
     Defaults are the operating point used throughout the bundled tests:
     a 32-frame classifier window, stride 1, median filtering over the
     last 4 detector scores, and a late-decision threshold of 0.15.
+    Building or replacing a config that breaks an invariant raises one
+    ConfigError naming every offending field, so no invalid config exists.
     """
 
     num_classes: int
@@ -89,39 +91,32 @@ class PipelineConfig:
     mean_duration: float = 38.4
     sigmoid_slope: float = 0.2
 
-
-def validate_config(cfg: PipelineConfig) -> PipelineConfig:
-    """Check every PipelineConfig invariant, reporting all violations at once.
-
-    Returns the config unchanged when valid; raises ConfigError naming each
-    offending field otherwise.
-    """
-    problems: list[str] = []
-    if cfg.classifier_window < 1:
-        problems.append("classifier_window must be >= 1")
-    if cfg.stride < 1:
-        problems.append("stride must be >= 1")
-    if cfg.filter_size < 1:
-        problems.append("filter_size must be >= 1")
-    if cfg.deactivate_count < 1:
-        problems.append("deactivate_count must be >= 1")
-    if cfg.num_classes < 2:
-        problems.append("num_classes must be >= 2")
-    if not (0.0 <= cfg.gate_on_threshold <= 1.0):
-        problems.append("gate_on_threshold must be in [0, 1]")
-    if not (0.0 <= cfg.tau_early <= 1.0):
-        problems.append("tau_early must be in [0, 1]")
-    if not (0.0 <= cfg.tau_late <= 1.0):
-        problems.append("tau_late must be in [0, 1]")
-    if not 0 < cfg.mean_duration < math.inf:
-        problems.append("mean_duration must be finite and > 0")
-    if not 0 < cfg.sigmoid_slope < math.inf:
-        problems.append("sigmoid_slope must be finite and > 0")
-    if not isinstance(cfg.filter_kind, FilterKind):
-        problems.append(f"filter_kind must be one of {[k.value for k in FilterKind]}")
-    if problems:
-        raise ConfigError("; ".join(problems))
-    return cfg
+    def __post_init__(self) -> None:
+        problems: list[str] = []
+        if self.classifier_window < 1:
+            problems.append("classifier_window must be >= 1")
+        if self.stride < 1:
+            problems.append("stride must be >= 1")
+        if self.filter_size < 1:
+            problems.append("filter_size must be >= 1")
+        if self.deactivate_count < 1:
+            problems.append("deactivate_count must be >= 1")
+        if self.num_classes < 2:
+            problems.append("num_classes must be >= 2")
+        if not (0.0 <= self.gate_on_threshold <= 1.0):
+            problems.append("gate_on_threshold must be in [0, 1]")
+        if not (0.0 <= self.tau_early <= 1.0):
+            problems.append("tau_early must be in [0, 1]")
+        if not (0.0 <= self.tau_late <= 1.0):
+            problems.append("tau_late must be in [0, 1]")
+        if not 0 < self.mean_duration < math.inf:
+            problems.append("mean_duration must be finite and > 0")
+        if not 0 < self.sigmoid_slope < math.inf:
+            problems.append("sigmoid_slope must be finite and > 0")
+        if not isinstance(self.filter_kind, FilterKind):
+            problems.append(f"filter_kind must be one of {[k.value for k in FilterKind]}")
+        if problems:
+            raise ConfigError("; ".join(problems))
 
 
 def normalize(raw) -> ProbVector:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 from .activation import ActivationEvent, EventKind
-from .core import PipelineConfig, validate_config
+from .core import PipelineConfig
 from .scoring import Corpus, GroundTruthSegment
 
 
@@ -256,7 +256,6 @@ def sweep(corpus: Corpus, cfg: PipelineConfig, taus: Sequence[float]) -> dict[fl
     from .pipeline import fold_corpus, run_video, score_runs  # local import to avoid a module cycle
 
     check_taus(taus)
-    validate_config(cfg)
     folds = fold_corpus(corpus, cfg)
     aggregates = {}
     for tau in taus:

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .activation import ActivationEvent, EventKind, fold_periods, midpoint, sigmoid_weight
-from .core import GESTURE_INDEX, PipelineConfig, top2_rows, validate_config
+from .core import GESTURE_INDEX, PipelineConfig, top2_rows
 from .evaluate import AggregateStats, VideoScore, check_grace, evaluate_corpus
 from .gate import gate_periods
 from .scoring import Corpus, ScoreStream
@@ -85,7 +85,6 @@ def fold_videos(streams: list[tuple[ScoreStream, ScoreStream]], cfg: PipelineCon
     fold lands at its window of corpus-wide columns that the videos slice.
     Each video's fold, error and warning is what folding it alone gives.
     """
-    validate_config(cfg)
     gated, views = [], []
     for detector, classifier in streams:
         if detector.arity != 2:
@@ -134,9 +133,9 @@ def run_video(folded: FoldedVideo, cfg: PipelineConfig) -> RunTrace:
     early event; failing that, a period the gate closed gives a late event
     at its deactivation window when its last mean's maximum reaches
     tau_late. A period still open at the end of the stream gives no late
-    event, and a NaN threshold never fires. run_video(fold_video(detector,
-    classifier, cfg), cfg) gives what a window-by-window replay through
-    gate_step and activation_step gives, bit for bit, in Python numbers.
+    event. run_video(fold_video(detector, classifier, cfg), cfg) gives what
+    a window-by-window replay through gate_step and activation_step gives,
+    bit for bit, in Python numbers.
     """
     ends, periods = folded.ends, folded.periods
     reached = np.flatnonzero(folded.top1s - folded.top2s >= cfg.tau_early)
@@ -230,6 +229,5 @@ def run_corpus(
     belong to the gesture that just ended; a negative one is rejected
     before any video runs.
     """
-    validate_config(cfg)
     grace = check_grace(cfg.classifier_window if grace is None else grace)
     return score_runs({v: run_video(folded, cfg) for v, folded in fold_corpus(corpus, cfg).items()}, corpus, grace)

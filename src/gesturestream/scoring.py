@@ -184,6 +184,8 @@ class SynthConfig:
     prep_ambiguity), a discriminative nucleus, and a retraction decaying
     toward uniform. Detector confidence ramps linearly over edge_ramp frames
     at segment boundaries, mimicking a detection window sliding across them.
+    Building or replacing a config that breaks an invariant raises one
+    ConfigError naming every offending field, so no invalid config exists.
     """
 
     num_videos: int = 10
@@ -200,44 +202,41 @@ class SynthConfig:
     seed: int = 0
     edge_ramp: int = 8
 
-
-def validate_synth_config(cfg: SynthConfig) -> SynthConfig:
-    """Check every SynthConfig invariant; raises ConfigError naming each violation."""
-    problems: list[str] = []
-    if cfg.num_videos < 1:
-        problems.append("num_videos must be >= 1")
-    if cfg.gestures_per_video < 1:
-        problems.append("gestures_per_video must be >= 1")
-    if cfg.num_classes < 2:
-        problems.append("num_classes must be >= 2")
-    if not cfg.duration_mean > 0:
-        problems.append("duration_mean must be > 0")
-    if cfg.duration_spread < 0:
-        problems.append("duration_spread must be >= 0")
-    if cfg.gap_mean < 0:
-        problems.append("gap_mean must be >= 0")
-    if cfg.gap_spread < 0:
-        problems.append("gap_spread must be >= 0")
-    if len(cfg.phase_fractions) != 3 or not all(0 <= f < math.inf for f in cfg.phase_fractions):
-        problems.append("phase_fractions must be three non-negative reals")
-    elif abs(sum(cfg.phase_fractions) - 1.0) > 1e-9:
-        problems.append("phase_fractions must sum to 1")
-    if not (0.0 <= cfg.detector_base <= 1.0):
-        problems.append("detector_base must be in [0, 1]")
-    if cfg.noise_sigma < 0:
-        problems.append("noise_sigma must be >= 0")
-    for name in ("duration_mean", "duration_spread", "gap_mean", "gap_spread", "noise_sigma"):
-        if not math.isfinite(getattr(cfg, name)):
-            problems.append(f"{name} must be finite")
-    if not (0.0 <= cfg.prep_ambiguity <= 1.0):
-        problems.append("prep_ambiguity must be in [0, 1]")
-    if cfg.seed < 0:
-        problems.append("seed must be >= 0")
-    if cfg.edge_ramp < 1:
-        problems.append("edge_ramp must be >= 1")
-    if problems:
-        raise ConfigError("; ".join(problems))
-    return cfg
+    def __post_init__(self) -> None:
+        problems: list[str] = []
+        if self.num_videos < 1:
+            problems.append("num_videos must be >= 1")
+        if self.gestures_per_video < 1:
+            problems.append("gestures_per_video must be >= 1")
+        if self.num_classes < 2:
+            problems.append("num_classes must be >= 2")
+        if not self.duration_mean > 0:
+            problems.append("duration_mean must be > 0")
+        if self.duration_spread < 0:
+            problems.append("duration_spread must be >= 0")
+        if self.gap_mean < 0:
+            problems.append("gap_mean must be >= 0")
+        if self.gap_spread < 0:
+            problems.append("gap_spread must be >= 0")
+        if len(self.phase_fractions) != 3 or not all(0 <= f < math.inf for f in self.phase_fractions):
+            problems.append("phase_fractions must be three non-negative reals")
+        elif abs(sum(self.phase_fractions) - 1.0) > 1e-9:
+            problems.append("phase_fractions must sum to 1")
+        if not (0.0 <= self.detector_base <= 1.0):
+            problems.append("detector_base must be in [0, 1]")
+        if self.noise_sigma < 0:
+            problems.append("noise_sigma must be >= 0")
+        for name in ("duration_mean", "duration_spread", "gap_mean", "gap_spread", "noise_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                problems.append(f"{name} must be finite")
+        if not (0.0 <= self.prep_ambiguity <= 1.0):
+            problems.append("prep_ambiguity must be in [0, 1]")
+        if self.seed < 0:
+            problems.append("seed must be >= 0")
+        if self.edge_ramp < 1:
+            problems.append("edge_ramp must be >= 1")
+        if problems:
+            raise ConfigError("; ".join(problems))
 
 
 def _draw_at_least(rng, mean: float, spread: float, floor: int, what: str, video_id: str) -> int:
@@ -349,7 +348,6 @@ def generate_synthetic(cfg: SynthConfig) -> Corpus:
     Deterministic for a given config: video v<i> uses an RNG derived from
     seed XOR i, with layout draws consumed before noise draws.
     """
-    validate_synth_config(cfg)
     detector: dict[str, ScoreStream] = {}
     classifier: dict[str, ScoreStream] = {}
     annotations: dict[str, list[GroundTruthSegment]] = {}

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from gesturestream.activation import (
     sigmoid_weight,
     update_mean,
 )
-from gesturestream.core import PipelineConfig, ProbVector, normalize
+from gesturestream.core import ConfigError, PipelineConfig, ProbVector, normalize
 from gesturestream.gate import GateDecision
 from gesturestream.windows import Window
 
@@ -217,16 +218,19 @@ class TestActivationStep:
 
     def test_never_fires_above_one(self):
         rng = random.Random(17)
-        for tau in (1.000001, math.nan):  # a margin never exceeds 1, and no margin reaches NaN
-            cfg = PipelineConfig(num_classes=5, tau_early=tau, mean_duration=4.0)
-            for _ in range(100):
-                state = ActivationState.inactive(5)
-                decision = GateDecision.ACTIVATE
-                for t in range(31, 31 + rng.randint(1, 40)):
-                    scorer = StubScorer(normalize([rng.random() + 1e-9 for _ in range(5)]))
-                    state, event = activation_step(state, decision, scorer, self.window(t), cfg)
-                    assert event is None
-                    decision = GateDecision.STAY_ACTIVE
+        # the mean of weighted rows whose entries are all > 0 has a margin below 1
+        cfg = PipelineConfig(num_classes=5, tau_early=1.0, mean_duration=4.0)
+        for _ in range(100):
+            state = ActivationState.inactive(5)
+            decision = GateDecision.ACTIVATE
+            for t in range(31, 31 + rng.randint(1, 40)):
+                scorer = StubScorer(normalize([rng.random() + 1e-9 for _ in range(5)]))
+                state, event = activation_step(state, decision, scorer, self.window(t), cfg)
+                assert event is None
+                decision = GateDecision.STAY_ACTIVE
+        for tau in (1.000001, math.nan):  # a threshold above one, or NaN, is refused before any step
+            with pytest.raises(ConfigError, match="tau_early must be in"):
+                replace(cfg, tau_early=tau)
 
     def test_deactivate_emits_late_and_resets(self):
         cfg = PipelineConfig(num_classes=3, tau_early=1.0, mean_duration=2.0)

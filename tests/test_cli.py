@@ -666,6 +666,14 @@ class TestExitCodes:
         assert detector[0].tolist() == [0.0, 1.0]
         assert [x.hex() for x in classifier[0].tolist()] == [x.hex() for x in edge["classifier_scores.jsonl"]]
 
+    def test_range_error_names_the_range_a_file_value_may_take(self, corpus_dir, tmp_path, capsys):
+        path = corpus_dir / "detector_scores.jsonl"
+        lines = path.read_text().splitlines()
+        lines[2] = '{"video": "v000", "t": 2, "p": [1.002, 0.0]}'
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["run", "--data", str(corpus_dir), "--out", str(tmp_path / "o")]) == 1
+        assert f"{path}:3: probability 1.002 outside [0, 1.001]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("p", ["[1e308, 1e308]", "[Infinity, -Infinity]"], ids=["overflow", "inf"])
     def test_overflowing_row_fails_without_numpy_warning(self, corpus_dir, tmp_path, capsys, p):
         path = corpus_dir / "detector_scores.jsonl"

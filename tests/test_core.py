@@ -1,6 +1,8 @@
 import math
 import random
 import re
+from dataclasses import fields, replace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -14,24 +16,20 @@ from gesturestream.core import (
     normalize,
     top2,
     top2_rows,
-    validate_config,
 )
+from gesturestream.scoring import SynthConfig
 
 
 class TestValidateConfig:
     def test_accepts_default_operating_point(self):
         cfg = PipelineConfig(num_classes=83)
-        assert validate_config(cfg) is cfg
         assert cfg.classifier_window == 32
         assert cfg.stride == 1
         assert cfg.filter_size == 4
 
     def test_all_violations_reported_together(self):
-        bad = PipelineConfig(
-            num_classes=1, classifier_window=0, stride=0, filter_size=0, tau_late=1.5
-        )
         with pytest.raises(ConfigError) as exc:
-            validate_config(bad)
+            PipelineConfig(num_classes=1, classifier_window=0, stride=0, filter_size=0, tau_late=1.5)
         message = str(exc.value)
         for fragment in ("classifier_window", "stride", "filter_size", "num_classes", "tau_late"):
             assert fragment in message
@@ -48,9 +46,90 @@ class TestValidateConfig:
         ("filter_kind", "median"),  # the string, not the FilterKind
     ])
     def test_single_field_violations(self, field, value):
-        cfg = PipelineConfig(**{"num_classes": 10, field: value})
         with pytest.raises(ConfigError, match=field):
-            validate_config(cfg)
+            PipelineConfig(**{"num_classes": 10, field: value})
+
+
+# One out-of-range value per field of each config.
+BAD_VALUES = {
+    PipelineConfig: {
+        "num_classes": 1,
+        "classifier_window": 0,
+        "stride": 0,
+        "filter_kind": "median",
+        "filter_size": 0,
+        "gate_on_threshold": 1.5,
+        "deactivate_count": 0,  # on it, gate_step and gate_periods would close a period at different windows
+        "tau_early": -0.1,
+        "tau_late": 2.0,
+        "mean_duration": -1.0,
+        "sigmoid_slope": -1.0,
+    },
+    SynthConfig: {
+        "num_videos": 0,
+        "gestures_per_video": 0,
+        "num_classes": 1,
+        "duration_mean": 0.0,
+        "duration_spread": -1.0,
+        "gap_mean": -1.0,
+        "gap_spread": -1.0,
+        "phase_fractions": (0.5, 0.5, 0.5),
+        "detector_base": 1.5,
+        "noise_sigma": -1.0,
+        "prep_ambiguity": 1.5,
+        "seed": -1,
+        "edge_ramp": 0,
+    },
+}
+VALID = {PipelineConfig: PipelineConfig(num_classes=10), SynthConfig: SynthConfig()}
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+def bad_cases():
+    """(config class, field, value): BAD_VALUES, then NaN and both infinities in every float field."""
+    for cls, bad in BAD_VALUES.items():
+        hints = get_type_hints(cls)
+        for field, value in bad.items():
+            yield cls, field, value
+            if hints[field] is float:
+                yield from ((cls, field, x) for x in NON_FINITE)
+    yield from ((SynthConfig, "phase_fractions", (x, 0.5, 0.5)) for x in NON_FINITE)
+
+
+class TestConfigsCheckThemselves:
+    def test_table_names_every_field(self):
+        for cls, bad in BAD_VALUES.items():
+            assert list(bad) == [f.name for f in fields(cls)]
+
+    @pytest.mark.parametrize(
+        "cls,field,value", list(bad_cases()), ids=lambda x: x.__name__ if isinstance(x, type) else str(x)
+    )
+    def test_constructor_and_replace_refuse(self, cls, field, value):
+        required = {"num_classes": 10} if cls is PipelineConfig else {}
+        for build in (lambda: cls(**{**required, field: value}), lambda: replace(VALID[cls], **{field: value})):
+            with pytest.raises(ConfigError) as exc:
+                build()
+            assert all(problem.startswith(f"{field} ") for problem in str(exc.value).split("; "))
+
+    def test_every_problem_in_order(self):
+        want = "; ".join([
+            "classifier_window must be >= 1",
+            "stride must be >= 1",
+            "filter_size must be >= 1",
+            "deactivate_count must be >= 1",
+            "num_classes must be >= 2",
+            "gate_on_threshold must be in [0, 1]",
+            "tau_early must be in [0, 1]",
+            "tau_late must be in [0, 1]",
+            "mean_duration must be finite and > 0",
+            "sigmoid_slope must be finite and > 0",
+            "filter_kind must be one of ['mean', 'median', 'ewa']",
+        ])
+        bad = BAD_VALUES[PipelineConfig]
+        for build in (lambda: PipelineConfig(**bad), lambda: replace(VALID[PipelineConfig], **bad)):
+            with pytest.raises(ConfigError) as exc:
+                build()
+            assert str(exc.value) == want
 
 
 class TestNormalize:
@@ -113,7 +192,7 @@ class TestIngestProbs:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_fails_the_range_test(self, value):
-        with pytest.raises(ValueError, match=re.escape(f"probability {value!r} outside [0, 1]")):
+        with pytest.raises(ValueError, match=re.escape(f"probability {value!r} outside [0, 1.001]")):
             ingest_probs([0.5, value])
 
     @pytest.mark.parametrize("value", [True, False, "0.5", None, [0.5]])

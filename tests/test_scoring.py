@@ -24,7 +24,6 @@ from gesturestream.scoring import (
     load_annotations,
     load_corpus,
     load_score_stream,
-    validate_synth_config,
     write_annotation_file,
     write_score_file,
 )
@@ -598,26 +597,25 @@ class TestLoadAnnotations:
 class TestSynthConfigValidation:
     def test_defaults_valid(self):
         cfg = SynthConfig()
-        assert validate_synth_config(cfg) is cfg
         assert cfg.num_classes == 83
         assert cfg.duration_mean == 38.4
         assert cfg.phase_fractions == (0.25, 0.5, 0.25)
 
     def test_zero_videos_rejected(self):
         with pytest.raises(ConfigError, match="num_videos"):
-            validate_synth_config(SynthConfig(num_videos=0))
+            SynthConfig(num_videos=0)
 
     def test_bad_fractions_rejected(self):
         with pytest.raises(ConfigError, match="phase_fractions"):
-            validate_synth_config(SynthConfig(phase_fractions=(0.5, 0.5, 0.5)))
+            SynthConfig(phase_fractions=(0.5, 0.5, 0.5))
 
     def test_all_violations_reported(self):
         with pytest.raises(ConfigError) as exc:
-            validate_synth_config(SynthConfig(
+            SynthConfig(
                 num_videos=0, gestures_per_video=0, num_classes=1, duration_mean=0.0, duration_spread=-1.0,
                 gap_mean=-1.0, gap_spread=-1.0, phase_fractions=(-0.5, 1.0, 0.5), detector_base=1.5,
                 noise_sigma=-1, prep_ambiguity=2, seed=-1, edge_ramp=0,
-            ))
+            )
         assert str(exc.value) == "; ".join([
             "num_videos must be >= 1",
             "gestures_per_video must be >= 1",
