@@ -8,7 +8,8 @@ top-2 margin of the mean reaches tau_early; otherwise a late event fires at
 gate deactivation when the maximum clears tau_late. Each active period emits
 at most one event. activation_step advances one stream by one window and
 applies both rules; fold_periods folds many stored periods at once with
-update_mean's arithmetic.
+update_mean's arithmetic, placing each mean at its window, and top2_rows
+reads top2 of all the means at once.
 """
 
 from __future__ import annotations
@@ -105,37 +106,55 @@ def update_mean(state: ActivationState, probs: ProbVector, weight: float) -> Act
     return ActivationState(new_values, j, state.early_fired)
 
 
-def fold_periods(scores: np.ndarray, lengths: list[int], weights: list[float]) -> None:
-    """Turn the scores of many active periods into their running weighted means, in place.
+def fold_periods(scores: np.ndarray, firsts, lengths, cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The running weighted means of many active periods, each with the window it belongs to: (windows, means).
 
     `scores` holds the classifier rows of every period's fold windows, period
-    after period, lengths[p] rows for period p; weights[j] is the sigmoid
-    weight of the j-th fold. Afterwards row i holds the period's mean just
-    after folding row i. One gather lays the rows out fold index major: fold
-    1 of every period, then fold 2 of the periods still open, and so on,
-    longest period first, so each fold index j is one contiguous block whose
-    periods' previous means are the first rows of the block before it. Each
-    row becomes (mean * (j - 1) + weights[j] * score) / j with the same IEEE
-    operations as update_mean, so the means are update_mean's bit for bit,
-    and one scatter writes them back.
+    after period, lengths[p] rows for period p, whose first window is
+    firsts[p]; it is left unchanged. One gather lays the rows out fold index
+    major: fold 1 of every period, then fold 2 of the periods still open,
+    and so on, longest period first, so each fold index j is one contiguous
+    block whose periods' previous means are the first rows of the block
+    before it. Each row becomes (mean * (j - 1) + w_j * score) / j, w_j
+    being the sigmoid weight of cfg's midpoint and slope, with the same IEEE
+    operations as update_mean, so the means are update_mean's bit for bit.
+    means[i] is the mean just after folding the row of windows[i].
     """
-    if not any(lengths):
-        return
-    sizes = np.asarray(lengths)
+    sizes = np.asarray(lengths, np.intp)
     folds = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # each row's j - 1
     rows = np.lexsort((-np.repeat(sizes, sizes), folds))  # by fold index, then longest period first
-    counts = np.bincount(folds).tolist()  # the periods still open at each fold index
-    laid = scores.take(rows, axis=0)
-    laid *= np.repeat(weights[1 : len(counts) + 1], counts)[:, None]
-    prev, start = laid[: counts[0]], counts[0]
+    windows = (np.repeat(np.asarray(firsts, np.intp), sizes) + folds).take(rows)
+    means = scores.take(rows, axis=0)
+    counts = np.bincount(folds, minlength=1).tolist()  # the periods still open at each fold index; [0] for none
+    t_mid = midpoint(cfg.mean_duration, cfg.stride)
+    weights = [sigmoid_weight(j, t_mid, cfg.sigmoid_slope) for j in range(1, len(counts) + 1)]
+    means *= np.repeat(weights, counts)[:, None]
+    prev, start = means[: counts[0]], counts[0]
     prev += 0.0  # update_mean's first fold is 0.0 * 0 + w * score, which turns -0.0 into 0.0
     spare = np.empty_like(prev)
     for j, k in enumerate(counts[1:], start=2):
-        block = laid[start : start + k]
+        block = means[start : start + k]
         block += np.multiply(prev[:k], j - 1, out=spare[:k])
         block /= j
         prev, start = block, start + k
-    scores[rows] = laid
+    return windows, means
+
+
+def top2_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """top2 of every row of a 2-D array: (argmax classes, largest values, second largest).
+
+    The same numbers top2 gives row by row: argmax picks the lowest index
+    among equal maxima, that entry is the largest value, and the second is
+    read at the argmax once that one entry is masked to -inf, so a maximum
+    that appears twice is also the second and 0.0 and -0.0 come out as top2
+    gives them (max may give either). The mask is written into `values`
+    itself, which is copied nowhere.
+    """
+    rows = np.arange(len(values))
+    labels = values.argmax(axis=1)
+    top1s = values[rows, labels]
+    values[rows, labels] = -np.inf
+    return labels, top1s, values[rows, values.argmax(axis=1)]
 
 
 def activation_step(

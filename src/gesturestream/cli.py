@@ -22,7 +22,7 @@ from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, get_type_hints
 
-from .activation import ActivationEvent, EventKind
+from .activation import ActivationEvent, EventKind, midpoint, sigmoid_weight
 from .core import ConfigError, PipelineConfig
 from .evaluate import AggregateStats, EarlyStats, VideoScore, check_grace, check_taus, evaluate_corpus, sweep
 from .pipeline import CorpusRun, FoldedVideo, run_corpus
@@ -250,28 +250,31 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def trace_tsv(folded: FoldedVideo) -> str:
+def trace_tsv(folded: FoldedVideo, cfg: PipelineConfig) -> str:
     """One video's trace: a header, then one tab-separated line per window.
 
-    Idle windows carry j = 0, weight 0.0, top_label -1 and top-1/top-2 of 0.0.
+    An active window's weight is sigmoid_weight of its j at cfg's midpoint
+    and slope. Idle windows carry j = 0, weight 0.0, top_label -1 and
+    top-1/top-2 of 0.0.
     """
+    t_mid = midpoint(cfg.mean_duration, cfg.stride)
     js = [0] * len(folded.ends)
     for first, stop in folded.periods:
         js[first:stop] = range(1, stop - first + 1)
-    weights = folded.weights
     arrays = (folded.raws, folded.filtered, folded.labels, folded.top1s, folded.top2s)
     columns = zip(folded.ends, js, *(a.tolist() for a in arrays))  # Python numbers, whose repr is plain text
     return "t\traw_prob\tfiltered_prob\tmode\tj\tweight\ttop_label\ttop1\ttop2\n" + "".join(
-        f"{t}\t{raw!r}\t{filtered!r}\t{'active' if j else 'idle'}\t{j}\t{weights[j]!r}\t{label}\t{top1!r}\t{top2!r}\n"
+        f"{t}\t{raw!r}\t{filtered!r}\t{'active' if j else 'idle'}\t{j}\t"
+        f"{sigmoid_weight(j, t_mid, cfg.sigmoid_slope) if j else 0.0!r}\t{label}\t{top1!r}\t{top2!r}\n"
         for t, j, raw, filtered, label, top1, top2 in columns
     )
 
 
-def _write_trace_files(out_dir: Path, run: CorpusRun) -> None:
+def _write_trace_files(out_dir: Path, run: CorpusRun, cfg: PipelineConfig) -> None:
     trace_dir = out_dir / "traces"
     trace_dir.mkdir(parents=True, exist_ok=True)
     for video_id in sorted(run.videos):
-        _atomic_write_text(trace_dir / f"{video_id}.tsv", trace_tsv(run.videos[video_id].trace.folded))
+        _atomic_write_text(trace_dir / f"{video_id}.tsv", trace_tsv(run.videos[video_id].trace.folded, cfg))
 
 
 def _tau_label(tau: float) -> str:
@@ -345,7 +348,7 @@ def cmd_run(args) -> int:
     report = build_run_report(run, cfg)
     _atomic_write_text(out / REPORT_FILE, _dump_json(report))
     if args.trace:
-        _write_trace_files(out, run)
+        _write_trace_files(out, run, cfg)
     agg = run.aggregate
     acc = "n/a" if agg.mean_accuracy is None else f"{agg.mean_accuracy:.2f}%"
     _say(

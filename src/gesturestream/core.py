@@ -10,8 +10,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 # Sum-to-one tolerance a ProbVector must satisfy once constructed.
 PROB_SUM_TOL = 1e-6
 # Ingested vectors off by at most this much are renormalized silently;
@@ -170,20 +168,3 @@ def top2(vals) -> tuple[int, float, float]:
         elif x > second:
             second = x
     return best_i, best, second
-
-
-def top2_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """top2 of every row of a 2-D array: (argmax classes, largest values, second largest).
-
-    The same numbers top2 gives row by row: argmax picks the lowest index
-    among equal maxima, that entry is the largest value, and the second is
-    read at the argmax once that one entry is masked to -inf, so a maximum
-    that appears twice is also the second and 0.0 and -0.0 come out as top2
-    gives them (max may give either). `values` is left unchanged.
-    """
-    rows = np.arange(len(values))
-    labels = values.argmax(axis=1)
-    masked = values.copy()
-    top1s = masked[rows, labels]
-    masked[rows, labels] = -np.inf
-    return labels, top1s, masked[rows, masked.argmax(axis=1)]

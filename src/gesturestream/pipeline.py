@@ -16,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .activation import ActivationEvent, EventKind, fold_periods, midpoint, sigmoid_weight
-from .core import GESTURE_INDEX, PipelineConfig, top2_rows
+from .activation import ActivationEvent, EventKind, fold_periods, top2_rows
+from .core import GESTURE_INDEX, PipelineConfig
 from .evaluate import AggregateStats, VideoScore, check_grace, evaluate_corpus
 from .gate import gate_periods
 from .scoring import Corpus, ScoreStream
@@ -58,16 +58,15 @@ class FoldedVideo:
 
     Neither the gate nor the weighted means read tau_early or tau_late, so
     the corpus is folded once for every threshold and run_video derives
-    each threshold's events from the fold. All but ends, periods and weights
-    are read-only numpy arrays, one entry per window: an active window holds
-    its mean's top-2, an idle one -1, 0.0 and 0.0. Folds compare by identity.
+    each threshold's events from the fold. All but ends and periods are
+    read-only numpy arrays, one entry per window: an active window holds its
+    mean's top-2, an idle one -1, 0.0 and 0.0. Folds compare by identity.
     """
 
     ends: range
     raws: np.ndarray
     filtered: np.ndarray
     periods: list[tuple[int, int]]
-    weights: list[float]
     labels: np.ndarray
     top1s: np.ndarray
     top2s: np.ndarray
@@ -101,24 +100,17 @@ def fold_videos(streams: list[tuple[ScoreStream, ScoreStream]], cfg: PipelineCon
         gated.append((ends, raws, filtered, periods))
         views += [classifier.rows[ends.start :: ends.step][first:stop] for first, stop in periods]
 
-    lengths = [stop - first for *_, periods in gated for first, stop in periods]
-    t_mid = midpoint(cfg.mean_duration, cfg.stride)
-    weights = [0.0] + [sigmoid_weight(j, t_mid, cfg.sigmoid_slope) for j in range(1, max(lengths, default=0) + 1)]
-    means = np.concatenate(views) if views else np.empty((0, cfg.num_classes))
-    fold_periods(means, lengths, weights)
     offsets = np.cumsum([0] + [len(ends) for ends, *_ in gated]).tolist()  # each video's first window
-    firsts = np.array([o + first for o, (*_, periods) in zip(offsets, gated) for first, _ in periods], np.intp)
-    # each fold's window: its period's first window plus its fold index, as fold_periods counts folds
-    windows = np.repeat(firsts - np.cumsum([0] + lengths)[:-1], lengths) + np.arange(len(means))
+    firsts = [o + first for o, (*_, periods) in zip(offsets, gated) for first, _ in periods]
+    lengths = [stop - first for *_, periods in gated for first, stop in periods]
+    rows = np.concatenate(views) if views else np.empty((0, cfg.num_classes))
+    windows, means = fold_periods(rows, firsts, lengths, cfg)
+    del rows  # the gathered rows are freed before top2_rows masks the means in place
     columns = np.full(offsets[-1], -1, np.int64), np.zeros(offsets[-1]), np.zeros(offsets[-1])  # labels, top1s, top2s
     for column, values in zip(columns, top2_rows(means)):
         column[windows] = values
         column.flags.writeable = False
-    folded = []
-    for (ends, raws, filtered, periods), *own in zip(gated, *(np.split(c, offsets[1:-1]) for c in columns)):
-        longest = max((stop - first for first, stop in periods), default=0)
-        folded.append(FoldedVideo(ends, raws, filtered, periods, weights[: longest + 1], *own))
-    return folded
+    return [FoldedVideo(*video, *own) for video, *own in zip(gated, *(np.split(c, offsets[1:-1]) for c in columns))]
 
 
 def fold_video(detector: ScoreStream, classifier: ScoreStream, cfg: PipelineConfig) -> FoldedVideo:
@@ -170,10 +162,10 @@ class CorpusRun:
 def fold_corpus(corpus: Corpus, cfg: PipelineConfig) -> dict[str, FoldedVideo]:
     """Every annotated video's fold, in id order, from one fold_videos call: the pass run_corpus and sweep score.
 
-    Videos without annotations are skipped with a warning each. No videos,
-    no annotated video, and an annotated video that lacks a stream or has a
-    class outside [0, cfg.num_classes) are errors, raised before any video
-    is gated.
+    A video either stream scores but no annotation names is skipped with a
+    warning. No videos, no annotated video, and an annotated video that
+    lacks a stream or has a class outside [0, cfg.num_classes) are errors,
+    raised before any video is gated.
     """
     video_ids = corpus.video_ids()
     if not video_ids:

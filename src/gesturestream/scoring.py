@@ -7,20 +7,21 @@ when the stream is built. One pair of streams (detector, classifier) covers
 every frame of a video, so a stored corpus replays under any window geometry;
 the gate alone decides which classifier rows are ever consulted.
 
-Loading decodes each stripped line with orjson. A line orjson refuses, and
-a line where the two decoders could differ, goes to json.loads instead: an
-object holding a nested object, a list of anything but numbers, a float of
-magnitude 2**62 or more, or a list holding a number that large. So every
-record, and every error, is exactly what json.loads gives; a line nested
-too deep to decode is a format error too. Files are read with
+Loading decodes each line stripped of JSON's whitespace with orjson. A line
+orjson refuses, and a line where the two decoders could differ, goes to
+json.loads instead: an object holding a nested object, a list of anything
+but numbers, a float of magnitude 2**62 or more, or a list holding a number
+that large. So every record, and every error, is exactly what json.loads
+gives; a line nested too deep to decode is a format error too, and so is a
+line padded with other whitespace, such as U+00A0. Files are read with
 errors="surrogateescape", so a byte that is not UTF-8 reaches its line,
-which orjson refuses, and one pass names the first line that fails to
-decode either way. Each record's fields, arity and frame are checked as it
-is read, and the vectors a block of lines at a time with array operations:
-range, sum to 1 and renormalisation give the same decisions and values as
-ingest_probs on each line. Every error names its "file:line". A video must
-be scored at every frame from 0 up to its last, and its id must be usable
-as a file name (see check_video_id), whichever file names it.
+which orjson refuses, and one pass names the first line that fails to decode
+either way. Each record's fields, arity and frame are checked as it is read,
+and the vectors a block of lines at a time with array operations: range, sum
+to 1 and renormalisation give the same decisions and values as ingest_probs
+on each line. Every error names its "file:line". A video must be scored at
+every frame from 0 up to its last, and its id must be usable as a file name
+(see check_video_id), whichever file names it.
 
 Writing serialises a block of rows at a time with orjson, which writes 0.0
 and every value in [1e-4, 1] as float.__repr__ does, and writes the values
@@ -172,7 +173,8 @@ class Corpus:
     segments: dict[str, list[GroundTruthSegment]]
 
     def video_ids(self) -> list[str]:
-        return sorted(self.detector)
+        """Every video either stream scores, in id order."""
+        return sorted(self.detector.keys() | self.classifier.keys())
 
 
 @dataclass(frozen=True, slots=True)
@@ -446,18 +448,18 @@ def _json_record(path, lineno: int, line: str) -> dict:
 def iter_records(path):
     """Yield (line number, record) for each non-blank line of a JSON-lines file.
 
-    Each stripped line is decoded by orjson; a line orjson refuses, or whose
-    orjson object could differ from json's (see _orjson_exact), is decoded
-    by json.loads instead. Either way the record is the one json.loads
-    gives. A line that is not one JSON object, nests too deep to decode,
-    holds an integer too long to convert, or is not UTF-8 raises
-    StreamFormatError naming "path:line", as json.loads would fail on it;
-    the first bad line is the one named.
+    Each line stripped of space, tab, CR and LF is decoded by orjson; a line
+    orjson refuses, or whose orjson object could differ from json's (see
+    _orjson_exact), is decoded by json.loads instead. Either way the record
+    is the one json.loads gives. A line that is not one JSON object, nests
+    too deep to decode, holds an integer too long to convert, or is not
+    UTF-8 raises StreamFormatError naming "path:line", as json.loads would
+    fail on it; the first bad line is the one named.
     """
     loads = orjson.loads
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
+            line = raw.strip(" \t\r\n")  # JSON's whitespace; str.strip() would also take U+00A0 and others
             if not line:
                 continue
             try:

@@ -129,10 +129,10 @@ class TestUpdateMean:
 
 @st.composite
 def period_scores(draw):
-    """Classifier rows of 0-30 active periods, period after period, with their weights.
+    """Classifier rows of 0-30 active periods, period after period, each period's first window, and a config.
 
-    Lengths repeat, one long period often sits among short ones, and exact
-    0.0 and -0.0 entries appear.
+    Lengths repeat, one long period often sits among short ones, exact 0.0
+    and -0.0 entries appear, and idle windows lie between the periods.
     """
     classes = draw(st.integers(2, 83))
     pool = draw(st.lists(st.integers(1, 20), min_size=1, max_size=4))
@@ -144,30 +144,45 @@ def period_scores(draw):
     zeros = rng.random(scores.shape)
     scores[zeros < 0.1] = 0.0
     scores[zeros > 0.9] = -0.0
-    t, slope = draw(st.integers(0, 40)), draw(st.sampled_from([0.05, 0.2, 1.0]))
-    weights = [0.0] + [sigmoid_weight(j, t, slope) for j in range(1, max(lengths, default=0) + 1)]
-    return scores, lengths, weights
+    gaps = rng.integers(1, 4, len(lengths))  # the idle windows before each period
+    firsts = (np.cumsum(gaps) + np.cumsum([0] + lengths[:-1])).tolist()
+    t, stride = draw(st.integers(0, 40)), draw(st.integers(1, 3))
+    cfg = PipelineConfig(
+        num_classes=classes,
+        stride=stride,
+        mean_duration=4 * stride * t + 2 * stride,  # midpoint t
+        sigmoid_slope=draw(st.sampled_from([0.05, 0.2, 1.0])),
+    )
+    return scores, firsts, lengths, cfg
 
 
 class TestFoldPeriods:
     @given(period_scores())
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_matches_chained_update_mean(self, drawn):
-        scores, lengths, weights = drawn
-        want, rows = [], iter(scores.tolist())
-        for length in lengths:
+        scores, firsts, lengths, cfg = drawn
+        t_mid = midpoint(cfg.mean_duration, cfg.stride)
+        want, rows = {}, iter(scores.tolist())
+        for first, length in zip(firsts, lengths):
             state = ActivationState.inactive(scores.shape[1])
             for j in range(1, length + 1):
-                state = update_mean(state, ProbVector.trusted(tuple(next(rows))), weights[j])
-                want.append([x.hex() for x in state.values])
-        fold_periods(scores, lengths, weights)
-        # float.hex also tells -0.0 from 0.0
-        assert [[x.hex() for x in row] for row in scores.tolist()] == want
+                weight = sigmoid_weight(j, t_mid, cfg.sigmoid_slope)
+                state = update_mean(state, ProbVector.trusted(tuple(next(rows))), weight)
+                want[first + j - 1] = [x.hex() for x in state.values]
+        before = scores.tobytes()
+        windows, means = fold_periods(scores, firsts, lengths, cfg)
+        assert scores.tobytes() == before
+        # every fold row once, at its window; float.hex also tells -0.0 from 0.0
+        assert sorted(windows.tolist()) == sorted(want)
+        assert dict(zip(windows.tolist(), ([x.hex() for x in row] for row in means.tolist()))) == want
 
     def test_first_fold_of_negative_zero_is_zero(self):
         scores = np.array([[-0.0, 1.0], [0.5, 0.5], [-0.0, 1.0]])
-        fold_periods(scores, [2, 1], [0.0, 0.5, 0.75])
-        assert [x.hex() for x in scores[:, 0].tolist()] == [(0.0).hex(), (0.1875).hex(), (0.0).hex()]
+        cfg = PipelineConfig(num_classes=2)
+        windows, means = fold_periods(scores, [0, 5], [2, 1], cfg)
+        weight = [sigmoid_weight(j, midpoint(cfg.mean_duration, cfg.stride), cfg.sigmoid_slope) for j in (1, 2)]
+        column = dict(zip(windows.tolist(), means[:, 0].tolist()))
+        assert [column[w].hex() for w in (0, 1, 5)] == [(0.0).hex(), (0.5 * weight[1] / 2).hex(), (0.0).hex()]
 
 
 class StubScorer:

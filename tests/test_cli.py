@@ -234,6 +234,17 @@ class TestRun:
         assert agg["open_at_end"] == 1
         assert agg["missed_segments"] == 1
 
+    @pytest.mark.parametrize("stream", ["detector_scores.jsonl", "classifier_scores.jsonl"])
+    def test_unannotated_video_with_one_stream_skipped_and_listed(self, corpus_dir, tmp_path, caplog, stream):
+        arity = 2 if stream == "detector_scores.jsonl" else 6
+        with open(corpus_dir / stream, "a", encoding="utf-8") as fh:
+            fh.writelines(json.dumps({"video": "zz", "t": t, "p": [1.0 / arity] * arity}) + "\n" for t in range(50))
+        out = tmp_path / "run"
+        with caplog.at_level("WARNING"):
+            assert main(["run", "--data", str(corpus_dir), "--out", str(out)]) == 0
+        assert "skipping zz: no annotations" in caplog.messages
+        assert json.loads((out / "report.json").read_text())["skipped_missing_annotations"] == ["zz"]
+
     def test_missing_data_dir_is_io_error(self, tmp_path):
         code = main(["run", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
         assert code == 2
@@ -702,6 +713,28 @@ class TestExitCodes:
         assert main(argv + ["--out", str(tmp_path / "o")]) == 1
         assert f"{path}:2: invalid JSON (nesting too deep)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("side", ["before", "after"])
+    @pytest.mark.parametrize("name", ["detector_scores.jsonl", "classifier_scores.jsonl", "annotations.jsonl", "events"])
+    def test_whitespace_json_does_not_allow_is_validation_error(self, corpus_dir, tmp_path, capsys, name, side):
+        if name == "events":
+            path = tmp_path / "events.jsonl"
+            argv = ["eval", "--events", str(path), "--annotations", str(corpus_dir / "annotations.jsonl")]
+            event = {"video": "v000", "class": 1, "frame": 40, "kind": "late", "score": 0.5}
+            path.write_text("".join(json.dumps({**event, "frame": f}) + "\n" for f in (40, 80)))
+        else:
+            path = corpus_dir / name
+            argv = ["run", "--data", str(corpus_dir)]
+        lines = path.read_text().split("\n")
+        out = tmp_path / "o"
+        for char in NON_JSON_WHITESPACE:
+            line = char + lines[1] if side == "before" else lines[1] + char
+            with pytest.raises(json.JSONDecodeError) as refused:
+                json.loads(line)
+            path.write_text("\n".join([lines[0], line, *lines[2:]]))
+            assert main(argv + ["--out", str(out)]) == 1
+            assert f"{path}:2: invalid JSON ({refused.value.msg})" in capsys.readouterr().err
+            assert not out.exists()
+
     @pytest.mark.parametrize("name", ["detector_scores.jsonl", "classifier_scores.jsonl", "annotations.jsonl"])
     def test_overlong_integer_is_validation_error(self, corpus_dir, tmp_path, capsys, name):
         path = corpus_dir / name
@@ -785,6 +818,8 @@ def small_corpus(tmp_path_factory):
     return out
 
 
+# Whitespace that str.strip removes and json.loads refuses around a value.
+NON_JSON_WHITESPACE = ["\xa0", "\x85", "\u2028", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f"]
 # A 5,001-digit integer, past Python's int-string conversion limit.
 LONG_INT_LINE = '{"video": "v000", "t": 1' + "0" * 5_000 + ', "p": [0.5, 0.5]}'
 # Replacement lines at the edges of the decoder and the loaders: deep nesting,

@@ -1,6 +1,8 @@
 import math
 import random
 import re
+import subprocess
+import sys
 from dataclasses import fields, replace
 from typing import get_type_hints
 
@@ -8,6 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gesturestream import core
+from gesturestream.activation import top2_rows
 from gesturestream.core import (
     ConfigError,
     PipelineConfig,
@@ -15,7 +19,6 @@ from gesturestream.core import (
     ingest_probs,
     normalize,
     top2,
-    top2_rows,
 )
 from gesturestream.scoring import SynthConfig
 
@@ -318,8 +321,27 @@ class TestTop2Rows:
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_matches_top2_row_by_row_and_keeps_its_argument(self, rows):
         before = rows.copy()
+        want = [(label, a.hex(), b.hex()) for label, a, b in map(top2, rows.tolist())]
         labels, top1s, top2s = top2_rows(rows)
         got = [(label, a.hex(), b.hex()) for label, a, b in zip(labels.tolist(), top1s.tolist(), top2s.tolist())]
-        want = [(label, a.hex(), b.hex()) for label, a, b in map(top2, rows.tolist())]
         assert got == want
+        # the argument is kept, and masked in place: each row's argmax, and it alone, is now -inf
+        before[np.arange(len(before)), [label for label, *_ in want]] = -np.inf
         assert rows.tobytes() == before.tobytes()
+
+
+class TestNoNumpy:
+    def test_core_loads_without_numpy(self):
+        """core.py, run from its own file in a fresh interpreter, imports no numpy."""
+        script = (
+            "import importlib.util, sys\n"
+            "spec = importlib.util.spec_from_file_location('core', sys.argv[1])\n"
+            "module = sys.modules['core'] = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(module)\n"
+            "module.PipelineConfig(num_classes=2)\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, core.__file__], capture_output=True, text=True, check=True
+        )
+        assert done.stdout == "False\n"

@@ -292,11 +292,9 @@ def replay_online(det, cls, cfg):
         top1s.append(top1)
         top2s.append(second)
         rows.append((window.end, raw, filtered, gate.mode.value, j, weight, label, top1, second))
-    longest = max((stop - first for first, stop in periods), default=0)
-    weights = [0.0] + [sigmoid_weight(j, t_mid, cfg.sigmoid_slope) for j in range(1, longest + 1)]
     folded = FoldedVideo(
         ends, np.array(raws, np.float64), np.array(filtered_probs, np.float64), [tuple(p) for p in periods],
-        weights, np.array(labels, np.int64), np.array(top1s, np.float64), np.array(top2s, np.float64),
+        np.array(labels, np.int64), np.array(top1s, np.float64), np.array(top2s, np.float64),
     )
     counters = (windows, invocations, int(gate.mode is GateMode.ACTIVE))
     return RunTrace(tuple(events), folded), counters, rows
@@ -397,7 +395,7 @@ class TestKernelMatchesOnlineReplay:
         if broken:  # whatever the replay, which reads rows lazily, would do
             assert outcome(batch_run, det, cls, cfg) == broken
             return
-        assert_matches_replay(batch_run(det, cls, cfg), *replay_online(det, cls, cfg))
+        assert_matches_replay(batch_run(det, cls, cfg), *replay_online(det, cls, cfg), cfg)
 
     def test_eighty_three_classes_and_long_gestures(self):
         synth = SynthConfig(num_videos=2, gestures_per_video=4, num_classes=83, duration_mean=90.0, seed=5)
@@ -407,7 +405,7 @@ class TestKernelMatchesOnlineReplay:
             det, cls = corpus.detector[video], corpus.classifier[video]
             traced = batch_run(det, cls, cfg)
             assert max(stop - first for first, stop in traced.folded.periods) >= 80
-            assert_matches_replay(traced, *replay_online(det, cls, cfg))
+            assert_matches_replay(traced, *replay_online(det, cls, cfg), cfg)
 
     @pytest.mark.parametrize("field", ["tau_early", "tau_late"])
     def test_nan_threshold_refused(self, field):
@@ -416,7 +414,7 @@ class TestKernelMatchesOnlineReplay:
             replace(CFG, **{field: math.nan})
 
 
-def assert_matches_replay(traced, want, counters, rows):
+def assert_matches_replay(traced, want, counters, rows, cfg):
     """A batch_run trace equals replay_online's, and so do its counters and its --trace TSV."""
     assert traced.events == want.events
     # a numpy scalar would compare equal here, yet json.dumps refuses it when the events are written
@@ -428,7 +426,7 @@ def assert_matches_replay(traced, want, counters, rows):
     # repr text also tells -0.0 from 0.0
     header = "\t".join(["t", "raw_prob", "filtered_prob", "mode", "j", "weight", "top_label", "top1", "top2"])
     lines = ["\t".join(x if isinstance(x, str) else repr(x) for x in row) for row in rows]
-    assert cli.trace_tsv(traced.folded) == "".join(line + "\n" for line in [header, *lines])
+    assert cli.trace_tsv(traced.folded, cfg) == "".join(line + "\n" for line in [header, *lines])
 
 
 def sweep_by_reruns(corpus, cfg, taus):
@@ -615,7 +613,7 @@ class TestCorpusFoldMatchesPerVideoFolds:
         corpus = three_videos(*constant_streams("v1", 20, gesture_prob=0.9))
         with caplog.at_level("WARNING"):
             runs = assert_kernel_matches_per_video(corpus, CFG)
-        assert len(runs["v1"].folded.ends) == 0 and runs["v1"].folded.weights == [0.0]
+        assert len(runs["v1"].folded.ends) == 0
         assert [len(runs[v].folded.periods) for v in ("v0", "v2")] == [1, 1]
         assert "stream of 20 frames is shorter" in caplog.text
 
@@ -626,12 +624,10 @@ class TestCorpusFoldMatchesPerVideoFolds:
         runs = assert_kernel_matches_per_video(three_videos(det, one_hot_stream("v1", 200)), cfg)
         assert runs["v1"].events == () and runs["v1"].classifier_invocations == 0
         idle = runs["v1"].folded
-        assert idle.periods == [] and idle.weights == [0.0] and set(idle.labels) == {-1}
+        assert idle.periods == [] and set(idle.labels) == {-1}
         # rows that are never read must still cover the detector's frames
         empty = three_videos(det, ScoreStream("v1", np.empty((0, 10))))
         assert assert_kernel_matches_per_video(empty, cfg) == "ValueError: no score for v1@0"
-        assert runs["v0"].folded.weights == runs["v2"].folded.weights
-        assert len(runs["v0"].folded.weights) == runs["v0"].classifier_invocations + 1
 
 
 RULE_FAULTS = ["none", "short-classifier", "num-classes", "3-column-detector", "out-of-range-class"]

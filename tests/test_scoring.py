@@ -221,7 +221,7 @@ def reference_records(path):
     """The per-line json.loads reader that iter_records must match record for record and error for error."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
+            line = line.strip(" \t\r\n")  # JSON's whitespace; json.loads refuses any other around a value
             if not line:
                 continue
             where = f"{path}:{lineno}"
@@ -249,7 +249,7 @@ def read_outcome(reader, path) -> list:
     return out
 
 
-# Characters str.strip removes: JSON whitespace and whitespace JSON does not allow.
+# Characters str.strip removes: JSON whitespace, which a line may be padded with, and whitespace JSON does not allow.
 STRIPPED = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2000", "\u2028", "\u3000"]
 JSON_LINES = [
     '{"video": "a", "t": 0, "p": [0.5, 0.5]}',
@@ -334,6 +334,55 @@ class TestReaderMatchesJsonLoads:
         path = tmp_path / "records.jsonl"
         write_lines(path, ["{}", JSON_LINES[index]])
         assert read_outcome(iter_records, path) == read_outcome(reference_records, path)
+
+
+# Whitespace str.strip removes and json.loads refuses around a value; CR and LF only end a line.
+NON_JSON_WHITESPACE = [
+    "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u1680", "\u2000", "\u2028", "\u2029", "\u3000",
+]
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.floats()  # json.dumps writes NaN, Infinity and -Infinity for the non-finite ones
+    | st.integers()
+    | st.integers(2**62, 2**80)
+    | st.integers(-(2**80), -(2**62))
+    | st.text(max_size=4)
+    | st.sampled_from(["\ud800", "x\udc00", "\udc00\ud800"]),  # written as \ud800-style escapes
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+class TestDecodingContract:
+    """A line decodes to json.loads of it stripped of JSON's whitespace, or fails where json.loads fails."""
+
+    @given(
+        before=st.text(st.sampled_from([" ", "\t", *NON_JSON_WHITESPACE]), max_size=3),
+        body=st.one_of(
+            st.dictionaries(st.text(max_size=3), JSON_VALUES, max_size=4).map(json.dumps),
+            JSON_VALUES.map(json.dumps),
+            st.just(""),
+        ),
+        after=st.text(st.sampled_from([" ", "\t", *NON_JSON_WHITESPACE]), max_size=3),
+        ending=st.sampled_from(["\n", "\r\n", "\r", ""]),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_record_is_json_loads_of_the_stripped_line(self, tmp_path_factory, before, body, after, ending):
+        path = tmp_path_factory.mktemp("contract") / "records.jsonl"
+        line = before + body + after
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(line + ending)
+        stripped = line.strip(" \t")
+        want = []
+        if stripped:
+            try:
+                value = json.loads(stripped)
+            except json.JSONDecodeError as exc:
+                want = [(StreamFormatError, f"{path}:1: invalid JSON ({exc.msg})")]
+            else:
+                want = [(1, repr(value)) if type(value) is dict else (StreamFormatError, f"{path}:1: expected a JSON object")]
+        assert read_outcome(iter_records, path) == want
 
 
 def utf8_error(data: bytes, path) -> str | None:
