@@ -254,18 +254,20 @@ def trace_tsv(folded: FoldedVideo, cfg: PipelineConfig) -> str:
     """One video's trace: a header, then one tab-separated line per window.
 
     An active window's weight is sigmoid_weight of its j at cfg's midpoint
-    and slope. Idle windows carry j = 0, weight 0.0, top_label -1 and
-    top-1/top-2 of 0.0.
+    and slope, computed once per j. Idle windows carry j = 0, weight 0.0,
+    top_label -1 and top-1/top-2 of 0.0.
     """
     t_mid = midpoint(cfg.mean_duration, cfg.stride)
     js = [0] * len(folded.ends)
     for first, stop in folded.periods:
         js[first:stop] = range(1, stop - first + 1)
+    longest = max((stop - first for first, stop in folded.periods), default=0)
+    weights = [0.0] + [sigmoid_weight(j, t_mid, cfg.sigmoid_slope) for j in range(1, longest + 1)]
     arrays = (folded.raws, folded.filtered, folded.labels, folded.top1s, folded.top2s)
     columns = zip(folded.ends, js, *(a.tolist() for a in arrays))  # Python numbers, whose repr is plain text
     return "t\traw_prob\tfiltered_prob\tmode\tj\tweight\ttop_label\ttop1\ttop2\n" + "".join(
         f"{t}\t{raw!r}\t{filtered!r}\t{'active' if j else 'idle'}\t{j}\t"
-        f"{sigmoid_weight(j, t_mid, cfg.sigmoid_slope) if j else 0.0!r}\t{label}\t{top1!r}\t{top2!r}\n"
+        f"{weights[j]!r}\t{label}\t{top1!r}\t{top2!r}\n"
         for t, j, raw, filtered, label, top1, top2 in columns
     )
 
