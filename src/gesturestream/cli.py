@@ -192,16 +192,16 @@ def _scores_report(scores: Mapping[str, VideoScore], agg: AggregateStats) -> dic
     videos = [
         {
             "video": video_id,
-            "gt": list(score.result.gt_labels),
-            "pred": list(score.result.pred_labels),
-            "distance": score.result.distance,
-            "accuracy": score.result.accuracy,
+            "gt": list(score.gt_labels),
+            "pred": list(score.pred_labels),
+            "distance": score.distance,
+            "accuracy": score.accuracy,
             "events": {
                 "early": sum(1 for e in score.events if e.kind is EventKind.EARLY),
                 "late": sum(1 for e in score.events if e.kind is EventKind.LATE),
             },
             "matched": len(score.matches.matches),
-            "correct": len(score.matches.correct_matches),
+            "correct": sum(m.correct for m in score.matches.matches),
             "duplicates": len(score.matches.duplicates),
             "unmatched_events": len(score.matches.unmatched_events),
             "missed_segments": len(score.matches.missed_segments),
@@ -230,7 +230,7 @@ def _scores_report(scores: Mapping[str, VideoScore], agg: AggregateStats) -> dic
 
 def build_run_report(run: CorpusRun, cfg: PipelineConfig) -> dict:
     """Serialize a corpus run into the stable report layout."""
-    report = _scores_report(run.videos, run.aggregate)
+    report = _scores_report({v: r.score for v, r in run.videos.items()}, run.aggregate)
     report["config"] = asdict(cfg)
     report["aggregate"]["windows_processed"] = run.aggregate.windows_processed
     report["aggregate"]["classifier_invocations"] = run.aggregate.classifier_invocations

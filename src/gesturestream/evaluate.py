@@ -61,10 +61,6 @@ class MatchReport:
     unmatched_events: tuple[ActivationEvent, ...]
     missed_segments: tuple[GroundTruthSegment, ...]
 
-    @property
-    def correct_matches(self) -> tuple[Match, ...]:
-        return tuple(m for m in self.matches if m.correct)
-
 
 def match_activations(
     events: Sequence[ActivationEvent],
@@ -129,21 +125,14 @@ def early_detection_stats(matches: Sequence[Match]) -> Optional[EarlyStats]:
 
 
 @dataclass(frozen=True, slots=True)
-class VideoResult:
-    """Sequence comparison for one video; accuracy is None for empty gt."""
+class VideoScore:
+    """One video's events scored against its annotations; accuracy is None for empty gt."""
 
+    events: tuple[ActivationEvent, ...]
     gt_labels: tuple[int, ...]
     pred_labels: tuple[int, ...]
     distance: int
     accuracy: Optional[float]
-
-
-@dataclass(frozen=True, slots=True)
-class VideoScore:
-    """One video's events scored against its annotations."""
-
-    events: tuple[ActivationEvent, ...]
-    result: VideoResult
     matches: MatchReport
     early: Optional[EarlyStats]
 
@@ -153,7 +142,7 @@ def evaluate_video(
     segments: Sequence[GroundTruthSegment],
     grace: int,
 ) -> VideoScore:
-    """Score one video's events: Levenshtein result, match report and early-detection stats.
+    """Score one video's events: Levenshtein distance and accuracy, match report and early-detection stats.
 
     Accuracy is (1 - distance/len(gt)) * 100, not clamped at zero; a video
     without ground truth gets None and callers leave it out of the mean.
@@ -165,7 +154,7 @@ def evaluate_video(
     distance = levenshtein_distance(gt, pred)
     accuracy = (1.0 - distance / len(gt)) * 100.0 if gt else None
     report = match_activations(events, ordered_segments, grace)
-    return VideoScore(events, VideoResult(gt, pred, distance, accuracy), report, early_detection_stats(report.matches))
+    return VideoScore(events, gt, pred, distance, accuracy, report, early_detection_stats(report.matches))
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,7 +201,7 @@ def evaluate_corpus(
         video_id: evaluate_video(events_by_video.get(video_id, ()), segments_by_video[video_id], grace)
         for video_id in sorted(segments_by_video)
     }
-    accuracies = [s.result.accuracy for s in scores.values() if s.result.accuracy is not None]
+    accuracies = [s.accuracy for s in scores.values() if s.accuracy is not None]
     total = 0.0  # left to right, the same bits on every Python version (sum() compensates from 3.12)
     for accuracy in accuracies:
         total += accuracy

@@ -144,9 +144,10 @@ def run_video(folded: FoldedVideo, cfg: PipelineConfig) -> RunTrace:
 
 
 @dataclass(frozen=True, slots=True)
-class VideoRun(VideoScore):
-    """One video's evaluation against ground truth plus the trace it came from."""
+class VideoRun:
+    """One video's score against ground truth plus the trace it came from."""
 
+    score: VideoScore
     trace: RunTrace
 
 
@@ -197,7 +198,7 @@ def score_runs(traces: dict[str, RunTrace], corpus: Corpus, grace: int) -> Corpu
         {v: corpus.segments[v] for v in traces},
         grace,
     )
-    runs = {v: VideoRun(s.events, s.result, s.matches, s.early, traces[v]) for v, s in scores.items()}
+    runs = {v: VideoRun(s, traces[v]) for v, s in scores.items()}
     aggregate = replace(
         aggregate,
         windows_processed=sum(t.windows_processed for t in traces.values()),

@@ -611,7 +611,8 @@ def load_corpus(detector_path, classifier_path, annotation_path) -> Corpus:
 
     No classifier stream may be shorter than its detector's, and no
     annotation may name a class the classifier cannot output, whatever the
-    config.
+    config. The annotation file must hold a record, and every video it
+    annotates must have both streams.
     """
     detector = load_score_stream(detector_path, expected_arity=2)
     classifier = load_score_stream(classifier_path)
@@ -621,6 +622,12 @@ def load_corpus(detector_path, classifier_path, annotation_path) -> Corpus:
             raise StreamFormatError(f"{classifier_path}: no score for {video}@{length}")
     arity = next(iter(classifier.values())).arity  # one arity across the file
     segments = load_annotations(annotation_path, num_classes=arity)
+    if not segments:
+        raise StreamFormatError(f"{annotation_path}: no annotation records")
+    for video in sorted(segments):
+        for kind, streams in (("detector", detector), ("classifier", classifier)):
+            if video not in streams:
+                raise StreamFormatError(f"{annotation_path}: no {kind} stream for {video}")
     return Corpus(detector=detector, classifier=classifier, segments=segments)
 
 

@@ -39,9 +39,9 @@ def test_criterion_01_worked_metric_example():
         assert levenshtein_distance(gt, pred) == 2
         segments = [GroundTruthSegment("v", label, 100 * i, 100 * i + 50) for i, label in enumerate(gt)]
         events = [ActivationEvent(label, 100 * i + 10, EventKind.LATE, 0.5) for i, label in enumerate(pred)]
-        result = evaluate_video(events, segments, grace=32).result
-        assert result.distance == 2
-        assert result.accuracy == pytest.approx(77.78, abs=0.01)
+        score = evaluate_video(events, segments, grace=32)
+        assert score.distance == 2
+        assert score.accuracy == pytest.approx(77.78, abs=0.01)
 
 
 def test_criterion_02_weight_function_anchors():
@@ -159,7 +159,7 @@ def test_criterion_06_noiseless_end_to_end():
         assert agg.missed_segments == 0
         for video_id, vr in run.videos.items():
             assert len(vr.trace.events) == len(corpus.segments[video_id])
-            assert vr.result.accuracy == 100.0
+            assert vr.score.accuracy == 100.0
 
 
 def test_criterion_07_tradeoff_direction():

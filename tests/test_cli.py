@@ -1,7 +1,10 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -745,12 +748,32 @@ class TestExitCodes:
         assert f"{path}:2: invalid JSON (Exceeds the limit (4300 digits)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
-    def test_annotated_video_without_streams_is_validation_error(self, corpus_dir, tmp_path, capsys, command):
-        with open(corpus_dir / "annotations.jsonl", "a", encoding="utf-8") as fh:
+    @pytest.mark.parametrize("scored_by_detector", [False, True], ids=["no-stream", "detector-only"])
+    def test_annotated_video_without_streams_is_validation_error(
+        self, corpus_dir, tmp_path, capsys, command, scored_by_detector
+    ):
+        annotations = corpus_dir / "annotations.jsonl"
+        with open(annotations, "a", encoding="utf-8") as fh:
             fh.write(json.dumps({"video": "ghost", "class": 1, "start": 40, "end": 70}) + "\n")
+        if scored_by_detector:
+            with open(corpus_dir / "detector_scores.jsonl", "a", encoding="utf-8") as fh:
+                fh.writelines(json.dumps({"video": "ghost", "t": t, "p": [0.5, 0.5]}) + "\n" for t in range(100))
         out = tmp_path / "o"
         assert main([command, "--data", str(corpus_dir), "--out", str(out)]) == 1
-        assert "no detector stream for ghost" in capsys.readouterr().err
+        missing = "classifier" if scored_by_detector else "detector"
+        assert f"error: {annotations}: no {missing} stream for ghost" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("text", ["", "\n \r\n\t\n"], ids=["empty", "blank"])
+    def test_annotation_file_without_records_is_named(self, corpus_dir, tmp_path, capsys, command, text):
+        annotations = corpus_dir / "annotations.jsonl"
+        annotations.write_text(text, encoding="utf-8")
+        out = tmp_path / "o"
+        assert main([command, "--data", str(corpus_dir), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {annotations}: no annotation records" in err
+        assert "skipping" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -854,6 +877,99 @@ class TestBadInputNeverInternalError:
             lines[index % len(lines)] = text
             (data / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
             assert main(["run", "--data", str(data), "--out", str(Path(tmp) / "out")]) in (0, 1)
+
+
+HOSTILE_CONFIG = b"# three keys\nstride = 1\ntau_late = 0.4\nfilter_kind = ewa\n"
+# The input files a draw may mutate, each with the commands that read it.
+HOSTILE_TARGETS = {
+    "detector_scores.jsonl": ("run", "sweep"),
+    "classifier_scores.jsonl": ("run", "sweep"),
+    "annotations.jsonl": ("run", "sweep", "eval"),
+    "events.jsonl": ("eval",),
+    "run.cfg": ("run", "sweep"),
+}
+
+
+@pytest.fixture(scope="module")
+def hostile_inputs(tmp_path_factory):
+    """A 2-video corpus, its run's events and a 3-key config file, as bytes keyed by file name."""
+    base = tmp_path_factory.mktemp("hostile")
+    gen = ["gen", "--videos", "2", "--gestures-per-video", "2", "--num-classes", "3", "--seed", "1"]
+    assert main(gen + ["--out", str(base / "corpus")]) == 0
+    assert main(["run", "--data", str(base / "corpus"), "--out", str(base / "run")]) == 0
+    files = {name: (base / "corpus" / name).read_bytes() for name in CORPUS_FILES if name != "manifest.json"}
+    return {**files, "events.jsonl": (base / "run" / "events.jsonl").read_bytes(), "run.cfg": HOSTILE_CONFIG}
+
+
+@st.composite
+def mutated(draw, data: bytes) -> bytes:
+    """data with one drawn fault: a flipped or inserted byte, a cut, a BOM or NUL, mixed line ends, or a moved line."""
+    kind = draw(st.sampled_from(["flip", "insert", "truncate", "empty", "bom", "nul", "newlines", "dup", "swap"]))
+    at = draw(st.integers(0, len(data) - (kind == "flip")))
+    if kind == "flip":
+        return data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1 :]
+    if kind in ("insert", "bom", "nul"):
+        mark = {"insert": bytes([draw(st.integers(0, 255))]), "bom": b"\xef\xbb\xbf", "nul": b"\x00"}[kind]
+        return data[:at] + mark + data[at:]
+    if kind == "truncate":
+        return data[:at]
+    if kind == "empty":
+        return b""
+    if kind == "newlines":
+        ends = draw(st.lists(st.sampled_from([b"\n", b"\r\n", b"\r"]), min_size=data.count(b"\n"),
+                             max_size=data.count(b"\n")))
+        pieces = data.split(b"\n")
+        return b"".join(piece + end for piece, end in zip(pieces, ends)) + pieces[-1]
+    lines = data.splitlines(keepends=True)
+    if not lines:
+        return data
+    i, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
+    if kind == "dup":
+        lines.insert(i, lines[i])
+    else:
+        lines[i], lines[j] = lines[j], lines[i]
+    return b"".join(lines)
+
+
+PIPELINE_FIELDS = tuple(f.name for f in fields(PipelineConfig))
+
+
+class TestHostileBytes:
+    @given(data=st.data())
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    def test_exit_is_zero_or_one_and_names_the_file(self, hostile_inputs, data):
+        target = data.draw(st.sampled_from(sorted(HOSTILE_TARGETS)), label="target")
+        command = data.draw(st.sampled_from(HOSTILE_TARGETS[target]), label="command")
+        content = data.draw(mutated(hostile_inputs[target]), label="content")
+        with tempfile.TemporaryDirectory() as tmp:
+            base = Path(tmp)
+            paths = {name: base / name for name in hostile_inputs}
+            for name, path in paths.items():
+                path.write_bytes(content if name == target else hostile_inputs[name])
+            if command == "eval":
+                argv = ["eval", "--events", str(paths["events.jsonl"]),
+                        "--annotations", str(paths["annotations.jsonl"])]
+            else:
+                argv = [command, "--data", str(base), "--config", str(paths["run.cfg"])]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(argv + ["--out", str(base / "out")])
+            assert code in (0, 1), err.getvalue()
+            if code == 1:
+                assert not (base / "out").exists()
+                message = next(line for line in err.getvalue().splitlines() if line.startswith("error: "))[7:]
+                if target == "run.cfg" and message.startswith(PIPELINE_FIELDS):
+                    return  # a value out of range, named by its field
+                named = next((p for p in paths.values() if message.startswith(f"{p}:")), None)
+                assert named is not None, message
+                line = re.match(r":(\d+): ", message[len(str(named)) :])
+                if line:
+                    with open(named, encoding="utf-8", errors="surrogateescape") as fh:
+                        assert 1 <= int(line[1]) <= len(fh.readlines()), message
+                return
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv + ["--out", str(base / "again")]) == 0
+            assert tree(base / "out") == tree(base / "again")
 
 
 def float_flags(command):

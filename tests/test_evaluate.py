@@ -77,7 +77,7 @@ def accuracy(gt, pred):
     """evaluate_video's accuracy for a ground-truth and a predicted label sequence."""
     segments = [seg(label, 100 * i, 100 * i + 50) for i, label in enumerate(gt)]
     events = [late(label, 100 * i + 10) for i, label in enumerate(pred)]
-    return evaluate_video(events, segments, grace=32).result.accuracy
+    return evaluate_video(events, segments, grace=32).accuracy
 
 
 class TestLevenshteinAccuracy:
@@ -151,6 +151,42 @@ class TestMatchActivations:
         assert not report.matches
         assert len(report.unmatched_events) == 1
 
+    @given(
+        # starts from a small range, so equal starts and overlapping grace spans are common
+        spans=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 8), st.integers(0, 8)), max_size=6),
+        marks=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 30)), max_size=8),
+        grace=st.integers(0, 10),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_segment_rule(self, spans, marks, grace):
+        segments = [seg(label, start, start + length) for label, start, length in spans]
+        events = [late(label, frame) for label, frame in marks]
+        report = match_activations(events, segments, grace)
+
+        def chosen(event):
+            """Index of the segment the rule picks: the latest start that covers the frame, first in order."""
+            covering = [i for i, s in enumerate(segments) if s.start <= event.emit_frame <= s.end + grace]
+            if not covering:
+                return None
+            latest = max(segments[i].start for i in covering)
+            return next(i for i in covering if segments[i].start == latest)
+
+        placed = [m.event for m in report.matches] + list(report.duplicates) + list(report.unmatched_events)
+        assert sorted(map(id, placed)) == sorted(map(id, events))
+        claimed = []
+        for m in report.matches:
+            idx = chosen(m.event)
+            assert idx is not None and segments[idx] is m.segment
+            assert m.correct == (m.event.label == m.segment.label)
+            claimed.append(idx)
+        assert len(set(claimed)) == len(claimed)
+        for event in report.duplicates:
+            assert chosen(event) in claimed
+        for event in report.unmatched_events:
+            assert chosen(event) is None
+        unclaimed = [s for i, s in enumerate(segments) if i not in claimed]
+        assert list(map(id, report.missed_segments)) == list(map(id, unclaimed))
+
 
 class TestEarlyDetectionStats:
     def test_at_segment_end(self):
@@ -184,22 +220,22 @@ class TestEvaluateVideo:
         segments = [seg(1, 10, 40), seg(2, 100, 130)]
         events = [late(1, 35), late(5, 120)]
         score = evaluate_video(events, segments, grace=32)
-        assert score.result.gt_labels == (1, 2)
-        assert score.result.pred_labels == (1, 5)
-        assert score.result.distance == 1
-        assert score.result.accuracy == pytest.approx(50.0)
+        assert score.gt_labels == (1, 2)
+        assert score.pred_labels == (1, 5)
+        assert score.distance == 1
+        assert score.accuracy == pytest.approx(50.0)
         assert len(score.matches.matches) == 2
 
     def test_pred_ordered_by_emit_frame(self):
         segments = [seg(1, 10, 40), seg(2, 100, 130)]
         events = [late(2, 120), late(1, 35)]  # given out of order
-        result = evaluate_video(events, segments, grace=32).result
-        assert result.pred_labels == (1, 2)
+        score = evaluate_video(events, segments, grace=32)
+        assert score.pred_labels == (1, 2)
 
     def test_empty_gt_has_no_accuracy(self):
-        result = evaluate_video([late(1, 5)], [], grace=32).result
-        assert result.accuracy is None
-        assert result.distance == 1
+        score = evaluate_video([late(1, 5)], [], grace=32)
+        assert score.accuracy is None
+        assert score.distance == 1
 
     def test_distance_bounded_by_longer_sequence(self):
         rng = random.Random(41)
@@ -209,8 +245,8 @@ class TestEvaluateVideo:
                 for i in range(rng.randint(1, 5))
             ]
             events = [late(rng.randrange(4), rng.randrange(600)) for _ in range(rng.randint(0, 5))]
-            result = evaluate_video(events, segments, grace=16).result
-            assert result.distance <= max(len(result.gt_labels), len(result.pred_labels))
+            score = evaluate_video(events, segments, grace=16)
+            assert score.distance <= max(len(score.gt_labels), len(score.pred_labels))
 
 
 class TestEvaluateCorpus:
