@@ -7,21 +7,24 @@ the ambiguous opening phase of a gesture. An early event fires as soon as the
 top-2 margin of the mean reaches tau_early; otherwise a late event fires at
 gate deactivation when the maximum clears tau_late. Each active period emits
 at most one event. activation_step advances one stream by one window and
-applies both rules; fold_periods folds many stored periods at once with
-update_mean's arithmetic, placing each mean at its window, and top2_rows
-reads top2 of all the means at once.
+applies both rules, folding each classifier row into a read-only float64
+mean with numpy; as no mean is negative, the margin never exceeds top-1, so
+the full top2 is read only once top-1 reaches tau_early. fold_periods folds
+many stored periods at once with update_mean's arithmetic, placing each
+mean at its window, and top2_rows reads top2 of all the means at once.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import PipelineConfig, ProbVector, top2
+from .core import PipelineConfig, top2
 from .gate import GateDecision
 from .windows import Window
 
@@ -45,16 +48,19 @@ class ActivationEvent:
     margin_or_score: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class ActivationState:
     """Classifier-side accumulator threaded through activation_step.
 
     values is the active period's running weighted mean and count its number
     of updates, 0 while idle. Each summand is a probability scaled by a weight
-    <= 1, so elements stay in [0, 1] but may sum to less than 1.
+    <= 1, so elements stay in [0, 1] but may sum to less than 1. Any float
+    sequence is accepted; the states update_mean returns hold read-only
+    float64 rows. As == on rows has no single truth value, states compare by
+    identity.
     """
 
-    values: tuple[float, ...]
+    values: np.ndarray | Sequence[float]
     count: int = 0
     early_fired: bool = False
 
@@ -64,7 +70,15 @@ class ActivationState:
 
     @classmethod
     def inactive(cls, arity: int) -> ActivationState:
-        return cls((0.0,) * arity)
+        return cls(_zero_row(arity))
+
+
+@functools.lru_cache(maxsize=64)
+def _zero_row(arity: int) -> np.ndarray:
+    """One shared read-only row of zeros per arity, the mean of every idle state."""
+    row = np.zeros(arity)
+    row.setflags(write=False)
+    return row
 
 
 def midpoint(mean_duration: float, stride: int) -> int:
@@ -88,22 +102,23 @@ def sigmoid_weight(j: int, t: int, slope: float) -> float:
         return 0.0
 
 
-def update_mean(state: ActivationState, probs: ProbVector, weight: float) -> ActivationState:
-    """Fold one weighted classifier score into the running mean.
+def update_mean(state: ActivationState, row: np.ndarray | Sequence[float], weight: float) -> ActivationState:
+    """Fold one weighted classifier row into the running mean.
 
     With j the new update count, the mean becomes
-    (previous_mean * (j - 1) + weight * probs) / j elementwise, which keeps
-    it equal to the batch average of all weighted scores so far.
+    (previous_mean * (j - 1) + weight * row) / j elementwise, which keeps
+    it equal to the batch average of all weighted scores so far. numpy
+    applies these IEEE operations per element in the same order as
+    fold_periods, and the new mean is a read-only float64 row.
     """
     old = state.values
-    if len(old) != len(probs.values):
-        raise ValueError(f"arity mismatch: mean has {len(old)} classes, scores have {len(probs.values)}")
+    if len(old) != len(row):
+        raise ValueError(f"arity mismatch: mean has {len(old)} classes, scores have {len(row)}")
     j = state.count + 1
     # float() of a count is exact: the conversion float * int makes per element
-    prev, count = float(j - 1), float(j)
-    vals = probs.values
-    new_values = tuple([(o * prev + weight * v) / count for o, v in zip(old, vals)])
-    return ActivationState(new_values, j, state.early_fired)
+    values = (np.multiply(old, float(j - 1)) + np.multiply(row, weight)) / float(j)
+    values.setflags(write=False)
+    return ActivationState(values, j, state.early_fired)
 
 
 def fold_periods(scores: np.ndarray, firsts, lengths, cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -166,7 +181,7 @@ def activation_step(
 ) -> tuple[ActivationState, Optional[ActivationEvent]]:
     """Advance the activation machine by one window given the gate's decision.
 
-    The classifier scorer is consulted only on Activate/StayActive windows;
+    The classifier's row(t) is read only on Activate/StayActive windows;
     while the gate is idle it is never touched. Activate restarts the
     iteration index at 1, so gestures separated by an idle period are
     independent activations. After each fold an early event fires once the
@@ -182,7 +197,7 @@ def activation_step(
             raise RuntimeError("deactivate without a preceding active period")
         event: Optional[ActivationEvent] = None
         if not state.early_fired:
-            label, max1, _ = top2(state.values)
+            label, max1, _ = top2(np.asarray(state.values).tolist())
             if max1 >= cfg.tau_late:
                 event = ActivationEvent(label, window.end, EventKind.LATE, max1)
         return ActivationState.inactive(len(state.values)), event
@@ -190,13 +205,16 @@ def activation_step(
         state = ActivationState.inactive(cfg.num_classes)
     elif not state.active:
         raise RuntimeError("stay-active decision while the activation state is inactive")
-    probs = classifier.score(window.end)
+    row = classifier.row(window.end)
     t_mid = midpoint(cfg.mean_duration, cfg.stride)
     weight = sigmoid_weight(state.count + 1, t_mid, cfg.sigmoid_slope)
-    state = update_mean(state, probs, weight)
+    state = update_mean(state, row, weight)
     if state.early_fired:
         return state, None
-    label, max1, max2 = top2(state.values)
+    values = state.values
+    if values[values.argmax()] < cfg.tau_early:  # the margin max1 - max2 is at most top-1, as no mean is negative
+        return state, None
+    label, max1, max2 = top2(values.tolist())
     margin = max1 - max2
     if margin >= cfg.tau_early:
         event = ActivationEvent(label, window.end, EventKind.EARLY, margin)

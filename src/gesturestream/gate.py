@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -84,11 +84,12 @@ def apply_filter(items: tuple[float, ...] | np.ndarray, kind: FilterKind) -> flo
     raise ValueError(f"unknown filter kind {kind!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class GateState:
+class GateState(NamedTuple):
     """Hysteresis state threaded through gate_step, one per stream.
 
-    queue holds the last <= cfg.filter_size raw gesture probabilities, newest first.
+    queue holds the last <= cfg.filter_size raw gesture probabilities, newest
+    first. A NamedTuple, which is cheaper to build once per window than a
+    dataclass, and as immutable.
     """
 
     mode: GateMode

@@ -158,10 +158,14 @@ class ScoreStream:
         """One past the last frame index."""
         return len(self.rows)
 
-    def score(self, t: int) -> ProbVector:
+    def row(self, t: int) -> np.ndarray:
+        """Frame t's vector as a read-only view of rows[t], with no copy."""
         if 0 <= t < len(self.rows):
-            return ProbVector.trusted(tuple(self.rows[t].tolist()))
+            return self.rows[t]
         raise ValueError(f"no score for {self.video_id}@{t}")
+
+    def score(self, t: int) -> ProbVector:
+        return ProbVector.trusted(tuple(self.row(t).tolist()))
 
 
 @dataclass(frozen=True, slots=True)

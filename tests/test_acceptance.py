@@ -131,7 +131,7 @@ def test_criterion_05_incremental_mean_equivalence():
                 weight = rng.uniform(0.01, 1.0)
                 scores.append(vec.values)
                 weights.append(weight)
-                state = update_mean(state, vec, weight)
+                state = update_mean(state, vec.values, weight)
                 count = len(scores)
                 for i in range(arity):
                     batch = math.fsum(w * s[i] for w, s in zip(weights, scores)) / count

@@ -1,12 +1,14 @@
 import math
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gesturestream.activation import (
+    ActivationEvent,
     ActivationState,
     EventKind,
     activation_step,
@@ -15,7 +17,7 @@ from gesturestream.activation import (
     sigmoid_weight,
     update_mean,
 )
-from gesturestream.core import ConfigError, PipelineConfig, ProbVector, normalize
+from gesturestream.core import ConfigError, PipelineConfig, ProbVector, normalize, top2
 from gesturestream.gate import GateDecision
 from gesturestream.windows import Window
 
@@ -90,7 +92,7 @@ class TestUpdateMean:
     def test_first_update_is_weighted_score(self):
         state = ActivationState.inactive(3)
         probs = ProbVector((0.2, 0.5, 0.3))
-        out = update_mean(state, probs, 0.4)
+        out = update_mean(state, probs.values, 0.4)
         assert out.count == 1
         assert out.values == pytest.approx((0.08, 0.2, 0.12), abs=1e-15)
 
@@ -105,7 +107,7 @@ class TestUpdateMean:
                 w = rng.uniform(0.01, 1.0)
                 scores.append(vec.values)
                 weights.append(w)
-                state = update_mean(state, vec, w)
+                state = update_mean(state, vec.values, w)
                 expected = batch_mean(scores, weights)
                 assert state.values == pytest.approx(expected, abs=1e-12)
                 assert all(0.0 <= x <= 1.0 for x in state.values)
@@ -116,7 +118,7 @@ class TestUpdateMean:
         probs = ProbVector((0.0, 1.0, 0.0, 0.0))
         prev = 0.0
         for j in range(1, 201):
-            state = update_mean(state, probs, sigmoid_weight(j, 0, 0.2))
+            state = update_mean(state, probs.values, sigmoid_weight(j, 0, 0.2))
             assert state.values[1] > prev
             prev = state.values[1]
         assert prev > 0.95
@@ -124,7 +126,7 @@ class TestUpdateMean:
     def test_arity_mismatch(self):
         state = ActivationState.inactive(3)
         with pytest.raises(ValueError, match="arity"):
-            update_mean(state, ProbVector((0.5, 0.5)), 0.5)
+            update_mean(state, (0.5, 0.5), 0.5)
 
 
 @st.composite
@@ -167,7 +169,7 @@ class TestFoldPeriods:
             state = ActivationState.inactive(scores.shape[1])
             for j in range(1, length + 1):
                 weight = sigmoid_weight(j, t_mid, cfg.sigmoid_slope)
-                state = update_mean(state, ProbVector.trusted(tuple(next(rows))), weight)
+                state = update_mean(state, next(rows), weight)
                 want[first + j - 1] = [x.hex() for x in state.values]
         before = scores.tobytes()
         windows, means = fold_periods(scores, firsts, lengths, cfg)
@@ -192,9 +194,9 @@ class StubScorer:
         self.probs = probs
         self.lookups = 0
 
-    def score(self, t):
+    def row(self, t):
         self.lookups += 1
-        return self.probs
+        return self.probs.values
 
 
 class TestActivationStep:
@@ -305,6 +307,102 @@ class TestActivationStep:
         assert state.count == 19 and state.early_fired
 
 
+class TestStateAndEventTypes:
+    def test_values_refuse_writes(self):
+        idle = ActivationState.inactive(3)
+        assert idle.values is ActivationState.inactive(3).values  # one shared zero row per arity
+        scorer = StubScorer(ProbVector((0.5, 0.3, 0.2)))
+        stepped, _ = activation_step(idle, GateDecision.ACTIVATE, scorer, Window(31), PipelineConfig(num_classes=3))
+        for values in (idle.values, stepped.values):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 1.0
+        assert idle.values.tolist() == [0.0, 0.0, 0.0]
+        assert ActivationState((0.1, 0.2)) != ActivationState((0.1, 0.2))  # states compare by identity
+
+    def test_events_carry_python_numbers(self):
+        scorer = StubScorer(ProbVector((0.1, 0.8, 0.1)))
+        early_cfg = PipelineConfig(num_classes=3, tau_early=0.0)
+        _, early = activation_step(ActivationState.inactive(3), GateDecision.ACTIVATE, scorer, Window(31), early_cfg)
+        cfg = PipelineConfig(num_classes=3, mean_duration=2.0)
+        state, _ = activation_step(ActivationState.inactive(3), GateDecision.ACTIVATE, scorer, Window(31), cfg)
+        _, late = activation_step(state, GateDecision.DEACTIVATE, scorer, Window(32), cfg)
+        assert (early.kind, late.kind) == (EventKind.EARLY, EventKind.LATE)
+        for event in (early, late):
+            # a numpy scalar would print as np.float64(...) in any repr
+            assert type(event.label) is int and type(event.margin_or_score) is float
+
+
+@st.composite
+def one_period(draw):
+    """One active period's classifier rows and a config whose tau_early is 0, 1, random, or reached exactly.
+
+    Exact 0.0 and -0.0 entries appear, as in period_scores. A prefix of
+    rows may be one-hot on one class, so the mean's top-2 stays 0 there and
+    its top-1 is its margin; a reached tau_early is the top-1 of one of
+    those folds, so the margin equals tau_early exactly.
+    """
+    classes, length = draw(st.integers(2, 83)), draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.dirichlet(np.full(classes, draw(st.sampled_from([0.1, 1.0]))), size=length)
+    zeros = rng.random(rows.shape)
+    rows[zeros < 0.1] = 0.0
+    rows[zeros > 0.9] = -0.0
+    hot = draw(st.integers(0, length))
+    rows[:hot] = np.where(zeros[:hot] < 0.5, 0.0, -0.0)
+    rows[:hot, draw(st.integers(0, classes - 1))] = 1.0
+    t = draw(st.integers(0, 20))
+    cfg = PipelineConfig(num_classes=classes, mean_duration=4 * t + 2)  # midpoint t
+    tau = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+    if hot and draw(st.booleans()):
+        state = ActivationState.inactive(classes)
+        for j in range(1, draw(st.integers(1, hot)) + 1):
+            state = update_mean(state, rows[j - 1], sigmoid_weight(j, t, cfg.sigmoid_slope))
+        tau = max(state.values.tolist())
+    return rows, replace(cfg, tau_early=tau)
+
+
+def unbounded_period(rows, cfg):
+    """The early rule with no top-1 bound: top2 of the whole mean after every fold, each window's (state, event)."""
+    t_mid = midpoint(cfg.mean_duration, cfg.stride)
+    state, steps = ActivationState.inactive(cfg.num_classes), []
+    for t, row in enumerate(rows):
+        state, event = update_mean(state, row, sigmoid_weight(t + 1, t_mid, cfg.sigmoid_slope)), None
+        if not state.early_fired:
+            label, max1, max2 = top2(state.values.tolist())
+            if max1 - max2 >= cfg.tau_early:
+                event = ActivationEvent(label, t, EventKind.EARLY, max1 - max2)
+                state = ActivationState(state.values, state.count, True)
+        steps.append((state, event))
+    return steps
+
+
+def state_bits(state):
+    return [x.hex() for x in state.values.tolist()], state.count, state.early_fired
+
+
+def event_bits(event):
+    if event is None:
+        return None
+    score = event.margin_or_score
+    return event.label, type(event.label), event.emit_frame, event.kind, score.hex(), type(score)
+
+
+class TestTopOneBound:
+    """activation_step reads the full top2 only once top-1 reaches tau_early."""
+
+    @given(one_period())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_never_changes_an_outcome(self, drawn):
+        rows, cfg = drawn
+        scorer = SimpleNamespace(row=rows.__getitem__)
+        state, decision = ActivationState.inactive(cfg.num_classes), GateDecision.ACTIVATE
+        for t, (want_state, want_event) in enumerate(unbounded_period(rows, cfg)):
+            state, event = activation_step(state, decision, scorer, Window(t), cfg)
+            decision = GateDecision.STAY_ACTIVE
+            assert state_bits(state) == state_bits(want_state)
+            assert event_bits(event) == event_bits(want_event)
+
+
 class TestTryEarly:
     """The early rule as activation_step applies it after each fold."""
 
@@ -369,7 +467,7 @@ class TestEmissionMonotonicity:
             for j in range(1, rng.randint(5, 45)):
                 vec = normalize([rng.random() + 1e-9 for _ in range(5)])
                 w = sigmoid_weight(j, 9, cfg_base.sigmoid_slope)
-                state = update_mean(state, vec, w)
+                state = update_mean(state, vec.values, w)
                 vals = sorted(state.values, reverse=True)
                 margins.append(vals[0] - vals[1])
             taus = [0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0]

@@ -55,6 +55,12 @@ class TestFilterQueue:
         with pytest.raises(ValueError):
             GateState.idle(0)
 
+    def test_state_is_immutable(self):
+        state, _, _ = gate_step(GateState.idle(4), 0.9, CFG)
+        for field, value in (("mode", GateMode.IDLE), ("queue", ()), ("nogesture_run", 3)):
+            with pytest.raises(AttributeError):
+                setattr(state, field, value)
+
 
 class TestFilters:
     def test_median_of_constants(self):

@@ -282,7 +282,7 @@ def replay_online(det, cls, cfg):
             events.append(event)
         j = act.count
         if j:
-            label, top1, second = top2(act.values)
+            label, top1, second = top2(act.values.tolist())
             weight = sigmoid_weight(j, t_mid, cfg.sigmoid_slope)
         else:
             label, top1, second, weight = -1, 0.0, 0.0, 0.0

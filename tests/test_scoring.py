@@ -46,11 +46,21 @@ class TestScoreStream:
         assert stream.length == 32
         assert stream.score(31).values == (0.1, 0.9)
 
+    def test_row_is_a_read_only_view(self):
+        stream = dense_stream()
+        for t in (0, 31):
+            row = stream.row(t)
+            assert np.shares_memory(row, stream.rows)  # no copy
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 0.2
+            assert stream.score(t).values == tuple(row.tolist())
+
     def test_missing_entry_names_video_and_frame(self):
         stream = dense_stream()
         for t in (32, 33, -1):
-            with pytest.raises(ValueError, match=rf"no score for v01@{t}"):
-                stream.score(t)
+            for lookup in (stream.score, stream.row):
+                with pytest.raises(ValueError, match=rf"no score for v01@{t}"):
+                    lookup(t)
 
     def test_rows_read_only(self):
         stream = dense_stream()
