@@ -58,13 +58,6 @@ class ProbVector:
     def __post_init__(self) -> None:
         _checked_sum(self.values, 1.0, PROB_SUM_TOL)
 
-    @classmethod
-    def trusted(cls, values: tuple[float, ...]) -> ProbVector:
-        """Wrap values already checked against these invariants, without checking them again."""
-        vec = object.__new__(cls)
-        object.__setattr__(vec, "values", values)
-        return vec
-
 
 @dataclass(frozen=True, slots=True)
 class PipelineConfig:
@@ -117,37 +110,24 @@ class PipelineConfig:
             raise ConfigError("; ".join(problems))
 
 
-def normalize(raw) -> ProbVector:
-    """Scale a sequence of non-negative reals so it sums to one.
-
-    Proportions are preserved; all-zero or negative input is rejected.
-    """
-    values = tuple(float(x) for x in raw)
-    for x in values:
-        if x < 0.0:
-            raise ValueError(f"cannot normalize: negative element {x!r}")
-    total = math.fsum(values)
-    if total <= 0.0:
-        raise ValueError("cannot normalize an all-zero vector")
-    return ProbVector(tuple(x / total for x in values))
-
-
 def ingest_probs(raw) -> ProbVector:
     """Validate a probability vector arriving from an external source.
 
     raw is a sequence of ints and floats; a bool or any other value is an
-    error, not converted. Values up to 1 + INGEST_RENORM_TOL whose exact sum is
-    within INGEST_RENORM_TOL of 1 (float serialization loss) are kept when they
-    make a ProbVector and divided by that sum otherwise; anything worse is an error.
+    error, not converted. A row that makes a ProbVector is kept as it stands.
+    Otherwise values up to 1 + INGEST_RENORM_TOL whose exact sum is within
+    INGEST_RENORM_TOL of 1 (float serialization loss) are divided by that sum;
+    anything worse is an error.
     """
     for x in raw:
         if isinstance(x, bool) or not isinstance(x, (int, float)):
             raise ValueError(f"probability {x!r} is not a number")
     values = tuple(float(x) for x in raw)
-    total = _checked_sum(values, 1.0 + INGEST_RENORM_TOL, INGEST_RENORM_TOL)
-    if max(values) <= 1.0 and abs(total - 1.0) <= PROB_SUM_TOL:  # ProbVector's own rule, just proven
-        return ProbVector.trusted(values)
-    return normalize(values)
+    try:
+        return ProbVector(values)
+    except ValueError:
+        total = _checked_sum(values, 1.0 + INGEST_RENORM_TOL, INGEST_RENORM_TOL)
+    return ProbVector(tuple(x / total for x in values))
 
 
 def top2(vals) -> tuple[int, float, float]:

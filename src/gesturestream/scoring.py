@@ -165,7 +165,8 @@ class ScoreStream:
         raise ValueError(f"no score for {self.video_id}@{t}")
 
     def score(self, t: int) -> ProbVector:
-        return ProbVector.trusted(tuple(self.row(t).tolist()))
+        """Frame t's vector as a ProbVector of Python floats, checked as every ProbVector is."""
+        return ProbVector(tuple(self.row(t).tolist()))
 
 
 @dataclass(frozen=True, slots=True)
@@ -583,7 +584,7 @@ def load_score_stream(path, expected_arity: int | None = None) -> dict[str, Scor
 
 
 def load_annotations(path, num_classes: int | None = None) -> dict[str, list[GroundTruthSegment]]:
-    """Load ground-truth segments, sorted by start and checked for overlap."""
+    """Load ground-truth segments, sorted by start and checked for overlap; a file with no record is an error."""
     per_video: dict[str, list[GroundTruthSegment]] = {}
     for lineno, record in iter_records(path):
         where = f"{path}:{lineno}"
@@ -599,6 +600,8 @@ def load_annotations(path, num_classes: int | None = None) -> dict[str, list[Gro
         except ValueError as exc:
             raise StreamFormatError(f"{where}: {exc}") from None
         per_video.setdefault(video, []).append(segment)
+    if not per_video:
+        raise StreamFormatError(f"{path}: no annotation records")
     for video, segments in per_video.items():
         segments.sort(key=lambda s: s.start)
         for prev, cur in zip(segments, segments[1:]):
@@ -615,8 +618,7 @@ def load_corpus(detector_path, classifier_path, annotation_path) -> Corpus:
 
     No classifier stream may be shorter than its detector's, and no
     annotation may name a class the classifier cannot output, whatever the
-    config. The annotation file must hold a record, and every video it
-    annotates must have both streams.
+    config. Every video the annotation file annotates must have both streams.
     """
     detector = load_score_stream(detector_path, expected_arity=2)
     classifier = load_score_stream(classifier_path)
@@ -626,8 +628,6 @@ def load_corpus(detector_path, classifier_path, annotation_path) -> Corpus:
             raise StreamFormatError(f"{classifier_path}: no score for {video}@{length}")
     arity = next(iter(classifier.values())).arity  # one arity across the file
     segments = load_annotations(annotation_path, num_classes=arity)
-    if not segments:
-        raise StreamFormatError(f"{annotation_path}: no annotation records")
     for video in sorted(segments):
         for kind, streams in (("detector", detector), ("classifier", classifier)):
             if video not in streams:

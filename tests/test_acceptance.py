@@ -15,11 +15,18 @@ import pytest
 
 from gesturestream.activation import ActivationEvent, ActivationState, EventKind, midpoint, sigmoid_weight, update_mean
 from gesturestream.cli import main
-from gesturestream.core import FilterKind, PipelineConfig, normalize
+from gesturestream.core import FilterKind, PipelineConfig, ProbVector
 from gesturestream.evaluate import evaluate_video, levenshtein_distance, sweep
 from gesturestream.gate import apply_filter, ewa_weights
 from gesturestream.pipeline import run_corpus
 from gesturestream.scoring import GroundTruthSegment, SynthConfig, generate_synthetic, load_corpus
+
+
+def random_probs(rng: random.Random, arity: int) -> ProbVector:
+    """A ProbVector of `arity` positive uniform draws, each divided by their exact sum."""
+    raw = [rng.random() + 1e-9 for _ in range(arity)]
+    total = math.fsum(raw)
+    return ProbVector(tuple(x / total for x in raw))
 
 
 @contextmanager
@@ -127,7 +134,7 @@ def test_criterion_05_incremental_mean_equivalence():
             scores: list[tuple[float, ...]] = []
             weights: list[float] = []
             for _ in range(rng.randint(1, 40)):
-                vec = normalize([rng.random() + 1e-9 for _ in range(arity)])
+                vec = random_probs(rng, arity)
                 weight = rng.uniform(0.01, 1.0)
                 scores.append(vec.values)
                 weights.append(weight)

@@ -17,9 +17,16 @@ from gesturestream.activation import (
     sigmoid_weight,
     update_mean,
 )
-from gesturestream.core import ConfigError, PipelineConfig, ProbVector, normalize, top2
+from gesturestream.core import ConfigError, PipelineConfig, ProbVector, top2
 from gesturestream.gate import GateDecision
 from gesturestream.windows import Window
+
+
+def random_probs(rng: random.Random, arity: int) -> ProbVector:
+    """A ProbVector of `arity` positive uniform draws, each divided by their exact sum."""
+    raw = [rng.random() + 1e-9 for _ in range(arity)]
+    total = math.fsum(raw)
+    return ProbVector(tuple(x / total for x in raw))
 
 
 class TestMidpoint:
@@ -103,7 +110,7 @@ class TestUpdateMean:
             state = ActivationState.inactive(arity)
             scores, weights = [], []
             for _ in range(rng.randint(1, 40)):
-                vec = normalize([rng.random() + 1e-9 for _ in range(arity)])
+                vec = random_probs(rng, arity)
                 w = rng.uniform(0.01, 1.0)
                 scores.append(vec.values)
                 weights.append(w)
@@ -241,7 +248,7 @@ class TestActivationStep:
             state = ActivationState.inactive(5)
             decision = GateDecision.ACTIVATE
             for t in range(31, 31 + rng.randint(1, 40)):
-                scorer = StubScorer(normalize([rng.random() + 1e-9 for _ in range(5)]))
+                scorer = StubScorer(random_probs(rng, 5))
                 state, event = activation_step(state, decision, scorer, self.window(t), cfg)
                 assert event is None
                 decision = GateDecision.STAY_ACTIVE
@@ -465,7 +472,7 @@ class TestEmissionMonotonicity:
             state = ActivationState.inactive(5)
             margins = []
             for j in range(1, rng.randint(5, 45)):
-                vec = normalize([rng.random() + 1e-9 for _ in range(5)])
+                vec = random_probs(rng, 5)
                 w = sigmoid_weight(j, 9, cfg_base.sigmoid_slope)
                 state = update_mean(state, vec.values, w)
                 vals = sorted(state.values, reverse=True)

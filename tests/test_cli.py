@@ -403,6 +403,17 @@ class TestEval:
         report = json.loads((out / "report.json").read_text())
         assert report["unknown_videos"] == ["ghost"]
 
+    @pytest.mark.parametrize("text", ["", "\n \r\n\t\n"], ids=["empty", "blank"])
+    def test_annotation_file_without_records_is_named(self, tmp_path, capsys, text):
+        events = tmp_path / "events.jsonl"
+        events.write_text(json.dumps({"video": "v000", "class": 1, "frame": 50, "kind": "late", "score": 0.4}) + "\n")
+        annotations = tmp_path / "annotations.jsonl"
+        annotations.write_text(text, encoding="utf-8")
+        out = tmp_path / "eval"
+        assert main(["eval", "--events", str(events), "--annotations", str(annotations), "--out", str(out)]) == 1
+        assert f"error: {annotations}: no annotation records" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweep:
     def test_default_nine_rows(self, corpus_dir, tmp_path):

@@ -17,7 +17,6 @@ from gesturestream.core import (
     PipelineConfig,
     ProbVector,
     ingest_probs,
-    normalize,
     top2,
 )
 from gesturestream.scoring import SynthConfig
@@ -135,55 +134,42 @@ class TestConfigsCheckThemselves:
             assert str(exc.value) == want
 
 
-class TestNormalize:
-    def test_symmetric_pair(self):
-        assert normalize([2, 2]).values == (0.5, 0.5)
-
-    def test_identity_one_hot(self):
-        assert normalize([1, 0, 0]).values == (1.0, 0.0, 0.0)
-
-    def test_proportions(self):
-        assert normalize([1, 3]).values == (0.25, 0.75)
-
-    def test_rejects_all_zero(self):
-        with pytest.raises(ValueError, match="all-zero"):
-            normalize([0.0, 0.0])
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError, match="negative"):
-            normalize([0.5, -0.1])
-
-    def test_output_sums_to_one(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            raw = [rng.random() * 10 for _ in range(rng.randint(2, 30))]
-            assert abs(math.fsum(normalize(raw).values) - 1.0) <= 1e-9
-
-    def test_idempotent(self):
-        rng = random.Random(11)
-        for _ in range(200):
-            raw = [rng.random() for _ in range(rng.randint(2, 12))]
-            once = normalize(raw)
-            twice = normalize(once.values)
-            assert all(abs(a - b) <= 1e-12 for a, b in zip(once.values, twice.values))
-
-    def test_positive_scaling_invariant(self):
-        rng = random.Random(13)
-        for _ in range(200):
-            raw = [rng.random() for _ in range(rng.randint(2, 12))]
-            scale = rng.uniform(1e-6, 1e6)
-            plain = normalize(raw)
-            scaled = normalize([scale * x for x in raw])
-            assert all(abs(a - b) <= 1e-12 for a, b in zip(plain.values, scaled.values))
-
-
 class TestIngestProbs:
     def test_exact_vector_kept(self):
         assert ingest_probs([0.1, 0.9]).values == (0.1, 0.9)
 
+    def test_one_hot_kept(self):
+        assert ingest_probs([1, 0, 0]).values == (1.0, 0.0, 0.0)
+
     def test_small_slack_renormalized(self):
         vec = ingest_probs([0.4995, 0.5])  # sums to 0.9995
         assert abs(math.fsum(vec.values) - 1.0) <= 1e-9
+
+    def test_renormalized_rows_sum_to_one(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            draws = [rng.random() for _ in range(rng.randint(2, 30))]
+            target = 1.0 + rng.choice((-1, 1)) * rng.uniform(1e-5, 9e-4)  # off by more than ProbVector allows
+            raw = [x * target / math.fsum(draws) for x in draws]
+            with pytest.raises(ValueError):
+                ProbVector(tuple(raw))
+            assert abs(math.fsum(ingest_probs(raw).values) - 1.0) <= 1e-9
+
+    def test_own_output_kept(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            draws = [rng.random() for _ in range(rng.randint(2, 12))]
+            target = 1.0 + rng.uniform(-9e-4, 9e-4)
+            once = ingest_probs([x * target / math.fsum(draws) for x in draws])
+            assert ingest_probs(once.values).values == once.values
+
+    def test_negative_value_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("probability -0.1 outside [0, 1.001]")):
+            ingest_probs([0.5, -0.1])
+
+    def test_all_zero_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("probabilities sum to 0.0, expected 1 within 0.001")):
+            ingest_probs([0.0, 0.0])
 
     def test_single_value_rejected(self):
         with pytest.raises(ValueError, match="probability vector needs >= 2 classes, got 1"):
@@ -231,15 +217,22 @@ class TestOneRowRule:
     @given(edge_rows())
     @example([0.369955, 0.630045, 1.0000000000287557e-06])  # exact sum within 1e-6 of 1, left-to-right sum not
     @example([1.0000005, 0.0])  # sum within 1e-6 of 1, a value above 1
+    @example([1.0011, 0.0])  # rejected: outside [0, 1.001]
+    @example([0.4, 0.5])  # rejected: sum to 0.9
+    @example([1.0])  # rejected: needs >= 2 classes
     @settings(max_examples=1000, deadline=None, derandomize=True)
     def test_ingest_accepts_exactly_the_documented_rows(self, row):
         total = math.fsum(row)
-        if not (all(0.0 <= x <= 1.0 + 1e-3 for x in row) and abs(total - 1.0) <= 1e-3):
-            with pytest.raises(ValueError):
+        if len(row) < 2 or not (all(0.0 <= x <= 1.0 + 1e-3 for x in row) and abs(total - 1.0) <= 1e-3):
+            # the file rule's own message, never ProbVector's [0, 1] one
+            with pytest.raises(ValueError) as want:
+                core._checked_sum(row, 1 + 1e-3, 1e-3)
+            with pytest.raises(ValueError) as got:
                 ingest_probs(row)
+            assert str(got.value) == str(want.value)
             return
         kept = max(row) <= 1.0 and abs(total - 1.0) <= 1e-6
-        want = row if kept else normalize(row).values
+        want = row if kept else tuple(x / total for x in row)
         assert [x.hex() for x in ingest_probs(row).values] == [x.hex() for x in want]
         # ProbVector takes exactly the rows ingest_probs keeps as they stand
         if kept:

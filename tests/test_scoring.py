@@ -652,6 +652,13 @@ class TestLoadAnnotations:
         with pytest.raises(StreamFormatError, match=":1: a: negative class label -1$"):
             load_annotations(path)
 
+    @pytest.mark.parametrize("text", ["", "\n \r\n\t\n"], ids=["empty", "blank"])
+    def test_file_without_records_rejected(self, tmp_path, text):
+        path = tmp_path / "ann.jsonl"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(StreamFormatError, match=f"^{re.escape(str(path))}: no annotation records$"):
+            load_annotations(path)
+
 
 class TestSynthConfigValidation:
     def test_defaults_valid(self):
